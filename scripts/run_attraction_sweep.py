@@ -37,11 +37,11 @@ def main():
     parser.add_argument("--init-count", type=int, default=21)
     parser.add_argument("--budget", type=int, default=10_000)
     parser.add_argument("--fast", action="store_true",
-                        help="coarse 10 x 21 x 9x9 preview grid")
+                        help="coarse 10 x 21 x 7x7 preview grid")
     args = parser.parse_args()
 
     if args.fast:
-        spec = GridSpec(alpha_count=10, delta_d_count=21, init_count=9,
+        spec = GridSpec(alpha_count=10, delta_d_count=21, init_count=7,
                         budget=args.budget)
     else:
         spec = GridSpec(alpha_count=args.alpha_count,

@@ -27,11 +27,26 @@ error ``delta_d = dbar - rho(dbar)`` of the disturbance drives the system.
 The shifted recurrences are the switched recurrences verbatim with
 ``(e, u_bar, delta_d)`` in place of ``(e, u, d)``, so a shifted run is a
 plain switched run on the residual disturbance.
+
+Exact runs of the two quantized laws step on an integer lattice.  Every
+exact input is a rational, so let D be the lcm of the denominators of
+alpha, e0, u0 and every disturbance value (for a piecewise-linear
+disturbance, each segment contributes its value denominators times its
+length, which covers the interpolated values).  Each step adds integers and
+d to e, and adds integers and alpha times an integer to u or resets u to an
+integer, so (e, u) stays on (1/D)Z.  The kernel holds the state as the int
+pair (E, U) = (D e, D u): rounding is one ``divmod`` with the half-away tie
+test ``2 r >= D``, the reset is ``(rho(u) + rho(e)) D`` and state equality
+is int equality.  ``Fraction`` appears only at the boundary, in the records.
+Float runs and the unquantized law (alpha e leaves the lattice) step with
+the generic laws, which also serve as the kernel's test oracle.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,9 +96,47 @@ def _switched_law(e, u, d, alpha, quantize):
     e1 = e + quantize(u) + d
     if quantize(e1) == 0:
         u1 = quantize(u) + quantize(e)
+        if isinstance(u, float):
+            u1 = float(u1)  # the sum of quantized values is an int
     else:
         u1 = u + quantize(e) - alpha * quantize(e1)
     return e1, u1
+
+
+def _rho_scaled(x: int, den: int) -> int:
+    """``round_half_away(x / den)`` for an int ``x`` and ``den > 0``."""
+    if x >= 0:
+        q, r = divmod(x, den)
+        return q + 1 if 2 * r >= den else q
+    q, r = divmod(-x, den)
+    return -q - 1 if 2 * r >= den else -q
+
+
+def _scaled(z: Scalar, den: int) -> int:
+    """``den * z`` for an exact ``z`` whose denominator divides ``den``."""
+    return z.numerator * (den // z.denominator)
+
+
+def _lattice_step(e, u, rho_e, rho_u, d, alpha, den, switched):
+    """One exact step of a quantized law on the lattice (1/den)Z.
+
+    ``e``, ``u``, ``d`` and ``alpha`` are the scaled ints ``den * value``;
+    ``rho_e`` and ``rho_u`` are the quantized views of the current state.
+    Returns the next ``(e, u, rho_e, rho_u)``.  ``switched`` selects the
+    switched law's reset on steps whose new quantized error is zero.
+    """
+    e1 = e + rho_u * den + d
+    rho_e1 = _rho_scaled(e1, den)
+    if switched and rho_e1 == 0:
+        u1 = (rho_u + rho_e) * den
+    else:
+        u1 = u + rho_e * den - alpha * rho_e1
+    return e1, u1, rho_e1, _rho_scaled(u1, den)
+
+
+def _lattice_denominator(*values: Scalar) -> int:
+    """Least D such that ``D * z`` is an int for every exact ``z``."""
+    return math.lcm(*(Fraction(z).denominator for z in values))
 
 
 @dataclass(frozen=True)
@@ -207,6 +260,18 @@ class Disturbance:
                 return v0 + (v1 - v0) * Fraction(k - k0, k1 - k0)
         raise AssertionError("unreachable")
 
+    def denominator(self) -> int:
+        """Least D such that ``D * eval(k)`` is an int for every step ``k``
+        (exact values only).  A ramp segment's interpolated values have
+        denominators dividing its value denominators times its length."""
+        if self.kind != "piecewise-linear":
+            return _lattice_denominator(*self.scalars())
+        points = self.breakpoints
+        den = _lattice_denominator(points[0][1])
+        for (k0, v0), (k1, v1) in zip(points, points[1:]):
+            den = math.lcm(den, _lattice_denominator(v0, v1) * (k1 - k0))
+        return den
+
     def scalars(self) -> list:
         if self.kind == "constant":
             return [self.value]
@@ -328,6 +393,8 @@ def simulate(config: LoopConfig) -> Trajectory:
         warnings.warn(
             "exact-mode config contains float inputs; run promoted to float",
             ModePromotionWarning, stacklevel=2)
+    if mode == "exact" and config.controller != "unquantized-pi":
+        return Trajectory(tuple(_lattice_records(config)), mode, config)
 
     if config.controller == "standard-pi":
         law, quantize = _standard_law, round_half_away
@@ -356,6 +423,48 @@ def simulate(config: LoopConfig) -> Trajectory:
         records.append(TrajectoryRecord(k + 1, e, u, rho_e, round_half_away(u),
                                         d_k, branch))
     return Trajectory(tuple(records), mode, config)
+
+
+def _lattice_records(config: LoopConfig) -> list:
+    """Records of an exact quantized run, stepped by :func:`_lattice_step`."""
+    switched = config.controller == "switched-pi"
+    zero_branch = MODE_ZERO if switched else MODE_NA
+    nonzero_branch = MODE_NONZERO if switched else MODE_NA
+    dist = config.disturbance
+    if dist.is_constant:
+        d_values = itertools.repeat(Fraction(dist.value))
+    else:
+        d_values = (Fraction(dist.eval(k)) for k in itertools.count())
+    den = math.lcm(_lattice_denominator(config.alpha, config.e0, config.u0),
+                   dist.denominator())
+    alpha = _scaled(config.alpha, den)
+    e, u = _scaled(config.e0, den), _scaled(config.u0, den)
+    rho_e, rho_u = _rho_scaled(e, den), _rho_scaled(u, den)
+    # Under a constant disturbance an exact run is eventually periodic, so
+    # the records share one value per lattice point visited instead of
+    # building two Fractions per step.  Integer points (every reset of u)
+    # stay ints, which later record-wise arithmetic handles much faster.
+    values: dict = {}
+
+    def value(x: int) -> Scalar:
+        z = values.get(x)
+        if z is None:
+            q, r = divmod(x, den)
+            z = values[x] = Fraction(x, den) if r else q
+        return z
+
+    d_k = next(d_values)
+    records = [TrajectoryRecord(0, value(e), value(u), rho_e, rho_u, d_k,
+                                MODE_NA)]
+    for k in range(1, config.horizon + 1):
+        e, u, rho_e, rho_u = _lattice_step(e, u, rho_e, rho_u,
+                                           _scaled(d_k, den), alpha, den,
+                                           switched)
+        d_k = next(d_values)
+        records.append(TrajectoryRecord(
+            k, value(e), value(u), rho_e, rho_u, d_k,
+            zero_branch if rho_e == 0 else nonzero_branch))
+    return records
 
 
 def simulate_shifted(

@@ -27,8 +27,14 @@ from .analysis import (
     in_entry_region,
     minimal_invariant_pairs,
 )
-from .dynamics import _switched_law
-from .numerics import Scalar, format_scalar, round_half_away
+from .dynamics import (
+    _lattice_denominator,
+    _lattice_step,
+    _rho_scaled,
+    _scaled,
+    _switched_law,
+)
+from .numerics import Scalar, format_scalar, round_half_away, sign
 
 TAG_THEOREM1 = "theorem1-set"
 TAG_ALT_UNIT = "alt-unit-set"
@@ -131,28 +137,57 @@ def classify_trajectory(
     """
     if not 1 < alpha < Fraction(3, 2):
         raise ValueError("classification requires a gain in (1, 3/2)")
-    region = EntryRegion(alpha, delta_d)
     if mode == "float":
-        alpha, delta_d, e, u = (float(alpha), float(delta_d),
-                                float(e0), float(u_bar0))
+        states = _float_states(alpha, delta_d, e0, u_bar0)
+        delta_d = float(delta_d)
     else:
-        alpha, delta_d, e, u = (Fraction(alpha), Fraction(delta_d),
-                                Fraction(e0), Fraction(u_bar0))
+        delta_d = Fraction(delta_d)
+        states = _lattice_states(Fraction(alpha), delta_d, Fraction(e0),
+                                 Fraction(u_bar0))
     seen: dict = {}
     pairs: list = []
-    for k in range(budget + 1):
-        if in_entry_region(e, u, region):
+    for k, (captured, state, pair) in zip(range(budget + 1), states):
+        if captured:
             return AttractorClass(TAG_THEOREM1,
                                   minimal_invariant_pairs(delta_d), k)
-        state = (e, u)
-        j = seen.get(state)
-        if j is not None:
+        j = seen.setdefault(state, k)
+        if j != k:
             return _classify_cycle(delta_d, frozenset(pairs[j:k]), j)
-        seen[state] = k
-        pairs.append((round_half_away(e), round_half_away(u)))
-        if k < budget:
-            e, u = _switched_law(e, u, delta_d, alpha, round_half_away)
+        pairs.append(pair)
     return AttractorClass(TAG_UNRESOLVED, frozenset(pairs[-8:]), None)
+
+
+def _lattice_states(alpha, delta_d, e0, u_bar0):
+    """Yield ``(captured, state, quantized pair)`` for k = 0, 1, ... of the
+    exact shifted switched loop, stepped on the lattice by the kernel.
+
+    The capture inequalities are integer compares of the scaled state.
+    """
+    den = _lattice_denominator(alpha, delta_d, e0, u_bar0)
+    a, d = _scaled(alpha, den), _scaled(delta_d, den)
+    e, u = _scaled(e0, den), _scaled(u_bar0, den)
+    s = sign(delta_d)
+    rho_e, rho_u = _rho_scaled(e, den), _rho_scaled(u, den)
+    while True:
+        # -1/2 < e < 1/2, -1/2 < u_bar < 1/2, 1 <= alpha - s u_bar < 3/2
+        x = a - s * u
+        captured = (-den < 2 * e < den and -den < 2 * u < den
+                    and den <= x and 2 * x < 3 * den)
+        yield captured, (e, u), (rho_e, rho_u)
+        e, u, rho_e, rho_u = _lattice_step(e, u, rho_e, rho_u, d, a, den,
+                                           True)
+
+
+def _float_states(alpha, delta_d, e0, u_bar0):
+    """Yield ``(captured, state, quantized pair)`` for k = 0, 1, ... of the
+    shifted switched loop in binary floats."""
+    region = EntryRegion(alpha, delta_d)
+    alpha, delta_d, e, u = (float(alpha), float(delta_d), float(e0),
+                            float(u_bar0))
+    while True:
+        yield (in_entry_region(e, u, region), (e, u),
+               (round_half_away(e), round_half_away(u)))
+        e, u = _switched_law(e, u, delta_d, alpha, round_half_away)
 
 
 def _classify_cycle(delta_d, cycle_pairs, entry) -> AttractorClass:
@@ -192,8 +227,20 @@ class GridResult:
         raise KeyError((alpha, delta_d))
 
 
-def _evaluate_cell(args) -> CellResult:
-    spec, alpha, delta_d = args
+#: The spec of the sweep a pool worker serves, sent once per worker.
+_worker_spec: Optional[GridSpec] = None
+
+
+def _set_worker_spec(spec: GridSpec) -> None:
+    global _worker_spec
+    _worker_spec = spec
+
+
+def _evaluate_worker_cell(cell) -> CellResult:
+    return _evaluate_cell(_worker_spec, *cell)
+
+
+def _evaluate_cell(spec: GridSpec, alpha, delta_d) -> CellResult:
     counts = {TAG_THEOREM1: 0, TAG_ALT_UNIT: 0, TAG_AMPLITUDE2: 0,
               TAG_UNRESOLVED: 0}
     inits = spec.inits()
@@ -214,14 +261,17 @@ def sweep(spec: GridSpec, jobs: int = 1) -> GridResult:
     """
     if spec.total_steps_bound() > _FULL_SCALE_STEPS:
         warnings.warn(
-            "sweep upper bound exceeds 1e9 simulation steps; "
-            "expect a very long run", stacklevel=2)
-    work = [(spec, a, dd) for a in spec.alphas() for dd in spec.delta_ds()]
+            f"sweep upper bound exceeds {_FULL_SCALE_STEPS:,} simulation "
+            "steps; expect a very long run", stacklevel=2)
+    work = [(a, dd) for a in spec.alphas() for dd in spec.delta_ds()]
     if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            cells = pool.map(_evaluate_cell, work, chunksize=1)
+        # A few chunks per worker balance the uneven cells (low-gain rows
+        # take several times longer) without a task per cell.
+        chunksize = max(1, len(work) // (4 * jobs))
+        with multiprocessing.Pool(jobs, _set_worker_spec, (spec,)) as pool:
+            cells = pool.map(_evaluate_worker_cell, work, chunksize)
     else:
-        cells = [_evaluate_cell(item) for item in work]
+        cells = [_evaluate_cell(spec, a, dd) for a, dd in work]
     return GridResult(spec, tuple(cells))
 
 

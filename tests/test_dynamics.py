@@ -17,6 +17,8 @@ from quantloop.dynamics import (
     ShiftedState,
     TuningWarning,
     _identity,
+    _rho_scaled,
+    _standard_law,
     _switched_law,
     plant_step,
     read_trajectory_csv,
@@ -29,7 +31,7 @@ from quantloop.dynamics import (
     unquantized_pi_step,
     write_trajectory_csv,
 )
-from quantloop.numerics import round_half_away
+from quantloop.numerics import parse_scalar, round_half_away
 
 # Half-integer quantizer ties are where the original/shifted equivalence
 # genuinely breaks (see test_shift_tie_divergence), so the equivalence
@@ -307,6 +309,117 @@ def test_unquantized_deadbeat_with_gain_two(dbar, e0, u0):
     traj = simulate(config)
     for r in traj.records[2:]:
         assert r.e == 0
+
+
+# --- integer-lattice kernel -------------------------------------------------
+
+# Rationals plus the rounding ties Z + 1/2 of both signs: the half-away rule
+# and its asymmetries must survive the move to scaled integers bit for bit.
+tie_fractions = st.integers(-10, 9).map(lambda n: F(2 * n + 1, 2))
+lattice_scalars = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    tie_fractions,
+)
+# residual disturbances at and around |delta_d| = 1/2, on top of an integer
+lattice_disturbance_values = st.one_of(
+    lattice_scalars,
+    st.builds(lambda n, half: n + half, st.integers(-3, 3),
+              st.sampled_from([F(1, 2), F(-1, 2)])),
+)
+
+
+@st.composite
+def lattice_disturbances(draw):
+    kind = draw(st.sampled_from(["constant", "piecewise-linear", "samples"]))
+    if kind == "constant":
+        return Disturbance.constant(draw(lattice_disturbance_values))
+    if kind == "samples":
+        return Disturbance.from_samples(
+            draw(st.lists(lattice_disturbance_values, min_size=1, max_size=8)))
+    steps = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=4)))
+    return Disturbance.ramp(
+        [(k, draw(lattice_disturbance_values)) for k in steps])
+
+
+@st.composite
+def lattice_configs(draw, controllers=("standard-pi", "switched-pi")):
+    return LoopConfig(
+        alpha=draw(st.one_of(
+            st.fractions(min_value=F(41, 40), max_value=F(119, 40),
+                         max_denominator=40),
+            st.sampled_from([F(5, 4), F(3, 2), F(2), F(5, 2)]))),
+        controller=draw(st.sampled_from(controllers)),
+        disturbance=draw(lattice_disturbances()),
+        e0=draw(lattice_scalars), u0=draw(lattice_scalars),
+        horizon=draw(st.integers(0, 40)))
+
+
+def fraction_law_run(config):
+    """Step-by-step run of the generic law on Fractions: the kernel's oracle."""
+    switched = config.controller == "switched-pi"
+    law = _switched_law if switched else _standard_law
+    e, u = F(config.e0), F(config.u0)
+    rows = [(e, u, round_half_away(e), round_half_away(u), MODE_NA)]
+    for k in range(config.horizon):
+        e, u = law(e, u, F(config.disturbance.eval(k)), F(config.alpha),
+                   round_half_away)
+        branch = MODE_NA
+        if switched:
+            branch = MODE_ZERO if round_half_away(e) == 0 else MODE_NONZERO
+        rows.append((e, u, round_half_away(e), round_half_away(u), branch))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-400, 400), st.integers(1, 40))
+def test_scaled_rounding_matches_round_half_away(x, den):
+    assert _rho_scaled(x, den) == round_half_away(F(x, den))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_configs())
+def test_lattice_kernel_matches_fraction_law(config):
+    traj = simulate(config)
+    assert traj.mode == "exact"
+    assert [(r.e, r.u, r.rho_e, r.rho_u, r.mode) for r in traj] == \
+        fraction_law_run(config)
+    assert [r.k for r in traj] == list(range(config.horizon + 1))
+    assert [r.d for r in traj] == [
+        config.disturbance.eval(k) for k in range(config.horizon + 1)]
+    assert all(type(z) in (int, F) for r in traj for z in (r.e, r.u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_disturbances())
+def test_disturbance_denominator_covers_every_step(dist):
+    den = dist.denominator()
+    assert all((dist.eval(k) * den).denominator == 1 for k in range(40))
+
+
+def test_kernel_tie_cases_pinned():
+    # e0 on Z + 1/2 rounds away from zero on both sides; the standard law
+    # at a negative tie and the switched reset at |delta_d| = 1/2
+    for config in (
+        constant_config(F(13, 10), "switched-pi", F(1, 2), F(-3, 4), F(1, 2), 30),
+        constant_config(F(13, 10), "switched-pi", F(-1, 2), F(5, 2), F(-7, 2), 30),
+        constant_config(F(5, 4), "standard-pi", F(-3, 2), F(-1, 2), F(1, 2), 30),
+    ):
+        rows = [(r.e, r.u, r.rho_e, r.rho_u, r.mode) for r in simulate(config)]
+        assert rows == fraction_law_run(config)
+
+
+def test_float_reset_keeps_float_u(tmp_path):
+    config = constant_config(F(11, 8), "switched-pi", parse_scalar("float:0.1"),
+                             0, 0, 60, mode="float")
+    traj = simulate(config)
+    assert any(r.mode == MODE_ZERO for r in traj)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == 61
+    for line in lines:
+        u_cell = line.split(",")[2]
+        assert "." in u_cell or "e" in u_cell, line
 
 
 # --- CSV round trip ---------------------------------------------------------

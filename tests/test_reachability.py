@@ -7,14 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantloop.analysis import minimal_invariant_pairs
-from quantloop.dynamics import simulate_shifted
+from quantloop.analysis import (
+    EntryRegion,
+    in_entry_region,
+    minimal_invariant_pairs,
+)
+from quantloop.dynamics import _switched_law, simulate_shifted
+from quantloop.numerics import round_half_away
 from quantloop.reachability import (
+    _FULL_SCALE_STEPS,
     TAG_ALT_UNIT,
     TAG_AMPLITUDE2,
     TAG_THEOREM1,
     TAG_UNRESOLVED,
+    AttractorClass,
     GridSpec,
+    _classify_cycle,
     attraction_region,
     classify_trajectory,
     grid_values,
@@ -108,6 +116,72 @@ def test_capture_classification_is_sound(alpha, delta_d, e0, u0):
     assert all(pair in allowed for pair in tail)
 
 
+def fraction_classify(alpha, delta_d, e0, u_bar0, budget):
+    """The classification loop on Fractions with the generic switched law:
+    the oracle of the lattice kernel's classification."""
+    region = EntryRegion(alpha, delta_d)
+    alpha, delta_d, e, u = F(alpha), F(delta_d), F(e0), F(u_bar0)
+    seen = {}
+    pairs = []
+    for k in range(budget + 1):
+        if in_entry_region(e, u, region):
+            return AttractorClass(TAG_THEOREM1,
+                                  minimal_invariant_pairs(delta_d), k)
+        j = seen.get((e, u))
+        if j is not None:
+            return _classify_cycle(delta_d, frozenset(pairs[j:k]), j)
+        seen[(e, u)] = k
+        pairs.append((round_half_away(e), round_half_away(u)))
+        if k < budget:
+            e, u = _switched_law(e, u, delta_d, alpha, round_half_away)
+    return AttractorClass(TAG_UNRESOLVED, frozenset(pairs[-8:]), None)
+
+
+# Initial states include the rounding ties Z + 1/2 of both signs, quarter
+# steps and the edges of the capture region; residuals include 0 and the
+# boundary ties +-1/2.
+classify_states = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.integers(-10, 9).map(lambda n: F(2 * n + 1, 2)),
+)
+classify_residuals = st.one_of(
+    st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=30),
+    st.sampled_from([F(1, 2), F(-1, 2), F(0)]),
+)
+
+
+@st.composite
+def classify_cases(draw):
+    alpha = draw(st.fractions(min_value=F(61, 60), max_value=F(89, 60),
+                              max_denominator=60))
+    delta_d = draw(classify_residuals)
+    # u_bar = +-(alpha - 1) and +-(alpha - 3/2) put alpha - s u_bar on 1 or 3/2
+    edges = st.sampled_from([F(0), F(1, 2), F(-1, 2), alpha - 1, 1 - alpha,
+                             alpha - F(3, 2), F(3, 2) - alpha])
+    e0 = draw(st.one_of(classify_states, edges))
+    u0 = draw(st.one_of(classify_states, edges))
+    return alpha, delta_d, e0, u0, draw(st.integers(0, 300))
+
+
+@settings(max_examples=400, deadline=None)
+@given(classify_cases())
+def test_lattice_classification_matches_fraction_loop(case):
+    assert classify_trajectory(*case) == fraction_classify(*case)
+
+
+def test_lattice_classification_pinned_ties():
+    cases = [
+        (F(13, 10), F(1, 2), F(-3, 4), F(1, 2)),      # amplitude-2 set
+        (F(13, 10), F(-1, 2), F(3, 4), F(-1, 2)),
+        (F(1333, 1000), 0, F(5, 2), 0),                # stuck on the ties
+        (F(1333, 1000), 0, F(-5, 2), F(-1, 2)),
+        (F(11, 10), F(-3, 10), F(-1, 4), F(6, 10)),    # alternative set
+    ]
+    for case in cases:
+        assert classify_trajectory(*case, 10_000) == \
+            fraction_classify(*case, 10_000)
+
+
 def small_spec(**overrides):
     base = dict(alpha_lo=F(13, 10), alpha_hi=F(14, 10), alpha_count=2,
                 delta_d_lo=F(-1, 4), delta_d_hi=F(1, 4), delta_d_count=3,
@@ -184,6 +258,30 @@ def test_full_scale_spec_warns():
                        alpha_lo=F(13, 10), alpha_hi=F(13, 10),
                        delta_d_lo=F(1, 4), delta_d_hi=F(1, 4),
                        init_box=0))
+
+
+def test_full_scale_warning_names_its_threshold():
+    assert _FULL_SCALE_STEPS == 10 ** 10
+    # one cell, one initial state: the budget alone passes the threshold,
+    # and the state starts inside the capture region, so it is never spent
+    spec = GridSpec(alpha_lo=F(13, 10), alpha_hi=F(13, 10), alpha_count=1,
+                    delta_d_lo=F(1, 4), delta_d_hi=F(1, 4), delta_d_count=1,
+                    init_box=0, init_count=1, budget=_FULL_SCALE_STEPS + 1)
+    assert spec.total_steps_bound() > _FULL_SCALE_STEPS
+    with pytest.warns(UserWarning,
+                      match="exceeds 10,000,000,000 simulation steps"):
+        result = sweep(spec)
+    assert result.cells[0].n_theorem1 == 1
+
+
+def test_parallel_sweep_keeps_grid_order_across_chunks():
+    # 4 x 5 cells on 2 workers map in chunks of 2 cells
+    spec = small_spec(alpha_count=4, delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2),
+                      delta_d_count=5, init_count=2, budget=500)
+    serial = sweep(spec, jobs=1)
+    assert [(c.alpha, c.delta_d) for c in serial.cells] == [
+        (a, dd) for a in spec.alphas() for dd in spec.delta_ds()]
+    assert sweep(spec, jobs=2) == serial
 
 
 def test_grid_spec_validation():
