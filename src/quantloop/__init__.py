@@ -28,23 +28,17 @@ from .campaign import (
     run_table1,
 )
 from .dynamics import (
+    Column,
     Disturbance,
     LoopConfig,
-    LoopState,
     ModePromotionWarning,
-    ShiftedState,
     Trajectory,
     TrajectoryRecord,
     TuningWarning,
-    plant_step,
     read_trajectory_csv,
     shift_trajectory,
-    shifted_switched_step,
     simulate,
     simulate_shifted,
-    standard_pi_step,
-    switched_pi_step,
-    unquantized_pi_step,
     write_trajectory_csv,
 )
 from .numerics import (

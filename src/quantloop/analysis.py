@@ -108,16 +108,14 @@ def verify_capture(traj: Trajectory, region: EntryRegion) -> Verdict:
     disturbance.  Returns status ``not-entered`` when the region is never
     reached within the horizon.
     """
-    entry = None
-    for r in traj.records:
-        if in_entry_region(r.e, r.u, region):
-            entry = r.k
-            break
+    entry = next((k for k, (e, u) in enumerate(zip(traj.e, traj.u))
+                  if in_entry_region(e, u, region)), None)
     if entry is None:
         return Verdict("capture", "not-entered")
     allowed = minimal_invariant_pairs(region.delta_d)
+    pairs = zip(traj.rho_e[entry + 1:], traj.rho_u[entry + 1:])
     violations = tuple(
-        r.k for r in traj.records[entry + 1:] if (r.rho_e, r.rho_u) not in allowed
+        k for k, pair in enumerate(pairs, entry + 1) if pair not in allowed
     )
     status = "pass" if not violations else "fail"
     return Verdict("capture", status, entry, violations)
@@ -131,19 +129,21 @@ def verify_control_lock(
 ) -> Verdict:
     """Check that from two steps after capture the residual control equals
     ``-alpha * rho(e)`` (exactly in exact mode, within ``tol`` in float)."""
-    violations = []
-    for r in traj.records:
-        if r.k <= entry_step + 1:
-            continue
-        expected = -alpha * r.rho_e
-        if traj.mode == "exact":
-            ok = r.u == expected
-        else:
-            ok = abs(r.u - expected) <= tol
-        if not ok:
-            violations.append(r.k)
+    exact = traj.mode == "exact"
+
+    def locked(code: int, rho_e: int) -> bool:
+        u, expected = traj.u.table[code], -alpha * rho_e
+        return u == expected if exact else abs(u - expected) <= tol
+
+    start = max(entry_step + 2, 0)
+    pairs = list(zip(traj.u.codes[start:], traj.rho_e[start:]))
+    # one check per distinct (u code, rho_e) pair
+    failing = {pair for pair in set(pairs) if not locked(*pair)}
+    violations = tuple(
+        k for k, pair in enumerate(pairs, start) if pair in failing
+    )
     status = "pass" if not violations else "fail"
-    return Verdict("control-lock", status, entry_step, tuple(violations))
+    return Verdict("control-lock", status, entry_step, violations)
 
 
 def steps_to_switch(delta_d: Scalar, e_start: Scalar) -> int:
@@ -200,8 +200,11 @@ def cycle_error_band(delta_d: Scalar) -> Interval:
 
 def verify_band(traj: Trajectory, band: Interval, start: int) -> Verdict:
     """Check that every error sample from step ``start`` on lies in ``band``."""
+    inside = [z in band for z in traj.e.table]  # once per table entry
+    start_k = max(start, 0)
     violations = tuple(
-        r.k for r in traj.records if r.k >= start and r.e not in band
+        k for k, code in enumerate(traj.e.codes[start_k:], start_k)
+        if not inside[code]
     )
     status = "pass" if not violations else "fail"
     return Verdict("band", status, start, violations)
@@ -262,7 +265,7 @@ def predict_cycle(delta_d: Scalar) -> CycleReport:
 
 
 def _count_switches(traj: Trajectory, start: int, period: int) -> int:
-    return sum(1 for r in traj.records[start:start + period] if r.rho_e != 0)
+    return sum(1 for rho_e in traj.rho_e[start:start + period] if rho_e != 0)
 
 
 def detect_cycle(traj: Trajectory) -> CycleReport:
@@ -273,29 +276,30 @@ def detect_cycle(traj: Trajectory) -> CycleReport:
     candidate (entry, period); a confirmation pass then checks the
     recurrence holds for every remaining step, which guards against
     coincidental collisions on trajectories that are not autonomous
-    (e.g. under a time-varying disturbance).  Float trajectories are
-    rejected; use :func:`detect_cycle_approx`.
+    (e.g. under a time-varying disturbance).  Exact value tables are
+    injective, so both passes compare the states' code pairs.  Float
+    trajectories are rejected; use :func:`detect_cycle_approx`.
     """
     if traj.mode != "exact":
         raise TypeError("exact-state detection needs an exact trajectory; "
                         "use detect_cycle_approx for float runs")
-    states = traj.states()
+    e, u = traj.e.codes, traj.u.codes
+    n = len(e)
     seen: dict = {}
-    for k, state in enumerate(states):
-        j = seen.get(state)
-        if j is not None:
-            period = k - j
-            if all(states[i] == states[i + period]
-                   for i in range(j, len(states) - period)):
-                return CycleReport(
-                    periodic=True,
-                    n=_count_switches(traj, j, period),
-                    m=period,
-                    entry_step=j,
-                    witness=tuple(states[j:j + period]),
-                )
-        else:
-            seen[state] = k
+    for k, state in enumerate(zip(e, u)):
+        j = seen.setdefault(state, k)
+        if j == k:
+            continue
+        period = k - j
+        if (e[j:n - period] == e[j + period:]
+                and u[j:n - period] == u[j + period:]):
+            return CycleReport(
+                periodic=True,
+                n=_count_switches(traj, j, period),
+                m=period,
+                entry_step=j,
+                witness=tuple((traj.e[i], traj.u[i]) for i in range(j, k)),
+            )
     return CycleReport(periodic=False)
 
 

@@ -95,7 +95,7 @@ def rms_quantized_error(traj: Trajectory, horizon: int) -> float:
         raise ValueError(
             f"trajectory has {len(traj)} records, horizon {horizon} needs "
             f"at least {horizon}")
-    total = sum(r.rho_e ** 2 for r in traj.records[:horizon])
+    total = sum(rho_e ** 2 for rho_e in traj.rho_e[:horizon])
     return math.sqrt(total / horizon)
 
 
@@ -153,6 +153,56 @@ def format_table1(rows: Sequence[RmsRow]) -> str:
     return "\n".join(lines)
 
 
+def read_json(path) -> dict:
+    """Load a JSON config object; decimal numbers stay text, so they parse
+    exactly.  Errors name the file (and the line of a syntax error)."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh, parse_float=str)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return raw
+
+
+def config_fields(raw: dict, source: str):
+    """``field(path, parse=parse_scalar)``: ``parse`` of the value at the
+    dotted key ``path`` of a JSON config, with errors that name the source
+    and the key path."""
+    def field(path: str, parse=parse_scalar):
+        value = raw
+        for key in path.split("."):
+            if not isinstance(value, dict) or key not in value:
+                raise ValueError(f"{source}: missing key {path!r}")
+            value = value[key]
+        try:
+            return parse(value)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{source}: key {path!r}: {exc}") from None
+    return field
+
+
+def parse_int(value) -> int:
+    """An integer config value: a JSON integer or a string of one."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {value!r}") from None
+
+
+def parse_list(values, parse=parse_scalar) -> list:
+    if not isinstance(values, list):
+        raise TypeError(f"expected a JSON list, got {values!r}")
+    return [parse(v) for v in values]
+
+
+def _parse_breakpoints(points) -> list:
+    return parse_list(points, lambda p: (parse_int(p[0]), parse_scalar(p[1])))
+
+
 def load_scenario(path, mode_override: Optional[str] = None) -> LoopConfig:
     """Load a scenario config from JSON.
 
@@ -162,57 +212,51 @@ def load_scenario(path, mode_override: Optional[str] = None) -> LoopConfig:
     numbers should be quoted so they stay exact.  Raises ValueError with
     the offending key on malformed input.
     """
-    with open(path) as fh:
-        try:
-            raw = json.load(fh, parse_float=str)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    return scenario_from_dict(raw, mode_override, source=str(path))
+    return scenario_from_dict(read_json(path), mode_override, source=str(path))
 
 
 def scenario_from_dict(raw: dict, mode_override: Optional[str] = None,
                        source: str = "scenario") -> LoopConfig:
-    def need(key):
-        if key not in raw:
-            raise ValueError(f"{source}: missing key {key!r}")
-        return raw[key]
-
-    def scalar(key, value):
-        try:
-            return parse_scalar(value)
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"{source}: key {key!r}: {exc}") from None
-
-    dist_raw = need("disturbance")
-    if not isinstance(dist_raw, dict) or "kind" not in dist_raw:
-        raise ValueError(f"{source}: key 'disturbance' needs a 'kind'")
-    kind = dist_raw["kind"]
+    field = config_fields(raw, source)
+    kind = field("disturbance.kind", str)
     if kind == "constant":
-        dist = Disturbance.constant(scalar("disturbance.value",
-                                           dist_raw.get("value")))
+        dist = Disturbance.constant(field("disturbance.value"))
     elif kind == "piecewise-linear":
-        points = dist_raw.get("breakpoints") or []
-        dist = Disturbance.ramp(
-            [(int(k), scalar("disturbance.breakpoints", v)) for k, v in points])
+        dist = Disturbance.ramp(field("disturbance.breakpoints",
+                                      _parse_breakpoints))
     elif kind == "samples":
-        values = dist_raw.get("values") or []
-        dist = Disturbance.from_samples(
-            [scalar("disturbance.values", v) for v in values])
+        dist = Disturbance.from_samples(field("disturbance.values", parse_list))
     else:
         raise ValueError(f"{source}: unknown disturbance kind {kind!r}")
 
+    fields = dict(alpha=field("alpha"), controller=field("controller", str),
+                  e0=field("e0"), u0=field("u0"),
+                  horizon=field("horizon", parse_int),
+                  mode=mode_override or raw.get("mode", "exact"))
     try:
-        return LoopConfig(
-            alpha=scalar("alpha", need("alpha")),
-            controller=need("controller"),
-            disturbance=dist,
-            e0=scalar("e0", need("e0")),
-            u0=scalar("u0", need("u0")),
-            horizon=int(need("horizon")),
-            mode=mode_override or raw.get("mode", "exact"),
-        )
+        return LoopConfig(disturbance=dist, **fields)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
+
+
+def shifted_run(traj: Trajectory) -> tuple:
+    """``(delta_d, shifted)``: the residual disturbance of a constant-
+    disturbance run and the run in shifted coordinates."""
+    dbar = traj.d[0]  # already coerced to the run's mode
+    return dbar - round_half_away(dbar), shift_trajectory(traj, dbar)
+
+
+def cycle_reports(shifted: Trajectory, delta_d: Scalar) -> tuple:
+    """``(detected, predicted, agreement)`` for a shifted run; the last two
+    are None in float mode, where only near-recurrence is detected."""
+    if shifted.mode != "exact":
+        return detect_cycle_approx(shifted), None, None
+    detected = detect_cycle(shifted)
+    predicted = predict_cycle(delta_d)
+    agreement = (detected.periodic == predicted.periodic
+                 and (not detected.periodic
+                      or (detected.n, detected.m) == (predicted.n, predicted.m)))
+    return detected, predicted, agreement
 
 
 def analyze_trajectory(traj: Trajectory, config: LoopConfig) -> dict:
@@ -221,9 +265,7 @@ def analyze_trajectory(traj: Trajectory, config: LoopConfig) -> dict:
     in exact mode, predicted), and the error-band check."""
     if not config.disturbance.is_constant:
         raise ValueError("analysis requires a constant disturbance")
-    dbar = traj.records[0].d  # already coerced to the run's mode
-    delta_d = dbar - round_half_away(dbar)
-    shifted = shift_trajectory(traj, dbar)
+    delta_d, shifted = shifted_run(traj)
 
     region = EntryRegion(config.alpha, delta_d)
     capture = verify_capture(shifted, region)
@@ -234,18 +276,11 @@ def analyze_trajectory(traj: Trajectory, config: LoopConfig) -> dict:
         lock = verify_control_lock(shifted, config.alpha, capture.entry_step)
         report["control-lock"] = lock.to_record()
 
-    if traj.mode == "exact":
-        detected = detect_cycle(shifted)
-        report["cycle"] = detected.to_record()
-        predicted = predict_cycle(delta_d)
+    detected, predicted, agreement = cycle_reports(shifted, delta_d)
+    report["cycle"] = detected.to_record()
+    if predicted is not None:
         report["predicted-cycle"] = predicted.to_record()
-        report["cycle-agreement"] = (
-            detected.periodic == predicted.periodic
-            and (not detected.periodic or (detected.n == predicted.n
-                                           and detected.m == predicted.m)))
-    else:
-        detected = detect_cycle_approx(shifted)
-        report["cycle"] = detected.to_record()
+        report["cycle-agreement"] = agreement
 
     if detected.periodic and abs(delta_d) < Fraction(1, 2):
         band = cycle_error_band(delta_d)

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import campaign, reachability
-from .analysis import detect_cycle, detect_cycle_approx, predict_cycle
-from .dynamics import shift_trajectory, simulate
-from .numerics import format_scalar, parse_scalar, round_half_away
+from .dynamics import simulate
+from .numerics import format_scalar
 
 
 def _add_scenario_args(sub, name, help_text):
@@ -35,20 +35,22 @@ def _add_scenario_args(sub, name, help_text):
     return p
 
 
-def _cmd_simulate(args) -> int:
-    outputs = campaign.run_scenario(args.config, args.out,
-                                    with_analysis=False,
-                                    mode_override=args.mode)
-    print(f"wrote {outputs['trajectory']}")
-    return 0
+def _jobs(text: str) -> int:
+    """``--jobs``: a worker count from 1 to the number of CPUs."""
+    jobs, limit = int(text), os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise argparse.ArgumentTypeError(
+            f"expected a worker count from 1 to {limit}, got {jobs}")
+    return jobs
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_run(args) -> int:
+    """``simulate`` and ``analyze``: run a scenario, write its outputs."""
     outputs = campaign.run_scenario(args.config, args.out,
-                                    with_analysis=True,
+                                    with_analysis=args.command == "analyze",
                                     mode_override=args.mode)
-    print(f"wrote {outputs['trajectory']}")
-    print(f"wrote {outputs['report']}")
+    for path in outputs.values():
+        print(f"wrote {path}")
     return 0
 
 
@@ -56,21 +58,12 @@ def _cmd_cycles(args) -> int:
     config = campaign.load_scenario(args.config, args.mode)
     if not config.disturbance.is_constant:
         raise ValueError("cycle analysis requires a constant disturbance")
-    traj = simulate(config)
-    dbar = traj.records[0].d
-    delta_d = dbar - round_half_away(dbar)
-    shifted = shift_trajectory(traj, dbar)
+    delta_d, shifted = campaign.shifted_run(simulate(config))
+    detected, predicted, agreement = campaign.cycle_reports(shifted, delta_d)
     report = {"delta_d": format_scalar(delta_d)}
-    if traj.mode == "exact":
-        detected = detect_cycle(shifted)
-        predicted = predict_cycle(delta_d)
+    if predicted is not None:
         report["predicted"] = predicted.to_record()
-        report["agreement"] = (
-            detected.periodic == predicted.periodic
-            and (not detected.periodic
-                 or (detected.n, detected.m) == (predicted.n, predicted.m)))
-    else:
-        detected = detect_cycle_approx(shifted)
+        report["agreement"] = agreement
     report["detected"] = detected.to_record()
 
     out_dir = Path(args.out)
@@ -89,24 +82,18 @@ def _cmd_cycles(args) -> int:
 
 
 def _load_grid_spec(path) -> reachability.GridSpec:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh, parse_float=str)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-
-    kwargs = {}
-    for axis, prefix in (("alpha", "alpha"), ("delta_d", "delta_d")):
+    raw, kwargs = campaign.read_json(path), {}
+    field = campaign.config_fields(raw, str(path))
+    for axis in ("alpha", "delta_d"):
         if axis in raw:
-            block = raw[axis]
-            kwargs[f"{prefix}_lo"] = parse_scalar(block["lo"])
-            kwargs[f"{prefix}_hi"] = parse_scalar(block["hi"])
-            kwargs[f"{prefix}_count"] = int(block["count"])
+            kwargs[f"{axis}_lo"] = field(f"{axis}.lo")
+            kwargs[f"{axis}_hi"] = field(f"{axis}.hi")
+            kwargs[f"{axis}_count"] = field(f"{axis}.count", campaign.parse_int)
     if "init" in raw:
-        kwargs["init_box"] = parse_scalar(raw["init"]["box"])
-        kwargs["init_count"] = int(raw["init"]["count"])
+        kwargs["init_box"] = field("init.box")
+        kwargs["init_count"] = field("init.count", campaign.parse_int)
     if "budget" in raw:
-        kwargs["budget"] = int(raw["budget"])
+        kwargs["budget"] = field("budget", campaign.parse_int)
     if "mode" in raw:
         kwargs["mode"] = raw["mode"]
     return reachability.GridSpec(**kwargs)
@@ -129,20 +116,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _load_campaign_spec(path) -> campaign.CampaignSpec:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh, parse_float=str)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    kwargs = {}
+    raw, kwargs = campaign.read_json(path), {}
+    field = campaign.config_fields(raw, str(path))
     if "disturbances" in raw:
-        kwargs["disturbances"] = tuple(parse_scalar(v)
-                                       for v in raw["disturbances"])
+        kwargs["disturbances"] = tuple(field("disturbances", campaign.parse_list))
     for key in ("alpha", "e0", "u0"):
         if key in raw:
-            kwargs[key] = parse_scalar(raw[key])
+            kwargs[key] = field(key)
     if "horizon" in raw:
-        kwargs["horizon"] = int(raw["horizon"])
+        kwargs["horizon"] = field("horizon", campaign.parse_int)
     if "controllers" in raw:
         kwargs["controllers"] = tuple(raw["controllers"])
     return campaign.CampaignSpec(**kwargs)
@@ -168,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_scenario_args(sub, "simulate", "run a scenario, write its trajectory")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_run)
 
     p = _add_scenario_args(sub, "analyze",
                            "run a scenario, write trajectory and analysis report")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_run)
 
     p = _add_scenario_args(sub, "cycles",
                            "detect and predict the limit cycle of a scenario")
@@ -182,8 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", "--config", help="grid JSON file (defaults to the "
                                           "desk-scale grid)")
     p.add_argument("-o", "--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for cells (default 1)")
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="worker processes for cells, 1 to the number of "
+                        "CPUs (default 1)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("table1", help="run the controller comparison campaign")

@@ -37,19 +37,31 @@ d to e, and adds integers and alpha times an integer to u or resets u to an
 integer, so (e, u) stays on (1/D)Z.  The kernel holds the state as the int
 pair (E, U) = (D e, D u): rounding is one ``divmod`` with the half-away tie
 test ``2 r >= D``, the reset is ``(rho(u) + rho(e)) D`` and state equality
-is int equality.  ``Fraction`` appears only at the boundary, in the records.
-Float runs and the unquantized law (alpha e leaves the lattice) step with
-the generic laws, which also serve as the kernel's test oracle.
+is int equality.  ``Fraction`` appears only at the boundary, in the value
+tables.  Float runs and the unquantized law (alpha e leaves the lattice)
+step with the generic laws, which also serve as the kernel's test oracle.
+
+A :class:`Trajectory` stores a run as columns with the step ``k`` implicit:
+``rho_e``, ``rho_u`` and the branch are plain tuples, and ``e``, ``u`` and
+``d`` are dictionary-encoded (:class:`Column`), a table of values plus one
+int code per step.  Exact columns are interned, so their tables are
+injective and equal codes mean equal values; a lattice run's e and u share
+one table, an entry per lattice point visited.  Float columns get
+positional codes and are never interned: 0.0 == -0.0, but the two print
+differently.  Per-value work (shift, rounding, formatting, band and lock
+checks) runs once per table entry, and recurrence compares code pairs.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .numerics import (
@@ -79,11 +91,6 @@ class ModePromotionWarning(UserWarning):
 
 def _identity(z: Scalar) -> Scalar:
     return z
-
-
-def plant_step(e: Scalar, u: Scalar, d: Scalar) -> Scalar:
-    """One integrator step: ``e + rho(u) + d``."""
-    return e + round_half_away(u) + d
 
 
 def _standard_law(e, u, d, alpha, quantize):
@@ -137,61 +144,6 @@ def _lattice_step(e, u, rho_e, rho_u, d, alpha, den, switched):
 def _lattice_denominator(*values: Scalar) -> int:
     """Least D such that ``D * z`` is an int for every exact ``z``."""
     return math.lcm(*(Fraction(z).denominator for z in values))
-
-
-@dataclass(frozen=True)
-class LoopState:
-    """Plant output / control input pair at step ``k``."""
-
-    e: Scalar
-    u: Scalar
-    k: int = 0
-
-
-@dataclass(frozen=True)
-class ShiftedState:
-    """State in shifted coordinates: ``u_bar = u + rho(dbar)``."""
-
-    e: Scalar
-    u_bar: Scalar
-    k: int = 0
-
-    def to_loop_state(self, dbar: Scalar) -> LoopState:
-        return LoopState(self.e, -round_half_away(dbar) + self.u_bar, self.k)
-
-    @classmethod
-    def from_loop_state(cls, state: LoopState, dbar: Scalar) -> "ShiftedState":
-        return cls(state.e, state.u + round_half_away(dbar), state.k)
-
-
-def standard_pi_step(state: LoopState, d_k: Scalar, alpha: Scalar) -> LoopState:
-    """Advance the loop one step under the standard PI law."""
-    e1, u1 = _standard_law(state.e, state.u, d_k, alpha, round_half_away)
-    return LoopState(e1, u1, state.k + 1)
-
-
-def switched_pi_step(state: LoopState, d_k: Scalar, alpha: Scalar) -> LoopState:
-    """Advance the loop one step under the switched PI law."""
-    e1, u1 = _switched_law(state.e, state.u, d_k, alpha, round_half_away)
-    return LoopState(e1, u1, state.k + 1)
-
-
-def shifted_switched_step(
-    state: ShiftedState, delta_d: Scalar, alpha: Scalar
-) -> ShiftedState:
-    """Advance the shifted switched loop one step.
-
-    Only defined for a constant disturbance: ``delta_d`` is its rounding
-    error and must not change between calls within one run.
-    """
-    e1, u1 = _switched_law(state.e, state.u_bar, delta_d, alpha, round_half_away)
-    return ShiftedState(e1, u1, state.k + 1)
-
-
-def unquantized_pi_step(state: LoopState, d_k: Scalar, alpha: Scalar) -> LoopState:
-    """Advance the loop one step with both quantizers removed."""
-    e1, u1 = _standard_law(state.e, state.u, d_k, alpha, _identity)
-    return LoopState(e1, u1, state.k + 1)
 
 
 @dataclass(frozen=True)
@@ -343,15 +295,56 @@ class TrajectoryRecord:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Dense per-step record of a run, plus the config that produced it."""
+class Column:
+    """Dictionary-encoded column: the value at step k is ``table[codes[k]]``."""
 
-    records: tuple
+    table: tuple
+    codes: Sequence[int]
+
+    def __getitem__(self, k: int) -> Scalar:
+        return self.table[self.codes[k]]
+
+    def __iter__(self) -> Iterator[Scalar]:
+        return map(self.table.__getitem__, self.codes)
+
+    def mapped(self, fn) -> "Column":
+        """The column of ``fn(value)``, with ``fn`` called once per entry."""
+        return Column(tuple(map(fn, self.table)), self.codes)
+
+
+def _encoded(values, mode: str) -> Column:
+    """Exact values are interned; floats get positional codes."""
+    if mode == "float":
+        values = tuple(values)
+        return Column(values, range(len(values)))
+    index: dict = {}
+    codes = tuple([index.setdefault(z, len(index)) for z in values])
+    return Column(tuple(index), codes)
+
+
+def _branches(rho_e: Sequence[int], switched: bool) -> tuple:
+    """The branch column: which switched-law branch produced each state."""
+    zero, nonzero = (MODE_ZERO, MODE_NONZERO) if switched else (MODE_NA,) * 2
+    return (MODE_NA, *[zero if r == 0 else nonzero for r in rho_e[1:]])
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """A run as columns with one entry per step ``k = 0 .. horizon``, plus
+    the config that produced it (see the module docstring for the layout).
+    ``records``, iteration and indexing give a per-step view."""
+
+    e: Column
+    u: Column
+    rho_e: tuple
+    rho_u: tuple
+    d: Column
+    branch: tuple
     mode: str = "exact"
     config: Optional[LoopConfig] = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.rho_e)
 
     def __iter__(self) -> Iterator[TrajectoryRecord]:
         return iter(self.records)
@@ -359,21 +352,21 @@ class Trajectory:
     def __getitem__(self, i):
         return self.records[i]
 
+    @cached_property
+    def records(self) -> tuple:
+        """The run as per-step records, built on first use."""
+        return tuple(map(TrajectoryRecord, itertools.count(), self.e, self.u,
+                         self.rho_e, self.rho_u, self.d, self.branch))
+
     def quantized_pairs(self) -> list:
-        return [(r.rho_e, r.rho_u) for r in self.records]
+        return list(zip(self.rho_e, self.rho_u))
 
     def states(self) -> list:
-        return [(r.e, r.u) for r in self.records]
-
-
-def _coerce(z: Scalar, mode: str) -> Scalar:
-    if mode == "float":
-        return float(z)
-    return Fraction(z)
+        return list(zip(self.e, self.u))
 
 
 def simulate(config: LoopConfig) -> Trajectory:
-    """Run ``config`` and return the full trajectory (horizon + 1 records).
+    """Run ``config`` and return the full trajectory (horizon + 1 steps).
 
     Deterministic: equal configs produce equal trajectories.
     """
@@ -394,77 +387,62 @@ def simulate(config: LoopConfig) -> Trajectory:
             "exact-mode config contains float inputs; run promoted to float",
             ModePromotionWarning, stacklevel=2)
     if mode == "exact" and config.controller != "unquantized-pi":
-        return Trajectory(tuple(_lattice_records(config)), mode, config)
+        return _lattice_run(config)
 
-    if config.controller == "standard-pi":
-        law, quantize = _standard_law, round_half_away
-    elif config.controller == "switched-pi":
-        law, quantize = _switched_law, round_half_away
-    else:
-        law, quantize = _standard_law, _identity
-
-    annotate = config.controller == "switched-pi"
-    dist = config.disturbance
-    alpha = _coerce(config.alpha, mode)
-    e = _coerce(config.e0, mode)
-    u = _coerce(config.u0, mode)
-
-    d_k = _coerce(dist.eval(0), mode)
-    records = [TrajectoryRecord(0, e, u, round_half_away(e), round_half_away(u),
-                                d_k, MODE_NA)]
-    for k in range(config.horizon):
-        e, u = law(e, u, d_k, alpha, quantize)
-        rho_e = round_half_away(e)
-        if annotate:
-            branch = MODE_ZERO if rho_e == 0 else MODE_NONZERO
-        else:
-            branch = MODE_NA
-        d_k = _coerce(dist.eval(k + 1), mode)
-        records.append(TrajectoryRecord(k + 1, e, u, rho_e, round_half_away(u),
-                                        d_k, branch))
-    return Trajectory(tuple(records), mode, config)
-
-
-def _lattice_records(config: LoopConfig) -> list:
-    """Records of an exact quantized run, stepped by :func:`_lattice_step`."""
     switched = config.controller == "switched-pi"
-    zero_branch = MODE_ZERO if switched else MODE_NA
-    nonzero_branch = MODE_NONZERO if switched else MODE_NA
+    law = _switched_law if switched else _standard_law
+    quantize = (_identity if config.controller == "unquantized-pi"
+                else round_half_away)
+
+    coerce = float if mode == "float" else Fraction
+    alpha, e, u = coerce(config.alpha), coerce(config.e0), coerce(config.u0)
+    ds = [coerce(config.disturbance.eval(k)) for k in range(config.horizon + 1)]
+    es, us = [e], [u]
+    for d_k in ds[:-1]:
+        e, u = law(e, u, d_k, alpha, quantize)
+        es.append(e)
+        us.append(u)
+    rho_e = tuple(map(round_half_away, es))
+    return Trajectory(_encoded(es, mode), _encoded(us, mode), rho_e,
+                      tuple(map(round_half_away, us)), _encoded(ds, mode),
+                      _branches(rho_e, switched), mode, config)
+
+
+def _lattice_run(config: LoopConfig) -> Trajectory:
+    """An exact quantized run, stepped by :func:`_lattice_step`."""
+    switched = config.controller == "switched-pi"
     dist = config.disturbance
+    n = config.horizon + 1
     if dist.is_constant:
-        d_values = itertools.repeat(Fraction(dist.value))
+        d = Column((Fraction(dist.value),), (0,) * n)
     else:
-        d_values = (Fraction(dist.eval(k)) for k in itertools.count())
+        d = _encoded((Fraction(dist.eval(k)) for k in range(n)), "exact")
     den = math.lcm(_lattice_denominator(config.alpha, config.e0, config.u0),
                    dist.denominator())
     alpha = _scaled(config.alpha, den)
+    d_scaled = [_scaled(z, den) for z in d.table]
     e, u = _scaled(config.e0, den), _scaled(config.u0, den)
     rho_e, rho_u = _rho_scaled(e, den), _rho_scaled(u, den)
-    # Under a constant disturbance an exact run is eventually periodic, so
-    # the records share one value per lattice point visited instead of
-    # building two Fractions per step.  Integer points (every reset of u)
-    # stay ints, which later record-wise arithmetic handles much faster.
-    values: dict = {}
-
-    def value(x: int) -> Scalar:
-        z = values.get(x)
-        if z is None:
-            q, r = divmod(x, den)
-            z = values[x] = Fraction(x, den) if r else q
-        return z
-
-    d_k = next(d_values)
-    records = [TrajectoryRecord(0, value(e), value(u), rho_e, rho_u, d_k,
-                                MODE_NA)]
-    for k in range(1, config.horizon + 1):
-        e, u, rho_e, rho_u = _lattice_step(e, u, rho_e, rho_u,
-                                           _scaled(d_k, den), alpha, den,
-                                           switched)
-        d_k = next(d_values)
-        records.append(TrajectoryRecord(
-            k, value(e), value(u), rho_e, rho_u, d_k,
-            zero_branch if rho_e == 0 else nonzero_branch))
-    return records
+    # States get codes as they are visited, keyed by their scaled ints: one
+    # injective table for e and u, a few hundred entries for a run under a
+    # constant disturbance, which is eventually periodic.
+    index: dict = {}
+    code = index.setdefault
+    e_codes = [code(e, 0)]
+    u_codes = [code(u, len(index))]
+    rho_es, rho_us = [rho_e], [rho_u]
+    for d_k in map(d_scaled.__getitem__, itertools.islice(d.codes, n - 1)):
+        e, u, rho_e, rho_u = _lattice_step(e, u, rho_e, rho_u, d_k, alpha,
+                                           den, switched)
+        e_codes.append(code(e, len(index)))
+        u_codes.append(code(u, len(index)))
+        rho_es.append(rho_e)
+        rho_us.append(rho_u)
+    table = tuple(Fraction(x, den) for x in index)
+    return Trajectory(Column(table, tuple(e_codes)),
+                      Column(table, tuple(u_codes)), tuple(rho_es),
+                      tuple(rho_us), d, _branches(rho_es, switched), "exact",
+                      config)
 
 
 def simulate_shifted(
@@ -490,45 +468,53 @@ def simulate_shifted(
 def shift_trajectory(traj: Trajectory, dbar: Scalar) -> Trajectory:
     """Map a constant-disturbance run into shifted coordinates.
 
-    Each record's control input becomes ``u + rho(dbar)`` and its
-    disturbance column becomes the rounding error ``d - rho(dbar)``.
+    The control input becomes ``u + rho(dbar)`` and the disturbance the
+    rounding error ``d - rho(dbar)``, both computed once per table entry.
     The quantized view of the shifted control is recomputed by rounding
     rather than by offsetting rho(u): the two differ when u sits exactly
     on a half-integer that the shift moves across zero.
     """
     offset = round_half_away(dbar)
-    records = tuple(
-        TrajectoryRecord(r.k, r.e, r.u + offset, r.rho_e,
-                         round_half_away(r.u + offset), r.d - offset, r.mode)
-        for r in traj.records
-    )
-    return Trajectory(records, traj.mode, traj.config)
+    u = traj.u.mapped(lambda z: z + offset)
+    rho_u = tuple(map(round_half_away, u.table))
+    return dataclasses.replace(
+        traj, u=u, rho_u=tuple(map(rho_u.__getitem__, u.codes)),
+        d=traj.d.mapped(lambda z: z - offset))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with the canonical column order."""
+    def text(column: Column):
+        return map(tuple(map(format_scalar, column.table)).__getitem__,
+                   column.codes)
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)
-        for r in traj.records:
-            writer.writerow([r.k, format_scalar(r.e), format_scalar(r.u),
-                             r.rho_e, r.rho_u, format_scalar(r.d), r.mode])
+        writer.writerows(zip(range(len(traj)), text(traj.e), text(traj.u),
+                             traj.rho_e, traj.rho_u, text(traj.d),
+                             traj.branch))
 
 
 def read_trajectory_csv(path, mode: str = "exact") -> Trajectory:
     """Read a trajectory CSV back; ``mode`` selects the scalar parser.
 
-    Exact-mode round trips are bit-exact.
+    Exact-mode round trips are bit-exact, and exact columns are interned
+    by value.
     """
-    records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != TRAJECTORY_COLUMNS:
             raise ValueError(f"unexpected trajectory header: {header!r}")
-        for row in reader:
-            records.append(TrajectoryRecord(
-                int(row[0]), parse_csv_scalar(row[1], mode),
-                parse_csv_scalar(row[2], mode), int(row[3]), int(row[4]),
-                parse_csv_scalar(row[5], mode), row[6]))
-    return Trajectory(tuple(records), mode, None)
+        rows = list(reader)
+    ks, e, u, rho_e, rho_u, d, branch = zip(*rows) if rows else [()] * 7
+    if list(map(int, ks)) != list(range(len(ks))):
+        raise ValueError("trajectory steps must run 0, 1, 2, ...")
+
+    def column(texts) -> Column:
+        parsed = {t: parse_csv_scalar(t, mode) for t in set(texts)}
+        return _encoded(map(parsed.__getitem__, texts), mode)
+
+    return Trajectory(column(e), column(u), tuple(map(int, rho_e)),
+                      tuple(map(int, rho_u)), column(d), branch, mode, None)

@@ -24,8 +24,6 @@ Scalar = Union[int, Fraction, float]
 #: reference experiments.
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 
-_HALF = Fraction(1, 2)
-
 
 def is_exact(z: Scalar) -> bool:
     """True for int/Fraction values, False for binary floats."""
@@ -81,12 +79,15 @@ def parse_scalar(value: Union[str, int, Fraction, float]) -> Scalar:
     * ``"float:X"``    binary double, e.g. ``"float:0.4"``
     * ``"sqrt2-1"``    keyword for the float value sqrt(2) - 1
 
-    Ints become exact Fractions; Fractions and floats pass through.
+    Ints become exact Fractions; Fractions and finite floats pass through.
+    NaN and infinities (``"float:nan"``, ``"float:1e999"``) are rejected.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite float: {value!r}")
     if isinstance(value, (Fraction, float)):
         return value
     if not isinstance(value, str):
@@ -96,9 +97,9 @@ def parse_scalar(value: Union[str, int, Fraction, float]) -> Scalar:
         return SQRT2_MINUS_1
     if text.startswith("float:"):
         try:
-            return float(text[len("float:"):])
-        except ValueError:
-            raise ValueError(f"bad float literal: {text!r}") from None
+            return parse_scalar(float(text[len("float:"):]))
+        except ValueError as exc:
+            raise ValueError(f"bad float literal {text!r}: {exc}") from None
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

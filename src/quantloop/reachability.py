@@ -220,12 +220,6 @@ class GridResult:
     spec: GridSpec
     cells: tuple
 
-    def cell(self, alpha: Scalar, delta_d: Scalar) -> CellResult:
-        for c in self.cells:
-            if c.alpha == alpha and c.delta_d == delta_d:
-                return c
-        raise KeyError((alpha, delta_d))
-
 
 #: The spec of the sweep a pool worker serves, sent once per worker.
 _worker_spec: Optional[GridSpec] = None

@@ -23,12 +23,15 @@ from quantloop.analysis import (
     verify_control_lock,
 )
 from quantloop.dynamics import (
+    Column,
     Disturbance,
     LoopConfig,
+    Trajectory,
+    shift_trajectory,
     simulate,
     simulate_shifted,
 )
-from quantloop.numerics import sign
+from quantloop.numerics import rounding_error, sign
 
 
 @st.composite
@@ -352,3 +355,65 @@ def test_verify_band_flags_out_of_band_samples():
     assert not verify_band(traj, band, 0).passed
     report = detect_cycle(traj)
     assert verify_band(traj, band, report.entry_step).passed
+
+
+# --- columnar verdicts against their record-wise definitions ----------------
+
+def record_wise_verdicts(traj, region, alpha, band, start, tol=1e-12):
+    """Capture entry and violations, lock and band violations, step by step
+    over the records."""
+    entry = next((r.k for r in traj if in_entry_region(r.e, r.u, region)),
+                 None)
+    allowed = minimal_invariant_pairs(region.delta_d)
+    capture = None if entry is None else [
+        r.k for r in traj.records[entry + 1:] if (r.rho_e, r.rho_u) not in allowed]
+    lock = [r.k for r in traj if r.k > start + 1 and (
+        r.u != -alpha * r.rho_e if traj.mode == "exact"
+        else abs(r.u + alpha * r.rho_e) > tol)]
+    return entry, capture, lock, [r.k for r in traj if r.k >= start and r.e not in band]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(min_value=F(41, 40), max_value=F(59, 40), max_denominator=40),
+       st.fractions(min_value=-3, max_value=3, max_denominator=30),
+       st.fractions(min_value=-4, max_value=4, max_denominator=12),
+       st.fractions(min_value=-4, max_value=4, max_denominator=12),
+       st.sampled_from(["exact", "float"]), st.integers(-2, 12))
+def test_verdicts_match_their_record_wise_definitions(alpha, dbar, e0, u0,
+                                                      mode, start):
+    delta_d = rounding_error(dbar)
+    assume(abs(delta_d) < F(1, 2))
+    config = LoopConfig(alpha=alpha, controller="switched-pi",
+                        disturbance=Disturbance.constant(dbar), e0=e0, u0=u0,
+                        horizon=60, mode=mode)
+    traj = simulate(config)
+    shifted = shift_trajectory(traj, traj.d[0])
+    region, band = EntryRegion(alpha, delta_d), cycle_error_band(delta_d)
+    entry, capture, lock, outside = record_wise_verdicts(shifted, region, alpha,
+                                                         band, start)
+    verdict = verify_capture(shifted, region)
+    assert verdict.entry_step == entry
+    assert (list(verdict.violations) if entry is not None else None) == capture
+    assert list(verify_control_lock(shifted, alpha, start).violations) == lock
+    assert list(verify_band(shifted, band, start).violations) == outside
+
+
+def test_detect_cycle_confirms_both_coordinates():
+    # e recurs with period 1 throughout, u breaks the recurrence late: a
+    # recurrence must hold for the (e, u) code pair to the end of the run
+    traj = Trajectory(e=Column((F(0),), (0, 0, 0, 0)),
+                      u=Column((F(0), F(1)), (0, 0, 0, 1)),
+                      rho_e=(0,) * 4, rho_u=(0, 0, 0, 1),
+                      d=Column((F(0),), (0,) * 4), branch=("n/a",) * 4)
+    assert not detect_cycle(traj).periodic
+
+
+def test_detect_cycle_skips_a_recurrence_the_disturbance_ends():
+    # at rest under a zero disturbance the state recurs at once, but the
+    # disturbance steps to 1/3 at k = 5; the cycle is the one it drives
+    samples = [F(0)] * 5 + [F(1, 3)]
+    config = LoopConfig(alpha=F(11, 8), controller="switched-pi",
+                        disturbance=Disturbance.from_samples(samples),
+                        e0=0, u0=0, horizon=80)
+    report = detect_cycle(simulate(config))
+    assert report.periodic and report.m == 3 and report.entry_step >= 5

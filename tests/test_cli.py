@@ -2,6 +2,8 @@
 
 import csv
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -147,3 +149,114 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required arguments
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("literal", ["float:nan", "float:inf", "float:-inf",
+                                     "float:1e999"])
+def test_non_finite_disturbance_is_rejected_at_the_boundary(
+        tmp_path, capsys, literal):
+    payload = dict(CYCLE_SCENARIO)
+    payload["disturbance"] = {"kind": "constant", "value": literal}
+    config = write_scenario(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", str(config), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "key 'disturbance.value'" in err
+    assert "non-finite" in err
+    assert not out.exists()
+
+
+def test_bare_json_nan_is_rejected(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(CYCLE_SCENARIO).replace('"-2/5"', "NaN"))
+    assert main(["simulate", "-c", str(config), "-o", str(tmp_path / "o")]) == 1
+    assert "key 'e0'" in capsys.readouterr().err
+
+
+GRID = {
+    "alpha": {"lo": "1.3", "hi": "1.4", "count": 2},
+    "delta_d": {"lo": "-1/4", "hi": "1/4", "count": 3},
+    "init": {"box": "2", "count": 3},
+    "budget": 2000,
+}
+
+
+def run_with_config(tmp_path, command, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return main([command, "-c", str(path), "-o", str(tmp_path / "out")])
+
+
+def test_grid_block_without_lo_names_the_key(tmp_path, capsys):
+    payload = json.loads(json.dumps(GRID))
+    del payload["alpha"]["lo"]
+    assert run_with_config(tmp_path, "sweep", payload) == 1
+    assert "missing key 'alpha.lo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("delta_d", "count"), 2.5),
+    (("init", "count"), "three"),
+    (("budget",), True),
+])
+def test_grid_non_integer_names_the_key(tmp_path, capsys, path, value):
+    payload = json.loads(json.dumps(GRID))
+    block = payload
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    assert run_with_config(tmp_path, "sweep", payload) == 1
+    assert f"key {'.'.join(path)!r}: expected an integer" in \
+        capsys.readouterr().err
+
+
+def test_campaign_non_integer_horizon_names_the_key(tmp_path, capsys):
+    payload = {"disturbances": ["1/10"], "horizon": 12.5}
+    assert run_with_config(tmp_path, "table1", payload) == 1
+    assert "key 'horizon': expected an integer" in capsys.readouterr().err
+
+
+def test_campaign_bad_disturbance_names_the_key(tmp_path, capsys):
+    payload = {"disturbances": ["1/10", "float:nan"], "horizon": 10}
+    assert run_with_config(tmp_path, "table1", payload) == 1
+    assert "key 'disturbances'" in capsys.readouterr().err
+
+
+def test_scenario_non_integer_horizon_names_the_key(tmp_path, capsys):
+    payload = dict(CYCLE_SCENARIO)
+    payload["horizon"] = "80.5"
+    assert run_with_config(tmp_path, "simulate", payload) == 1
+    assert "key 'horizon': expected an integer" in capsys.readouterr().err
+
+
+def test_top_level_list_config_is_rejected(tmp_path, capsys):
+    for command in ("simulate", "sweep", "table1"):
+        assert run_with_config(tmp_path, command, [GRID]) == 1
+        assert "expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", str((os.cpu_count() or 1) + 1),
+                                  "two"])
+def test_jobs_outside_the_cpu_range_is_a_usage_error(tmp_path, capsys,
+                                                     monkeypatch, jobs):
+    # rejected while parsing, so no pool (and no process) is ever started
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "-o", str(tmp_path / "out"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_jobs_accepts_every_cpu_count(monkeypatch):
+    from quantloop.cli import build_parser
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parser = build_parser()
+    for jobs in (1, 2):
+        args = parser.parse_args(["sweep", "-o", "out", "--jobs", str(jobs)])
+        assert args.jobs == jobs
+    with pytest.raises(SystemExit):
+        parser.parse_args(["sweep", "-o", "out", "--jobs", "3"])

@@ -6,29 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantloop.analysis import detect_cycle
 from quantloop.dynamics import (
+    CONTROLLERS,
     MODE_NA,
     MODE_NONZERO,
     MODE_ZERO,
     Disturbance,
     LoopConfig,
-    LoopState,
     ModePromotionWarning,
-    ShiftedState,
+    TrajectoryRecord,
     TuningWarning,
     _identity,
     _rho_scaled,
     _standard_law,
     _switched_law,
-    plant_step,
     read_trajectory_csv,
     shift_trajectory,
-    shifted_switched_step,
     simulate,
     simulate_shifted,
-    standard_pi_step,
-    switched_pi_step,
-    unquantized_pi_step,
     write_trajectory_csv,
 )
 from quantloop.numerics import parse_scalar, round_half_away
@@ -57,55 +53,85 @@ def constant_config(alpha, controller, dbar, e0, u0, horizon, mode="exact"):
                       e0=e0, u0=u0, horizon=horizon, mode=mode)
 
 
-# --- single steps -----------------------------------------------------------
+# --- single steps ---------------------------------------------------------
+
+def one_step(controller, e, u, d, alpha):
+    """The second record of a one-step run from (e, u) under constant d."""
+    traj = simulate(constant_config(alpha, controller, d, e, u, 1))
+    assert len(traj) == 2
+    r = traj.records[1]
+    assert r.k == 1
+    return r
+
 
 def test_plant_step():
-    assert plant_step(F(2), F(0), F(12, 10)) == F(16, 5)
-    assert plant_step(0, 0, 0) == 0
-    assert plant_step(F(2, 10), F(6, 10), F(4, 10)) == F(8, 5)
+    # e(k+1) = e(k) + rho(u(k)) + d(k) under both quantized laws
+    for controller in ("standard-pi", "switched-pi"):
+        assert one_step(controller, F(2), F(0), F(12, 10), F(14, 10)).e == F(16, 5)
+        assert one_step(controller, 0, 0, 0, F(14, 10)).e == 0
+        assert one_step(controller, F(2, 10), F(6, 10), F(4, 10),
+                        F(14, 10)).e == F(8, 5)
 
 
 def test_standard_pi_step():
-    s = standard_pi_step(LoopState(F(2), F(0)), F(12, 10), F(14, 10))
-    assert (s.e, s.u, s.k) == (F(16, 5), F(-11, 5), 1)
-    s = standard_pi_step(LoopState(0, 0), 0, F(3, 2))
-    assert (s.e, s.u) == (0, 0)
-    s = standard_pi_step(LoopState(F(3, 10), F(2, 10)), 0, F(11, 10))
-    assert (s.e, s.u) == (F(3, 10), F(2, 10))
+    r = one_step("standard-pi", F(2), F(0), F(12, 10), F(14, 10))
+    assert (r.e, r.u, r.mode) == (F(16, 5), F(-11, 5), MODE_NA)
+    r = one_step("standard-pi", 0, 0, 0, F(3, 2))
+    assert (r.e, r.u) == (0, 0)
+    r = one_step("standard-pi", F(3, 10), F(2, 10), 0, F(11, 10))
+    assert (r.e, r.u) == (F(3, 10), F(2, 10))
 
 
 def test_switched_pi_step_branches():
     # quantized error nonzero: plain PI update
-    s = switched_pi_step(LoopState(F(2, 10), F(6, 10)), F(4, 10), F(11, 10))
-    assert (s.e, s.u) == (F(8, 5), F(-8, 5))
+    r = one_step("switched-pi", F(2, 10), F(6, 10), F(4, 10), F(11, 10))
+    assert (r.e, r.u, r.mode) == (F(8, 5), F(-8, 5), MODE_NONZERO)
     # quantized error zero: integrator re-based onto the quantized state
-    s = switched_pi_step(LoopState(F(3, 10), F(4, 10)), F(1, 10), F(13, 10))
-    assert (s.e, s.u) == (F(2, 5), 0)
-    s = switched_pi_step(LoopState(0, 0), 0, F(11, 10))
-    assert (s.e, s.u) == (0, 0)
+    r = one_step("switched-pi", F(3, 10), F(4, 10), F(1, 10), F(13, 10))
+    assert (r.e, r.u, r.mode) == (F(2, 5), 0, MODE_ZERO)
+    r = one_step("switched-pi", 0, 0, 0, F(11, 10))
+    assert (r.e, r.u, r.mode) == (0, 0, MODE_ZERO)
 
 
 def test_shifted_switched_step():
-    s = shifted_switched_step(ShiftedState(F(2, 10), F(6, 10)), F(4, 10), F(11, 10))
-    assert (s.e, s.u_bar) == (F(8, 5), F(-8, 5))
-    s = shifted_switched_step(ShiftedState(F(2, 10), 0), F(4, 10), F(11, 10))
-    assert (s.e, s.u_bar) == (F(3, 5), F(-11, 10))
-    s = shifted_switched_step(ShiftedState(F(1, 10), 0), 0, F(5, 4))
-    assert (s.e, s.u_bar) == (F(1, 10), 0)
+    for args, expected in (
+        ((F(11, 10), F(4, 10), F(2, 10), F(6, 10)), (F(8, 5), F(-8, 5))),
+        ((F(11, 10), F(4, 10), F(2, 10), 0), (F(3, 5), F(-11, 10))),
+        ((F(5, 4), 0, F(1, 10), 0), (F(1, 10), 0)),
+    ):
+        traj = simulate_shifted(*args, horizon=1)
+        assert (traj.records[1].e, traj.records[1].u) == expected
+        assert traj.records[1].d == args[1]
 
 
 def test_unquantized_pi_step():
-    s = unquantized_pi_step(LoopState(F(1), F(0)), F(1, 2), F(14, 10))
-    assert (s.e, s.u) == (F(3, 2), F(-11, 10))
-    s = unquantized_pi_step(LoopState(0, 0), 0, F(2))
-    assert (s.e, s.u) == (0, 0)
+    r = one_step("unquantized-pi", F(1), F(0), F(1, 2), F(14, 10))
+    assert (r.e, r.u) == (F(3, 2), F(-11, 10))
+    r = one_step("unquantized-pi", 0, 0, 0, F(2))
+    assert (r.e, r.u) == (0, 0)
 
 
 def test_shifted_state_round_trip():
+    # u_bar = u + rho(dbar) and back: rho(-dbar) = -rho(dbar)
     dbar = F(27, 10)
-    state = ShiftedState(F(1, 3), F(-2, 7), k=4)
-    back = ShiftedState.from_loop_state(state.to_loop_state(dbar), dbar)
-    assert back == state
+    traj = simulate(constant_config(F(11, 8), "switched-pi", dbar, F(1, 3),
+                                    F(-2, 7), 20))
+    shifted = shift_trajectory(traj, dbar)
+    assert [r.u for r in shifted] == [r.u + 3 for r in traj]
+    assert [r.rho_u for r in shifted] == [round_half_away(r.u + 3) for r in traj]
+    assert [r.d for r in shifted] == [F(-3, 10)] * 21
+    assert [(r.e, r.rho_e, r.mode) for r in shifted] == \
+        [(r.e, r.rho_e, r.mode) for r in traj]
+    assert shift_trajectory(shifted, -dbar).records == traj.records
+
+
+def test_shift_rounds_the_shifted_control():
+    # u = -1/2 shifted by rho(dbar) = 1 is the tie 1/2, which rounds to 1:
+    # offsetting rho(-1/2) = -1 instead would give 0
+    traj = simulate(constant_config(F(5, 4), "switched-pi", F(6, 5), 0,
+                                    F(-1, 2), 0))
+    r = shift_trajectory(traj, F(6, 5)).records[0]
+    assert (r.u, r.rho_u, r.d) == (F(1, 2), 1, F(1, 5))
 
 
 # --- disturbances -----------------------------------------------------------
@@ -291,13 +317,14 @@ def test_shift_tie_divergence():
        st.fractions(min_value=-5, max_value=5, max_denominator=40),
        st.fractions(min_value=-5, max_value=5, max_denominator=40))
 def test_pi_schemes_coincide_without_quantizers(alpha, dbar, e0, u0):
-    state = LoopState(e0, u0)
+    traj = simulate(constant_config(alpha, "unquantized-pi", dbar, e0, u0, 30))
     e, u = e0, u0
+    states = [(e, u)]
     for _ in range(30):
-        state = unquantized_pi_step(state, dbar, alpha)
         e, u = _switched_law(e, u, dbar, alpha, _identity)
-        assert (state.e, state.u) == (e, u)
-    assert state.k == 30
+        states.append((e, u))
+    assert traj.states() == states
+    assert len(traj) == 31
 
 
 @settings(max_examples=100, deadline=None)
@@ -354,20 +381,24 @@ def lattice_configs(draw, controllers=("standard-pi", "switched-pi")):
         horizon=draw(st.integers(0, 40)))
 
 
-def fraction_law_run(config):
-    """Step-by-step run of the generic law on Fractions: the kernel's oracle."""
-    switched = config.controller == "switched-pi"
-    law = _switched_law if switched else _standard_law
-    e, u = F(config.e0), F(config.u0)
-    rows = [(e, u, round_half_away(e), round_half_away(u), MODE_NA)]
-    for k in range(config.horizon):
-        e, u = law(e, u, F(config.disturbance.eval(k)), F(config.alpha),
-                   round_half_away)
+def law_records(config, mode="exact"):
+    """Record-by-record run of the generic laws in ``mode``: the oracle of
+    the lattice kernel, the columnar trajectory and its per-step view."""
+    coerce = float if mode == "float" else F
+    law = _switched_law if config.controller == "switched-pi" else _standard_law
+    quantize = _identity if config.controller == "unquantized-pi" else round_half_away
+    alpha = coerce(config.alpha)
+    e, u = coerce(config.e0), coerce(config.u0)
+    records = []
+    for k in range(config.horizon + 1):
         branch = MODE_NA
-        if switched:
+        if k and config.controller == "switched-pi":
             branch = MODE_ZERO if round_half_away(e) == 0 else MODE_NONZERO
-        rows.append((e, u, round_half_away(e), round_half_away(u), branch))
-    return rows
+        d_k = coerce(config.disturbance.eval(k))
+        records.append(TrajectoryRecord(k, e, u, round_half_away(e),
+                                        round_half_away(u), d_k, branch))
+        e, u = law(e, u, d_k, alpha, quantize)
+    return tuple(records)
 
 
 @settings(max_examples=300, deadline=None)
@@ -381,11 +412,7 @@ def test_scaled_rounding_matches_round_half_away(x, den):
 def test_lattice_kernel_matches_fraction_law(config):
     traj = simulate(config)
     assert traj.mode == "exact"
-    assert [(r.e, r.u, r.rho_e, r.rho_u, r.mode) for r in traj] == \
-        fraction_law_run(config)
-    assert [r.k for r in traj] == list(range(config.horizon + 1))
-    assert [r.d for r in traj] == [
-        config.disturbance.eval(k) for k in range(config.horizon + 1)]
+    assert traj.records == law_records(config)
     assert all(type(z) in (int, F) for r in traj for z in (r.e, r.u))
 
 
@@ -404,8 +431,7 @@ def test_kernel_tie_cases_pinned():
         constant_config(F(13, 10), "switched-pi", F(-1, 2), F(5, 2), F(-7, 2), 30),
         constant_config(F(5, 4), "standard-pi", F(-3, 2), F(-1, 2), F(1, 2), 30),
     ):
-        rows = [(r.e, r.u, r.rho_e, r.rho_u, r.mode) for r in simulate(config)]
-        assert rows == fraction_law_run(config)
+        assert simulate(config).records == law_records(config)
 
 
 def test_float_reset_keeps_float_u(tmp_path):
@@ -451,4 +477,84 @@ def test_trajectory_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
+        read_trajectory_csv(path)
+
+
+# --- columnar trajectory ----------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_configs(controllers=CONTROLLERS),
+       st.sampled_from(["exact", "float"]))
+def test_records_view_matches_law_run(config, mode):
+    config = LoopConfig(**{**vars(config), "mode": mode})
+    traj = simulate(config)
+    assert traj.mode == mode
+    assert traj.records == law_records(config, mode)
+    assert list(traj) == list(traj.records)
+    assert traj[len(traj) - 1] == traj.records[-1]
+    for column in (traj.e, traj.u, traj.d):
+        assert len(column.codes) == len(traj) == config.horizon + 1
+        if mode == "exact":
+            # interned: equal codes if and only if equal values
+            assert len(set(column.table)) == len(column.table)
+        else:
+            assert list(column.codes) == list(range(len(traj)))
+            assert all(isinstance(z, float) for z in column.table)
+
+
+@pytest.mark.parametrize("controller", ["switched-pi", "standard-pi"])
+@pytest.mark.parametrize("d_text", ["float:0.0", "float:-0.0"])
+def test_signed_zero_rows_pinned(tmp_path, controller, d_text):
+    # -0.0 stays in row 0, while every later step prints 0.0: float
+    # columns are positional, since interning would merge the two zeros.
+    zero = parse_scalar("float:-0.0")
+    config = constant_config(F(11, 8), controller, parse_scalar(d_text),
+                             zero, zero, 4, mode="float")
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(simulate(config), path)
+    d = d_text[len("float:"):]
+    branch = MODE_ZERO if controller == "switched-pi" else MODE_NA
+    assert path.read_text().splitlines() == [
+        "k,e,u,rho_e,rho_u,d,mode",
+        f"0,-0.0,-0.0,0,0,{d},n/a",
+        *(f"{k},0.0,0.0,0,0,{d},{branch}" for k in range(1, 5)),
+    ]
+    back = read_trajectory_csv(path, mode="float")
+    assert [str(z) for z in back.e] == ["-0.0"] + ["0.0"] * 4
+
+
+@pytest.mark.parametrize("dbar, e0, u0", [
+    (F(15, 7), F(3), F(-2)),
+    (F(-8, 31), F(-11, 3), F(7, 5)),
+    (F(1, 2), F(1, 3), F(0)),
+])
+def test_read_back_gives_the_same_cycle_report(tmp_path, dbar, e0, u0):
+    traj = simulate(constant_config(F(11, 8), "switched-pi", dbar, e0, u0, 400))
+    shifted = shift_trajectory(traj, dbar)
+    path = tmp_path / "shifted.csv"
+    write_trajectory_csv(shifted, path)
+    back = read_trajectory_csv(path, mode="exact")
+    assert back.records == shifted.records
+    report = detect_cycle(shifted)
+    assert report.periodic
+    assert detect_cycle(back) == report
+
+
+def test_read_back_interns_equal_values(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("k,e,u,rho_e,rho_u,d,mode\n"
+                    "0,1/3,2/6,0,0,1/5,n/a\n"
+                    "1,2/6,1/3,0,0,1/5,rho-zero-branch\n")
+    back = read_trajectory_csv(path)
+    assert back.e.codes == back.u.codes == (0, 0)
+    assert back.e.table == back.u.table == (F(1, 3),)
+    assert detect_cycle(back).m == 1
+
+
+def test_read_rejects_out_of_order_steps(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("k,e,u,rho_e,rho_u,d,mode\n"
+                    "0,0,0,0,0,0,n/a\n"
+                    "2,0,0,0,0,0,n/a\n")
+    with pytest.raises(ValueError, match="steps"):
         read_trajectory_csv(path)

@@ -183,6 +183,21 @@ def test_parse_scalar_passthrough_and_errors():
         parse_scalar(True)
 
 
+@pytest.mark.parametrize("value", [
+    "float:nan", "float:inf", "float:-inf", "float:1e999", "float:-1e999",
+    " float:NaN ", float("nan"), float("inf"), float("-inf"),
+])
+def test_parse_scalar_rejects_non_finite_floats(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_scalar(value)
+
+
+def test_parse_scalar_keeps_large_finite_values():
+    assert parse_scalar("float:1e308") == 1e308
+    assert parse_scalar("float:-0.0") == 0.0
+    assert parse_scalar("1e999") == F(10) ** 999  # exact, so never overflows
+
+
 @pytest.mark.parametrize("value, text", [
     (F(3, 10), "3/10"),
     (F(-3, 10), "-3/10"),
