@@ -14,10 +14,12 @@ denominator grids avoid that measure-zero lattice.
 """
 
 import argparse
+import os
 import time
 from fractions import Fraction
 from pathlib import Path
 
+from quantloop.cli import _jobs
 from quantloop.reachability import (
     GridSpec,
     attraction_region,
@@ -27,18 +29,20 @@ from quantloop.reachability import (
 )
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-o", "--out", default="results/sweep",
                         help="output directory (default results/sweep)")
-    parser.add_argument("--jobs", type=int, default=2)
+    parser.add_argument("--jobs", type=_jobs,
+                        default=min(2, os.cpu_count() or 1),
+                        help="worker processes, 1 to the number of CPUs")
     parser.add_argument("--alpha-count", type=int, default=50)
     parser.add_argument("--delta-count", type=int, default=101)
     parser.add_argument("--init-count", type=int, default=21)
     parser.add_argument("--budget", type=int, default=10_000)
     parser.add_argument("--fast", action="store_true",
                         help="coarse 10 x 21 x 7x7 preview grid")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.fast:
         spec = GridSpec(alpha_count=10, delta_d_count=21, init_count=7,

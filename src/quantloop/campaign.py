@@ -48,6 +48,7 @@ from .numerics import (
     parse_scalar,
     round_half_away,
 )
+from .reachability import GridSpec
 
 #: Disturbance magnitudes of the reference comparison table.  All exact
 #: rationals except the deliberately irrational last entry.
@@ -237,6 +238,41 @@ def scenario_from_dict(raw: dict, mode_override: Optional[str] = None,
         return LoopConfig(disturbance=dist, **fields)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
+
+
+def load_grid_spec(path: Optional[str] = None) -> GridSpec:
+    """Load a sweep grid from JSON; absent keys, or no file, keep defaults."""
+    raw, kwargs = (read_json(path) if path else {}), {}
+    field = config_fields(raw, str(path))
+    for axis in ("alpha", "delta_d"):
+        if axis in raw:
+            kwargs[f"{axis}_lo"] = field(f"{axis}.lo")
+            kwargs[f"{axis}_hi"] = field(f"{axis}.hi")
+            kwargs[f"{axis}_count"] = field(f"{axis}.count", parse_int)
+    if "init" in raw:
+        kwargs["init_box"] = field("init.box")
+        kwargs["init_count"] = field("init.count", parse_int)
+    if "budget" in raw:
+        kwargs["budget"] = field("budget", parse_int)
+    if "mode" in raw:
+        kwargs["mode"] = raw["mode"]
+    return GridSpec(**kwargs)
+
+
+def load_campaign_spec(path: Optional[str] = None) -> CampaignSpec:
+    """Load a campaign from JSON; absent keys, or no file, keep defaults."""
+    raw, kwargs = (read_json(path) if path else {}), {}
+    field = config_fields(raw, str(path))
+    if "disturbances" in raw:
+        kwargs["disturbances"] = tuple(field("disturbances", parse_list))
+    for key in ("alpha", "e0", "u0"):
+        if key in raw:
+            kwargs[key] = field(key)
+    if "horizon" in raw:
+        kwargs["horizon"] = field("horizon", parse_int)
+    if "controllers" in raw:
+        kwargs["controllers"] = tuple(raw["controllers"])
+    return CampaignSpec(**kwargs)
 
 
 def shifted_run(traj: Trajectory) -> tuple:

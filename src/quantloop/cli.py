@@ -81,27 +81,9 @@ def _cmd_cycles(args) -> int:
     return 0
 
 
-def _load_grid_spec(path) -> reachability.GridSpec:
-    raw, kwargs = campaign.read_json(path), {}
-    field = campaign.config_fields(raw, str(path))
-    for axis in ("alpha", "delta_d"):
-        if axis in raw:
-            kwargs[f"{axis}_lo"] = field(f"{axis}.lo")
-            kwargs[f"{axis}_hi"] = field(f"{axis}.hi")
-            kwargs[f"{axis}_count"] = field(f"{axis}.count", campaign.parse_int)
-    if "init" in raw:
-        kwargs["init_box"] = field("init.box")
-        kwargs["init_count"] = field("init.count", campaign.parse_int)
-    if "budget" in raw:
-        kwargs["budget"] = field("budget", campaign.parse_int)
-    if "mode" in raw:
-        kwargs["mode"] = raw["mode"]
-    return reachability.GridSpec(**kwargs)
-
-
 def _cmd_sweep(args) -> int:
-    spec = _load_grid_spec(args.config) if args.config else reachability.GridSpec()
-    result = reachability.sweep(spec, jobs=args.jobs)
+    result = reachability.sweep(campaign.load_grid_spec(args.config),
+                                jobs=args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid_path = out_dir / "grid.csv"
@@ -115,24 +97,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _load_campaign_spec(path) -> campaign.CampaignSpec:
-    raw, kwargs = campaign.read_json(path), {}
-    field = campaign.config_fields(raw, str(path))
-    if "disturbances" in raw:
-        kwargs["disturbances"] = tuple(field("disturbances", campaign.parse_list))
-    for key in ("alpha", "e0", "u0"):
-        if key in raw:
-            kwargs[key] = field(key)
-    if "horizon" in raw:
-        kwargs["horizon"] = field("horizon", campaign.parse_int)
-    if "controllers" in raw:
-        kwargs["controllers"] = tuple(raw["controllers"])
-    return campaign.CampaignSpec(**kwargs)
-
-
 def _cmd_table1(args) -> int:
-    spec = _load_campaign_spec(args.config) if args.config else None
-    rows = campaign.run_table1(spec)
+    rows = campaign.run_table1(campaign.load_campaign_spec(args.config))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "table1.csv"

@@ -35,11 +35,11 @@ disturbance, each segment contributes its value denominators times its
 length, which covers the interpolated values).  Each step adds integers and
 d to e, and adds integers and alpha times an integer to u or resets u to an
 integer, so (e, u) stays on (1/D)Z.  The kernel holds the state as the int
-pair (E, U) = (D e, D u): rounding is one ``divmod`` with the half-away tie
-test ``2 r >= D``, the reset is ``(rho(u) + rho(e)) D`` and state equality
-is int equality.  ``Fraction`` appears only at the boundary, in the value
-tables.  Float runs and the unquantized law (alpha e leaves the lattice)
-step with the generic laws, which also serve as the kernel's test oracle.
+pair (E, U) = (D e, D u): rho is one floor division, (2|E| + D) // 2D with
+the sign of E, so ties go away from zero; the reset is (rho(u) + rho(e)) D
+and state equality is int equality.  ``Fraction`` appears only at the
+boundary, in the value tables.  Float runs and the unquantized law (alpha e
+leaves the lattice) step with the generic laws, the kernel's test oracle.
 
 A :class:`Trajectory` stores a run as columns with the step ``k`` implicit:
 ``rho_e``, ``rho_u`` and the branch are plain tuples, and ``e``, ``u`` and
@@ -111,12 +111,11 @@ def _switched_law(e, u, d, alpha, quantize):
 
 
 def _rho_scaled(x: int, den: int) -> int:
-    """``round_half_away(x / den)`` for an int ``x`` and ``den > 0``."""
+    """``round_half_away(x / den)`` for an int ``x`` and ``den > 0``: the
+    floor of ``|x| / den + 1/2`` with the sign of ``x``, one division."""
     if x >= 0:
-        q, r = divmod(x, den)
-        return q + 1 if 2 * r >= den else q
-    q, r = divmod(-x, den)
-    return -q - 1 if 2 * r >= den else -q
+        return (2 * x + den) // (2 * den)
+    return -((den - 2 * x) // (2 * den))
 
 
 def _scaled(z: Scalar, den: int) -> int:

@@ -15,7 +15,8 @@ a process pool and aggregates deterministically in grid order.
 from __future__ import annotations
 
 import csv
-import multiprocessing
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,13 +28,7 @@ from .analysis import (
     in_entry_region,
     minimal_invariant_pairs,
 )
-from .dynamics import (
-    _lattice_denominator,
-    _lattice_step,
-    _rho_scaled,
-    _scaled,
-    _switched_law,
-)
+from .dynamics import _lattice_step, _rho_scaled, _scaled, _switched_law
 from .numerics import Scalar, format_scalar, round_half_away, sign
 
 TAG_THEOREM1 = "theorem1-set"
@@ -135,59 +130,63 @@ def classify_trajectory(
     enforced: far from the origin the loop contracts like its unquantized
     version, so excursions outside the initial box return on their own.
     """
-    if not 1 < alpha < Fraction(3, 2):
-        raise ValueError("classification requires a gain in (1, 3/2)")
     if mode == "float":
-        states = _float_states(alpha, delta_d, e0, u_bar0)
-        delta_d = float(delta_d)
-    else:
-        delta_d = Fraction(delta_d)
-        states = _lattice_states(Fraction(alpha), delta_d, Fraction(e0),
-                                 Fraction(u_bar0))
+        return _classify_float(alpha, delta_d, e0, u_bar0, budget)
+    a, d, den, s, delta_d, minimal = _exact_cell(alpha, delta_d)
+    e0 = e0 if type(e0) is Fraction else Fraction(e0)
+    u_bar0 = u_bar0 if type(u_bar0) is Fraction else Fraction(u_bar0)
+    # The cell's lattice (1/den)Z, refined to hold the initial state too.
+    scale = math.lcm(den, e0.denominator, u_bar0.denominator) // den
+    a, d, den = a * scale, d * scale, den * scale
+    e, u = _scaled(e0, den), _scaled(u_bar0, den)
+    rho_e, rho_u = _rho_scaled(e, den), _rho_scaled(u, den)
     seen: dict = {}
     pairs: list = []
-    for k, (captured, state, pair) in zip(range(budget + 1), states):
-        if captured:
-            return AttractorClass(TAG_THEOREM1,
-                                  minimal_invariant_pairs(delta_d), k)
-        j = seen.setdefault(state, k)
+    for k in range(budget + 1):
+        # -1/2 < e < 1/2, -1/2 < u_bar < 1/2, 1 <= alpha - s u_bar < 3/2
+        if (-den < 2 * e < den and -den < 2 * u < den
+                and den <= a - s * u and 2 * (a - s * u) < 3 * den):
+            return AttractorClass(TAG_THEOREM1, minimal, k)
+        j = seen.setdefault((e, u), k)
         if j != k:
             return _classify_cycle(delta_d, frozenset(pairs[j:k]), j)
-        pairs.append(pair)
+        pairs.append((rho_e, rho_u))
+        e, u, rho_e, rho_u = _lattice_step(e, u, rho_e, rho_u, d, a, den,
+                                           True)
     return AttractorClass(TAG_UNRESOLVED, frozenset(pairs[-8:]), None)
 
 
-def _lattice_states(alpha, delta_d, e0, u_bar0):
-    """Yield ``(captured, state, quantized pair)`` for k = 0, 1, ... of the
-    exact shifted switched loop, stepped on the lattice by the kernel.
-
-    The capture inequalities are integer compares of the scaled state.
-    """
-    den = _lattice_denominator(alpha, delta_d, e0, u_bar0)
-    a, d = _scaled(alpha, den), _scaled(delta_d, den)
-    e, u = _scaled(e0, den), _scaled(u_bar0, den)
-    s = sign(delta_d)
-    rho_e, rho_u = _rho_scaled(e, den), _rho_scaled(u, den)
-    while True:
-        # -1/2 < e < 1/2, -1/2 < u_bar < 1/2, 1 <= alpha - s u_bar < 3/2
-        x = a - s * u
-        captured = (-den < 2 * e < den and -den < 2 * u < den
-                    and den <= x and 2 * x < 3 * den)
-        yield captured, (e, u), (rho_e, rho_u)
-        e, u, rho_e, rho_u = _lattice_step(e, u, rho_e, rho_u, d, a, den,
-                                           True)
+@functools.lru_cache(maxsize=16)
+def _exact_cell(alpha, delta_d) -> tuple:
+    """``(den alpha, den delta_d, den, sign(delta_d), delta_d, minimal set)``
+    of one cell, computed once for all its initial states (a sweep runs
+    them in a row); an out-of-range gain raises, so it is never cached."""
+    if not 1 < alpha < Fraction(3, 2):
+        raise ValueError("classification requires a gain in (1, 3/2)")
+    alpha, delta_d = Fraction(alpha), Fraction(delta_d)
+    den = math.lcm(alpha.denominator, delta_d.denominator)
+    return (_scaled(alpha, den), _scaled(delta_d, den), den, sign(delta_d),
+            delta_d, minimal_invariant_pairs(delta_d))
 
 
-def _float_states(alpha, delta_d, e0, u_bar0):
-    """Yield ``(captured, state, quantized pair)`` for k = 0, 1, ... of the
-    shifted switched loop in binary floats."""
+def _classify_float(alpha, delta_d, e0, u_bar0, budget) -> AttractorClass:
+    """:func:`classify_trajectory` in binary floats, with the generic law."""
     region = EntryRegion(alpha, delta_d)
-    alpha, delta_d, e, u = (float(alpha), float(delta_d), float(e0),
-                            float(u_bar0))
-    while True:
-        yield (in_entry_region(e, u, region), (e, u),
-               (round_half_away(e), round_half_away(u)))
+    if not region.valid:
+        raise ValueError("classification requires a gain in (1, 3/2)")
+    alpha, delta_d, e, u = map(float, (alpha, delta_d, e0, u_bar0))
+    seen: dict = {}
+    pairs: list = []
+    for k in range(budget + 1):
+        if in_entry_region(e, u, region):
+            return AttractorClass(TAG_THEOREM1,
+                                  minimal_invariant_pairs(delta_d), k)
+        j = seen.setdefault((e, u), k)
+        if j != k:
+            return _classify_cycle(delta_d, frozenset(pairs[j:k]), j)
+        pairs.append((round_half_away(e), round_half_away(u)))
         e, u = _switched_law(e, u, delta_d, alpha, round_half_away)
+    return AttractorClass(TAG_UNRESOLVED, frozenset(pairs[-8:]), None)
 
 
 def _classify_cycle(delta_d, cycle_pairs, entry) -> AttractorClass:
@@ -221,30 +220,27 @@ class GridResult:
     cells: tuple
 
 
-#: The spec of the sweep a pool worker serves, sent once per worker.
-_worker_spec: Optional[GridSpec] = None
+#: ``(spec, initial states)`` of the sweep a pool worker serves, sent once.
+_worker_sweep: tuple = ()
 
 
-def _set_worker_spec(spec: GridSpec) -> None:
-    global _worker_spec
-    _worker_spec = spec
+def _set_worker_sweep(spec: GridSpec, inits: list) -> None:
+    global _worker_sweep
+    _worker_sweep = spec, inits
 
 
 def _evaluate_worker_cell(cell) -> CellResult:
-    return _evaluate_cell(_worker_spec, *cell)
+    return _evaluate_cell(*_worker_sweep, *cell)
 
 
-def _evaluate_cell(spec: GridSpec, alpha, delta_d) -> CellResult:
+def _evaluate_cell(spec: GridSpec, inits: list, alpha, delta_d) -> CellResult:
     counts = {TAG_THEOREM1: 0, TAG_ALT_UNIT: 0, TAG_AMPLITUDE2: 0,
-              TAG_UNRESOLVED: 0}
-    inits = spec.inits()
+              TAG_UNRESOLVED: 0}  # in the order of CellResult's tallies
     for e0, u0 in inits:
         result = classify_trajectory(alpha, delta_d, e0, u0,
                                      spec.budget, spec.mode)
         counts[result.tag] += 1
-    return CellResult(alpha, delta_d, len(inits), counts[TAG_THEOREM1],
-                      counts[TAG_ALT_UNIT], counts[TAG_AMPLITUDE2],
-                      counts[TAG_UNRESOLVED])
+    return CellResult(alpha, delta_d, len(inits), *counts.values())
 
 
 def sweep(spec: GridSpec, jobs: int = 1) -> GridResult:
@@ -258,14 +254,17 @@ def sweep(spec: GridSpec, jobs: int = 1) -> GridResult:
             f"sweep upper bound exceeds {_FULL_SCALE_STEPS:,} simulation "
             "steps; expect a very long run", stacklevel=2)
     work = [(a, dd) for a in spec.alphas() for dd in spec.delta_ds()]
+    inits = spec.inits()
     if jobs > 1:
+        import multiprocessing  # only a pool needs it; keeps CLI start-up lean
         # A few chunks per worker balance the uneven cells (low-gain rows
         # take several times longer) without a task per cell.
         chunksize = max(1, len(work) // (4 * jobs))
-        with multiprocessing.Pool(jobs, _set_worker_spec, (spec,)) as pool:
+        with multiprocessing.Pool(jobs, _set_worker_sweep,
+                                  (spec, inits)) as pool:
             cells = pool.map(_evaluate_worker_cell, work, chunksize)
     else:
-        cells = [_evaluate_cell(spec, a, dd) for a, dd in work]
+        cells = [_evaluate_cell(spec, inits, a, dd) for a, dd in work]
     return GridResult(spec, tuple(cells))
 
 

@@ -1,9 +1,13 @@
 """Command line interface tests (direct invocation of main)."""
 
 import csv
+import importlib.util
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +253,38 @@ def test_jobs_outside_the_cpu_range_is_a_usage_error(tmp_path, capsys,
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", str((os.cpu_count() or 1) + 1)])
+def test_sweep_script_checks_jobs(tmp_path, capsys, monkeypatch, jobs):
+    script = Path(__file__).parents[1] / "scripts" / "run_attraction_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_attraction_sweep",
+                                                  script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    with pytest.raises(SystemExit) as exc:
+        module.main(["-o", str(tmp_path / "out"), "--fast", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # only a sweep with --jobs > 1 needs a pool, so the import is deferred
+    import quantloop
+    src = str(Path(quantloop.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, quantloop.cli; "
+         "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_jobs_accepts_every_cpu_count(monkeypatch):

@@ -408,6 +408,21 @@ def test_scaled_rounding_matches_round_half_away(x, den):
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 9))
+def test_scaled_rounding_matches_round_half_away_on_large_values(x, den):
+    assert _rho_scaled(x, den) == round_half_away(F(x, den))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 999), st.integers(1, 5 * 10 ** 8),
+       st.sampled_from([1, -1]))
+def test_scaled_rounding_sends_exact_ties_away_from_zero(n, half, sign):
+    # x / den = sign (n + 1/2): x = (2n + 1) den / 2 with den = 2 half
+    x, den = sign * (2 * n + 1) * half, 2 * half
+    assert _rho_scaled(x, den) == sign * (n + 1) == round_half_away(F(x, den))
+
+
+@settings(max_examples=300, deadline=None)
 @given(lattice_configs())
 def test_lattice_kernel_matches_fraction_law(config):
     traj = simulate(config)

@@ -4,7 +4,7 @@ import csv
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantloop.analysis import (
@@ -180,6 +180,32 @@ def test_lattice_classification_pinned_ties():
     for case in cases:
         assert classify_trajectory(*case, 10_000) == \
             fraction_classify(*case, 10_000)
+
+
+def test_out_of_range_gain_raises_on_every_call():
+    # a failed cell is not cached: the same bad gain raises each time, also
+    # after a valid call for the same residual, and in both modes
+    for alpha in (F(8, 5), F(3, 2), 1, 1.5, F(1, 2)):
+        for mode in ("exact", "float", "exact"):
+            with pytest.raises(ValueError, match="gain in"):
+                classify_trajectory(alpha, F(1, 10), 0, 0, 100, mode)
+            classify_trajectory(F(13, 10), F(1, 10), 0, 0, 100, mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(classify_cases())
+# in binary 1.2 + 0.3 < 3/2, so the float state starts in the region
+@example((F(6, 5), F(1, 4), F(0), F(-3, 10), 100))
+def test_classification_takes_int_fraction_and_float_arguments(case):
+    alpha, delta_d, e0, u0, budget = case
+    # exact mode takes a float as its exact binary value
+    floats = [float(z) for z in (alpha, delta_d, e0, u0)]
+    assert classify_trajectory(*floats, budget) == \
+        fraction_classify(*map(F, floats), budget)
+    # equal values of other types (0, F(0), 0.0) share one cached cell
+    ints = [int(z) if z.denominator == 1 else z for z in (delta_d, e0, u0)]
+    assert classify_trajectory(alpha, *ints, budget) == \
+        fraction_classify(*case)
 
 
 def small_spec(**overrides):
