@@ -36,6 +36,7 @@ from .dynamics import (
     Disturbance,
     LoopConfig,
     Trajectory,
+    checked_mode,
     shift_trajectory,
     simulate,
     write_trajectory_csv,
@@ -48,7 +49,7 @@ from .numerics import (
     parse_scalar,
     round_half_away,
 )
-from .reachability import GridSpec
+from .reachability import GridSpec, checked_gain
 
 #: Disturbance magnitudes of the reference comparison table.  All exact
 #: rationals except the deliberately irrational last entry.
@@ -68,16 +69,12 @@ class CampaignSpec:
     disturbances: tuple = TABLE1_DISTURBANCES
     alpha: Scalar = Fraction(11, 8)
     horizon: int = 1000
-    controllers: tuple = ("standard-pi", "switched-pi")
     e0: Scalar = 0
     u0: Scalar = 0
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        missing = {"standard-pi", "switched-pi"} - set(self.controllers)
-        if missing:
-            raise ValueError(f"campaign needs both PI variants; missing {missing}")
 
 
 @dataclass(frozen=True)
@@ -167,10 +164,18 @@ def read_json(path) -> dict:
     return raw
 
 
-def config_fields(raw: dict, source: str):
+def write_json(data: dict, path) -> Path:
+    """Write a JSON report, indented and newline-terminated; returns path."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+    return path
+
+
+def config_fields(raw: dict, source: str, keys):
     """``field(path, parse=parse_scalar)``: ``parse`` of the value at the
     dotted key ``path`` of a JSON config, with errors that name the source
-    and the key path."""
+    and the key path.  A top-level key outside ``keys`` is an error."""
     def field(path: str, parse=parse_scalar):
         value = raw
         for key in path.split("."):
@@ -181,6 +186,9 @@ def config_fields(raw: dict, source: str):
             return parse(value)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"{source}: key {path!r}: {exc}") from None
+    for key in raw:
+        if key not in keys:
+            raise ValueError(f"{source}: unknown key {key!r}")
     return field
 
 
@@ -204,6 +212,14 @@ def _parse_breakpoints(points) -> list:
     return parse_list(points, lambda p: (parse_int(p[0]), parse_scalar(p[1])))
 
 
+def _built(cls, source: str, **kwargs):
+    """``cls(**kwargs)``, with its ValueError prefixed by the source."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
 def load_scenario(path, mode_override: Optional[str] = None) -> LoopConfig:
     """Load a scenario config from JSON.
 
@@ -218,7 +234,8 @@ def load_scenario(path, mode_override: Optional[str] = None) -> LoopConfig:
 
 def scenario_from_dict(raw: dict, mode_override: Optional[str] = None,
                        source: str = "scenario") -> LoopConfig:
-    field = config_fields(raw, source)
+    field = config_fields(raw, source, ("alpha", "controller", "disturbance",
+                                        "e0", "u0", "horizon", "mode"))
     kind = field("disturbance.kind", str)
     if kind == "constant":
         dist = Disturbance.constant(field("disturbance.value"))
@@ -230,49 +247,45 @@ def scenario_from_dict(raw: dict, mode_override: Optional[str] = None,
     else:
         raise ValueError(f"{source}: unknown disturbance kind {kind!r}")
 
-    fields = dict(alpha=field("alpha"), controller=field("controller", str),
+    mode = mode_override or (field("mode", checked_mode) if "mode" in raw
+                             else "exact")
+    return _built(LoopConfig, source, alpha=field("alpha"),
+                  controller=field("controller", str), disturbance=dist,
                   e0=field("e0"), u0=field("u0"),
-                  horizon=field("horizon", parse_int),
-                  mode=mode_override or raw.get("mode", "exact"))
-    try:
-        return LoopConfig(disturbance=dist, **fields)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+                  horizon=field("horizon", parse_int), mode=mode)
 
 
 def load_grid_spec(path: Optional[str] = None) -> GridSpec:
     """Load a sweep grid from JSON; absent keys, or no file, keep defaults."""
     raw, kwargs = (read_json(path) if path else {}), {}
-    field = config_fields(raw, str(path))
-    for axis in ("alpha", "delta_d"):
+    field = config_fields(raw, str(path), ("alpha", "delta_d", "init",
+                                           "budget"))
+    for axis, parse in (("alpha", lambda v: checked_gain(parse_scalar(v))),
+                        ("delta_d", parse_scalar)):
         if axis in raw:
-            kwargs[f"{axis}_lo"] = field(f"{axis}.lo")
-            kwargs[f"{axis}_hi"] = field(f"{axis}.hi")
+            kwargs[f"{axis}_lo"] = field(f"{axis}.lo", parse)
+            kwargs[f"{axis}_hi"] = field(f"{axis}.hi", parse)
             kwargs[f"{axis}_count"] = field(f"{axis}.count", parse_int)
     if "init" in raw:
         kwargs["init_box"] = field("init.box")
         kwargs["init_count"] = field("init.count", parse_int)
     if "budget" in raw:
         kwargs["budget"] = field("budget", parse_int)
-    if "mode" in raw:
-        kwargs["mode"] = raw["mode"]
-    return GridSpec(**kwargs)
+    return _built(GridSpec, str(path), **kwargs)
+
+
+#: The parser of each key of a campaign config.
+_CAMPAIGN_KEYS = {"disturbances": lambda v: tuple(parse_list(v)),
+                  "alpha": parse_scalar, "e0": parse_scalar,
+                  "u0": parse_scalar, "horizon": parse_int}
 
 
 def load_campaign_spec(path: Optional[str] = None) -> CampaignSpec:
     """Load a campaign from JSON; absent keys, or no file, keep defaults."""
-    raw, kwargs = (read_json(path) if path else {}), {}
-    field = config_fields(raw, str(path))
-    if "disturbances" in raw:
-        kwargs["disturbances"] = tuple(field("disturbances", parse_list))
-    for key in ("alpha", "e0", "u0"):
-        if key in raw:
-            kwargs[key] = field(key)
-    if "horizon" in raw:
-        kwargs["horizon"] = field("horizon", parse_int)
-    if "controllers" in raw:
-        kwargs["controllers"] = tuple(raw["controllers"])
-    return CampaignSpec(**kwargs)
+    raw = read_json(path) if path else {}
+    field = config_fields(raw, str(path), _CAMPAIGN_KEYS)
+    return _built(CampaignSpec, str(path),
+                  **{key: field(key, _CAMPAIGN_KEYS[key]) for key in raw})
 
 
 def shifted_run(traj: Trajectory) -> tuple:
@@ -282,17 +295,19 @@ def shifted_run(traj: Trajectory) -> tuple:
     return dbar - round_half_away(dbar), shift_trajectory(traj, dbar)
 
 
-def cycle_reports(shifted: Trajectory, delta_d: Scalar) -> tuple:
-    """``(detected, predicted, agreement)`` for a shifted run; the last two
-    are None in float mode, where only near-recurrence is detected."""
+def cycle_report(shifted: Trajectory, delta_d: Scalar) -> dict:
+    """The ``cycle`` record of a shifted run; in exact mode also the
+    ``predicted-cycle`` record and ``cycle-agreement``."""
     if shifted.mode != "exact":
-        return detect_cycle_approx(shifted), None, None
+        return {"cycle": detect_cycle_approx(shifted).to_record()}
     detected = detect_cycle(shifted)
     predicted = predict_cycle(delta_d)
     agreement = (detected.periodic == predicted.periodic
                  and (not detected.periodic
                       or (detected.n, detected.m) == (predicted.n, predicted.m)))
-    return detected, predicted, agreement
+    return {"cycle": detected.to_record(),
+            "predicted-cycle": predicted.to_record(),
+            "cycle-agreement": agreement}
 
 
 def analyze_trajectory(traj: Trajectory, config: LoopConfig) -> dict:
@@ -312,15 +327,11 @@ def analyze_trajectory(traj: Trajectory, config: LoopConfig) -> dict:
         lock = verify_control_lock(shifted, config.alpha, capture.entry_step)
         report["control-lock"] = lock.to_record()
 
-    detected, predicted, agreement = cycle_reports(shifted, delta_d)
-    report["cycle"] = detected.to_record()
-    if predicted is not None:
-        report["predicted-cycle"] = predicted.to_record()
-        report["cycle-agreement"] = agreement
-
-    if detected.periodic and abs(delta_d) < Fraction(1, 2):
+    report.update(cycle_report(shifted, delta_d))
+    cycle = report["cycle"]
+    if cycle["periodic"] and abs(delta_d) < Fraction(1, 2):
         band = cycle_error_band(delta_d)
-        band_verdict = verify_band(shifted, band, detected.entry_step)
+        band_verdict = verify_band(shifted, band, cycle["entry_step"])
         report["band"] = band_verdict.to_record()
         report["band"]["interval"] = band.to_record()
     return report
@@ -337,15 +348,9 @@ def run_scenario(config_path, out_dir, with_analysis: bool = False,
     traj = simulate(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {}
-    csv_path = out_dir / "trajectory.csv"
-    write_trajectory_csv(traj, csv_path)
-    outputs["trajectory"] = csv_path
+    outputs = {"trajectory": out_dir / "trajectory.csv"}
+    write_trajectory_csv(traj, outputs["trajectory"])
     if with_analysis:
-        report = analyze_trajectory(traj, config)
-        report_path = out_dir / "report.json"
-        with open(report_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        outputs["report"] = report_path
+        outputs["report"] = write_json(analyze_trajectory(traj, config),
+                                       out_dir / "report.json")
     return outputs

@@ -15,7 +15,6 @@ Everything is deterministic, so there is no seed flag.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -59,22 +58,16 @@ def _cmd_cycles(args) -> int:
     if not config.disturbance.is_constant:
         raise ValueError("cycle analysis requires a constant disturbance")
     delta_d, shifted = campaign.shifted_run(simulate(config))
-    detected, predicted, agreement = campaign.cycle_reports(shifted, delta_d)
-    report = {"delta_d": format_scalar(delta_d)}
-    if predicted is not None:
-        report["predicted"] = predicted.to_record()
-        report["agreement"] = agreement
-    report["detected"] = detected.to_record()
+    report = {"delta_d": format_scalar(delta_d),
+              **campaign.cycle_report(shifted, delta_d)}
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "cycles.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    if detected.periodic:
-        print(f"periodic: n={detected.n} switches per period, "
-              f"m={detected.m} steps, entry step {detected.entry_step}")
+    path = campaign.write_json(report, out_dir / "cycles.json")
+    cycle = report["cycle"]
+    if cycle["periodic"]:
+        print(f"periodic: n={cycle['n']} switches per period, "
+              f"m={cycle['m']} steps, entry step {cycle['entry_step']}")
     else:
         print("no recurrence detected within the horizon")
     print(f"wrote {path}")

@@ -140,6 +140,13 @@ def _lattice_step(e, u, rho_e, rho_u, d, alpha, den, switched):
     return e1, u1, rho_e1, _rho_scaled(u1, den)
 
 
+def checked_mode(mode: str) -> str:
+    """``mode`` if it names an arithmetic mode (exact or float)."""
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown arithmetic mode: {mode!r}")
+    return mode
+
+
 def _lattice_denominator(*values: Scalar) -> int:
     """Least D such that ``D * z`` is an int for every exact ``z``."""
     return math.lcm(*(Fraction(z).denominator for z in values))
@@ -246,8 +253,7 @@ class LoopConfig:
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller: {self.controller!r}")
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown arithmetic mode: {self.mode!r}")
+        checked_mode(self.mode)
         if self.horizon < 0:
             raise ValueError("horizon must be non-negative")
         if not 1 < self.alpha < 3:
@@ -331,7 +337,7 @@ def _branches(rho_e: Sequence[int], switched: bool) -> tuple:
 class Trajectory:
     """A run as columns with one entry per step ``k = 0 .. horizon``, plus
     the config that produced it (see the module docstring for the layout).
-    ``records``, iteration and indexing give a per-step view."""
+    ``records`` gives a per-step view."""
 
     e: Column
     u: Column
@@ -345,20 +351,11 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.rho_e)
 
-    def __iter__(self) -> Iterator[TrajectoryRecord]:
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
     @cached_property
     def records(self) -> tuple:
         """The run as per-step records, built on first use."""
         return tuple(map(TrajectoryRecord, itertools.count(), self.e, self.u,
                          self.rho_e, self.rho_u, self.d, self.branch))
-
-    def quantized_pairs(self) -> list:
-        return list(zip(self.rho_e, self.rho_u))
 
     def states(self) -> list:
         return list(zip(self.e, self.u))

@@ -22,14 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .analysis import (
-    EntryRegion,
-    amplitude2_pairs,
-    in_entry_region,
-    minimal_invariant_pairs,
-)
-from .dynamics import _lattice_step, _rho_scaled, _scaled, _switched_law
-from .numerics import Scalar, format_scalar, round_half_away, sign
+from .analysis import amplitude2_pairs, minimal_invariant_pairs
+from .dynamics import _lattice_step, _rho_scaled, _scaled
+from .numerics import Scalar, format_scalar, sign
 
 TAG_THEOREM1 = "theorem1-set"
 TAG_ALT_UNIT = "alt-unit-set"
@@ -64,7 +59,6 @@ class GridSpec:
     init_box: Scalar = 10
     init_count: int = 21
     budget: int = 10_000
-    mode: str = "exact"
 
     def __post_init__(self):
         for name in ("alpha_count", "delta_d_count", "init_count"):
@@ -72,8 +66,6 @@ class GridSpec:
                 raise ValueError(f"{name} must be >= 1")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown arithmetic mode: {self.mode!r}")
 
     def alphas(self) -> list:
         return grid_values(self.alpha_lo, self.alpha_hi, self.alpha_count)
@@ -120,7 +112,6 @@ def classify_trajectory(
     e0: Scalar,
     u_bar0: Scalar,
     budget: int,
-    mode: str = "exact",
 ) -> AttractorClass:
     """Classify the attractor reached from one initial condition.
 
@@ -129,9 +120,8 @@ def classify_trajectory(
     the budget is exhausted (tag ``unresolved``).  No escape radius is
     enforced: far from the origin the loop contracts like its unquantized
     version, so excursions outside the initial box return on their own.
+    Int, Fraction and float arguments are all taken at their exact value.
     """
-    if mode == "float":
-        return _classify_float(alpha, delta_d, e0, u_bar0, budget)
     a, d, den, s, delta_d, minimal = _exact_cell(alpha, delta_d)
     e0 = e0 if type(e0) is Fraction else Fraction(e0)
     u_bar0 = u_bar0 if type(u_bar0) is Fraction else Fraction(u_bar0)
@@ -156,37 +146,23 @@ def classify_trajectory(
     return AttractorClass(TAG_UNRESOLVED, frozenset(pairs[-8:]), None)
 
 
+def checked_gain(alpha: Scalar) -> Scalar:
+    """``alpha`` if it lies in (1, 3/2), the gains classification covers."""
+    if not 1 < alpha < Fraction(3, 2):
+        raise ValueError(f"classification requires a gain in (1, 3/2), "
+                         f"got {alpha}")
+    return alpha
+
+
 @functools.lru_cache(maxsize=16)
 def _exact_cell(alpha, delta_d) -> tuple:
     """``(den alpha, den delta_d, den, sign(delta_d), delta_d, minimal set)``
     of one cell, computed once for all its initial states (a sweep runs
     them in a row); an out-of-range gain raises, so it is never cached."""
-    if not 1 < alpha < Fraction(3, 2):
-        raise ValueError("classification requires a gain in (1, 3/2)")
-    alpha, delta_d = Fraction(alpha), Fraction(delta_d)
+    alpha, delta_d = Fraction(checked_gain(alpha)), Fraction(delta_d)
     den = math.lcm(alpha.denominator, delta_d.denominator)
     return (_scaled(alpha, den), _scaled(delta_d, den), den, sign(delta_d),
             delta_d, minimal_invariant_pairs(delta_d))
-
-
-def _classify_float(alpha, delta_d, e0, u_bar0, budget) -> AttractorClass:
-    """:func:`classify_trajectory` in binary floats, with the generic law."""
-    region = EntryRegion(alpha, delta_d)
-    if not region.valid:
-        raise ValueError("classification requires a gain in (1, 3/2)")
-    alpha, delta_d, e, u = map(float, (alpha, delta_d, e0, u_bar0))
-    seen: dict = {}
-    pairs: list = []
-    for k in range(budget + 1):
-        if in_entry_region(e, u, region):
-            return AttractorClass(TAG_THEOREM1,
-                                  minimal_invariant_pairs(delta_d), k)
-        j = seen.setdefault((e, u), k)
-        if j != k:
-            return _classify_cycle(delta_d, frozenset(pairs[j:k]), j)
-        pairs.append((round_half_away(e), round_half_away(u)))
-        e, u = _switched_law(e, u, delta_d, alpha, round_half_away)
-    return AttractorClass(TAG_UNRESOLVED, frozenset(pairs[-8:]), None)
 
 
 def _classify_cycle(delta_d, cycle_pairs, entry) -> AttractorClass:
@@ -237,8 +213,7 @@ def _evaluate_cell(spec: GridSpec, inits: list, alpha, delta_d) -> CellResult:
     counts = {TAG_THEOREM1: 0, TAG_ALT_UNIT: 0, TAG_AMPLITUDE2: 0,
               TAG_UNRESOLVED: 0}  # in the order of CellResult's tallies
     for e0, u0 in inits:
-        result = classify_trajectory(alpha, delta_d, e0, u0,
-                                     spec.budget, spec.mode)
+        result = classify_trajectory(alpha, delta_d, e0, u0, spec.budget)
         counts[result.tag] += 1
     return CellResult(alpha, delta_d, len(inits), *counts.values())
 

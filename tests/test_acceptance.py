@@ -243,7 +243,7 @@ def test_alternative_set_reproduction():
     # set.  Pinned as documentation:
     literal = simulate_shifted(F(11, 10), F(-3, 10), F(-2, 10), F(6, 10), 200)
     assert literal.records[1].e == F(1, 2)
-    assert set(literal.quantized_pairs()[50:]) == {(0, 0), (-1, 1)}
+    assert set(zip(literal.rho_e[50:], literal.rho_u[50:])) == {(0, 0), (-1, 1)}
 
     # The second unit-excursion set is still reached from the same stated
     # scenario: in float arithmetic, with the residual -0.3 entering
@@ -253,7 +253,7 @@ def test_alternative_set_reproduction():
                         e0=-0.2, u0=-0.4, horizon=2000, mode="float")
     float_run = shift_trajectory(simulate(config), 0.7)
     assert float_run.records[1].e < 0.5
-    float_pairs = set(float_run.quantized_pairs()[100:])
+    float_pairs = set(zip(float_run.rho_e[100:], float_run.rho_u[100:]))
     assert float_pairs == {(0, 1), (1, 0)}
 
     # ... and in exact arithmetic from the neighbouring off-lattice state.

@@ -118,7 +118,7 @@ def test_verify_capture_zero_residual():
     traj = simulate_shifted(F(5, 4), 0, F(1, 10), 0, 50)
     verdict = verify_capture(traj, EntryRegion(F(5, 4), 0))
     assert verdict.passed
-    assert set(traj.quantized_pairs()) == {(0, 0)}
+    assert set(zip(traj.rho_e, traj.rho_u)) == {(0, 0)}
 
 
 def test_verify_capture_not_entered():
@@ -126,7 +126,7 @@ def test_verify_capture_not_entered():
     traj = simulate_shifted(F(11, 10), F(-3, 10), F(-1, 4), F(6, 10), 200)
     verdict = verify_capture(traj, EntryRegion(F(11, 10), F(-3, 10)))
     assert verdict.status == "not-entered"
-    assert set(traj.quantized_pairs()[50:]) == {(0, 1), (1, 0)}
+    assert set(zip(traj.rho_e[50:], traj.rho_u[50:])) == {(0, 1), (1, 0)}
 
 
 def test_verify_control_lock_on_capture_scenario():
@@ -317,7 +317,7 @@ def test_capture_keeps_pairs_in_minimal_set(case):
     alpha, delta_d, e0, u0 = case
     traj = simulate_shifted(alpha, delta_d, e0, u0, 120)
     allowed = minimal_invariant_pairs(delta_d)
-    assert all(p in allowed for p in traj.quantized_pairs()[1:])
+    assert all(p in allowed for p in zip(traj.rho_e[1:], traj.rho_u[1:]))
 
 
 @settings(max_examples=120, deadline=None)
@@ -362,15 +362,16 @@ def test_verify_band_flags_out_of_band_samples():
 def record_wise_verdicts(traj, region, alpha, band, start, tol=1e-12):
     """Capture entry and violations, lock and band violations, step by step
     over the records."""
-    entry = next((r.k for r in traj if in_entry_region(r.e, r.u, region)),
+    records = traj.records
+    entry = next((r.k for r in records if in_entry_region(r.e, r.u, region)),
                  None)
     allowed = minimal_invariant_pairs(region.delta_d)
     capture = None if entry is None else [
-        r.k for r in traj.records[entry + 1:] if (r.rho_e, r.rho_u) not in allowed]
-    lock = [r.k for r in traj if r.k > start + 1 and (
+        r.k for r in records[entry + 1:] if (r.rho_e, r.rho_u) not in allowed]
+    lock = [r.k for r in records if r.k > start + 1 and (
         r.u != -alpha * r.rho_e if traj.mode == "exact"
         else abs(r.u + alpha * r.rho_e) > tol)]
-    return entry, capture, lock, [r.k for r in traj if r.k >= start and r.e not in band]
+    return entry, capture, lock, [r.k for r in records if r.k >= start and r.e not in band]
 
 
 @settings(max_examples=150, deadline=None)

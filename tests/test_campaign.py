@@ -86,9 +86,7 @@ def test_run_table1_empty():
     assert run_table1(CampaignSpec(disturbances=())) == []
 
 
-def test_campaign_spec_needs_both_controllers():
-    with pytest.raises(ValueError):
-        CampaignSpec(controllers=("switched-pi",))
+def test_campaign_spec_validation():
     with pytest.raises(ValueError):
         CampaignSpec(horizon=0)
 

@@ -73,10 +73,10 @@ def test_cycles_subcommand(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["cycles", "-c", str(config), "-o", str(out)]) == 0
     report = json.loads((out / "cycles.json").read_text())
-    assert report["detected"]["n"] == 1
-    assert report["detected"]["m"] == 5
-    assert report["predicted"]["n"] == 1
-    assert report["agreement"] is True
+    assert report["cycle"]["n"] == 1
+    assert report["cycle"]["m"] == 5
+    assert report["predicted-cycle"]["n"] == 1
+    assert report["cycle-agreement"] is True
     assert "n=1" in capsys.readouterr().out
 
 
@@ -239,14 +239,84 @@ def test_top_level_list_config_is_rejected(tmp_path, capsys):
         assert "expected a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload, key", [
+    ("simulate", dict(CYCLE_SCENARIO, horzion=20), "horzion"),
+    ("sweep", dict(GRID, budgett=5), "budgett"),
+    ("sweep", dict(GRID, mode="float"), "mode"),
+    ("table1", {"horzion": 20, "disturbances": ["0.1"]}, "horzion"),
+    ("table1", {"disturbances": ["0.1"],
+                "controllers": ["standard-pi", "switched-pi"]}, "controllers"),
+])
+def test_unknown_config_key_is_rejected(tmp_path, capsys, command, payload,
+                                        key):
+    assert run_with_config(tmp_path, command, payload) == 1
+    assert f"error: {tmp_path / 'config.json'}: unknown key {key!r}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_bad_mode_names_the_key(tmp_path, capsys):
+    payload = dict(CYCLE_SCENARIO, mode="symbolic")
+    assert run_with_config(tmp_path, "simulate", payload) == 1
+    assert "key 'mode': unknown arithmetic mode: 'symbolic'" in \
+        capsys.readouterr().err
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+@pytest.mark.parametrize("lo, hi, key", [("1.5", "1.6", "alpha.lo"),
+                                         ("1.3", "1.6", "alpha.hi"),
+                                         ("1", "1.4", "alpha.lo")])
+def test_sweep_gain_outside_the_capture_range_names_the_key(
+        tmp_path, capsys, monkeypatch, lo, hi, key):
+    # rejected while loading, before a pool could start
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    payload = dict(GRID, alpha={"lo": lo, "hi": hi, "count": 2})
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(payload))
+    assert main(["sweep", "-c", str(path), "-o", str(tmp_path / "out"),
+                 "--jobs", "2"]) == 1
+    assert f"error: {path}: key {key!r}: classification requires a gain " \
+        "in (1, 3/2)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("sweep", dict(GRID, budget=0), "budget must be >= 1"),
+    ("sweep", dict(GRID, init={"box": "2", "count": 0}),
+     "init_count must be >= 1"),
+    ("table1", {"disturbances": ["1/10"], "horizon": 0},
+     "horizon must be >= 1"),
+])
+def test_spec_errors_name_the_file(tmp_path, capsys, command, payload,
+                                   message):
+    assert run_with_config(tmp_path, command, payload) == 1
+    assert f"error: {tmp_path / 'config.json'}: {message}" in \
+        capsys.readouterr().err
+
+
+def test_cycles_and_analyze_share_the_cycle_records(tmp_path):
+    for scenario in (CYCLE_SCENARIO, dict(CYCLE_SCENARIO, mode="float")):
+        config = write_scenario(tmp_path, scenario)
+        for command in ("analyze", "cycles"):
+            assert main([command, "-c", str(config),
+                         "-o", str(tmp_path / command)]) == 0
+        report = json.loads((tmp_path / "analyze" / "report.json").read_text())
+        cycles = json.loads((tmp_path / "cycles" / "cycles.json").read_text())
+        assert cycles == {key: report[key] for key in cycles}
+        keys = ["delta_d", "cycle"]
+        if scenario["mode"] == "exact":
+            keys += ["predicted-cycle", "cycle-agreement"]
+        assert list(cycles) == keys
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", str((os.cpu_count() or 1) + 1),
                                   "two"])
 def test_jobs_outside_the_cpu_range_is_a_usage_error(tmp_path, capsys,
                                                      monkeypatch, jobs):
     # rejected while parsing, so no pool (and no process) is ever started
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "-o", str(tmp_path / "out"), "--jobs", jobs])
@@ -262,10 +332,6 @@ def test_sweep_script_checks_jobs(tmp_path, capsys, monkeypatch, jobs):
                                                   script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     with pytest.raises(SystemExit) as exc:
         module.main(["-o", str(tmp_path / "out"), "--fast", "--jobs", jobs])
