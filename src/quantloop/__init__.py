@@ -30,6 +30,7 @@ from .campaign import (
 from .dynamics import (
     Column,
     Disturbance,
+    Lasso,
     LoopConfig,
     ModePromotionWarning,
     Trajectory,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, lasso_shape
 from .numerics import Scalar, format_scalar, is_exact, sign
 
 _HALF = Fraction(1, 2)
@@ -100,6 +100,25 @@ class Verdict:
         }
 
 
+def _window(start: int, *columns) -> tuple:
+    """``(steps, views)``: the steps of a run's ``columns`` from ``start`` up
+    to one period past their lasso entry, and each column over those steps.
+    Every later step repeats one of them; on a dense run the window is
+    every step from ``start``."""
+    entry, period = lasso_shape(*columns)
+    steps = range(start, min(len(columns[0]), max(start, entry) + period))
+    return steps, [column[steps.start:steps.stop] for column in columns]
+
+
+def _repeats(steps, *columns) -> tuple:
+    """The window ``steps`` of :func:`_window` and every later step of the
+    run that repeats one of them, in order."""
+    entry, period = lasso_shape(*columns)
+    n = len(columns[0])
+    return tuple(sorted(k for w in steps for k in (
+        range(w, n, period) if w >= entry else (w,))))
+
+
 def verify_capture(traj: Trajectory, region: EntryRegion) -> Verdict:
     """Check that once the capture region is hit, every later quantized
     pair stays in the minimal invariant set.
@@ -108,15 +127,17 @@ def verify_capture(traj: Trajectory, region: EntryRegion) -> Verdict:
     disturbance.  Returns status ``not-entered`` when the region is never
     reached within the horizon.
     """
-    entry = next((k for k, (e, u) in enumerate(zip(traj.e, traj.u))
-                  if in_entry_region(e, u, region)), None)
+    e, u = traj.e, traj.u
+    steps, (e_codes, u_codes) = _window(0, e.codes, u.codes)
+    entry = next((k for k, ec, uc in zip(steps, e_codes, u_codes)
+                  if in_entry_region(e.table[ec], u.table[uc], region)), None)
     if entry is None:
         return Verdict("capture", "not-entered")
     allowed = minimal_invariant_pairs(region.delta_d)
-    pairs = zip(traj.rho_e[entry + 1:], traj.rho_u[entry + 1:])
-    violations = tuple(
-        k for k, pair in enumerate(pairs, entry + 1) if pair not in allowed
-    )
+    steps, views = _window(entry + 1, traj.rho_e, traj.rho_u)
+    violations = _repeats(
+        [k for k, pair in zip(steps, zip(*views)) if pair not in allowed],
+        traj.rho_e, traj.rho_u)
     status = "pass" if not violations else "fail"
     return Verdict("capture", status, entry, violations)
 
@@ -135,13 +156,13 @@ def verify_control_lock(
         u, expected = traj.u.table[code], -alpha * rho_e
         return u == expected if exact else abs(u - expected) <= tol
 
-    start = max(entry_step + 2, 0)
-    pairs = list(zip(traj.u.codes[start:], traj.rho_e[start:]))
+    steps, views = _window(max(entry_step + 2, 0), traj.u.codes, traj.rho_e)
+    pairs = list(zip(*views))
     # one check per distinct (u code, rho_e) pair
     failing = {pair for pair in set(pairs) if not locked(*pair)}
-    violations = tuple(
-        k for k, pair in enumerate(pairs, start) if pair in failing
-    )
+    violations = _repeats(
+        [k for k, pair in zip(steps, pairs) if pair in failing],
+        traj.u.codes, traj.rho_e)
     status = "pass" if not violations else "fail"
     return Verdict("control-lock", status, entry_step, violations)
 
@@ -201,11 +222,9 @@ def cycle_error_band(delta_d: Scalar) -> Interval:
 def verify_band(traj: Trajectory, band: Interval, start: int) -> Verdict:
     """Check that every error sample from step ``start`` on lies in ``band``."""
     inside = [z in band for z in traj.e.table]  # once per table entry
-    start_k = max(start, 0)
-    violations = tuple(
-        k for k, code in enumerate(traj.e.codes[start_k:], start_k)
-        if not inside[code]
-    )
+    steps, (codes,) = _window(max(start, 0), traj.e.codes)
+    violations = _repeats(
+        [k for k, code in zip(steps, codes) if not inside[code]], traj.e.codes)
     status = "pass" if not violations else "fail"
     return Verdict("band", status, start, violations)
 
@@ -268,13 +287,27 @@ def _count_switches(traj: Trajectory, start: int, period: int) -> int:
     return sum(1 for rho_e in traj.rho_e[start:start + period] if rho_e != 0)
 
 
+def _sustained_recurrence(e, u) -> Optional[tuple]:
+    """``(entry, period)`` of the first recurrence of the (e, u) code pairs
+    that holds to the end of the run, or None."""
+    n = len(e)
+    seen: dict = {}
+    for k, state in enumerate(zip(e, u)):
+        j = seen.setdefault(state, k)
+        if j != k and e[j:j - k + n] == e[k:] and u[j:j - k + n] == u[k:]:
+            return j, k - j
+    return None
+
+
 def detect_cycle(traj: Trajectory) -> CycleReport:
     """Find the smallest period and entry step with an exact state
     recurrence sustained to the end of the trajectory.
 
-    First-recurrence hashing of the exact (e, u) states gives the
-    candidate (entry, period); a confirmation pass then checks the
-    recurrence holds for every remaining step, which guards against
+    A lasso run (see :mod:`.dynamics`) already stopped at its first state
+    recurrence, which is final, so its entry and period are the answer.
+    On a dense run, first-recurrence hashing of the exact (e, u) states
+    gives the candidate (entry, period); a confirmation pass then checks
+    the recurrence holds for every remaining step, which guards against
     coincidental collisions on trajectories that are not autonomous
     (e.g. under a time-varying disturbance).  Exact value tables are
     injective, so both passes compare the states' code pairs.  Float
@@ -284,23 +317,20 @@ def detect_cycle(traj: Trajectory) -> CycleReport:
         raise TypeError("exact-state detection needs an exact trajectory; "
                         "use detect_cycle_approx for float runs")
     e, u = traj.e.codes, traj.u.codes
-    n = len(e)
-    seen: dict = {}
-    for k, state in enumerate(zip(e, u)):
-        j = seen.setdefault(state, k)
-        if j == k:
-            continue
-        period = k - j
-        if (e[j:n - period] == e[j + period:]
-                and u[j:n - period] == u[j + period:]):
-            return CycleReport(
-                periodic=True,
-                n=_count_switches(traj, j, period),
-                m=period,
-                entry_step=j,
-                witness=tuple((traj.e[i], traj.u[i]) for i in range(j, k)),
-            )
-    return CycleReport(periodic=False)
+    entry, period = lasso_shape(e, u)
+    if not period:
+        found = _sustained_recurrence(e, u)
+        if found is None:
+            return CycleReport(periodic=False)
+        entry, period = found
+    return CycleReport(
+        periodic=True,
+        n=_count_switches(traj, entry, period),
+        m=period,
+        entry_step=entry,
+        witness=tuple((traj.e[i], traj.u[i])
+                      for i in range(entry, entry + period)),
+    )
 
 
 def detect_cycle_approx(traj: Trajectory, tol: float = 1e-9) -> CycleReport:

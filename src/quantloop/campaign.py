@@ -36,7 +36,9 @@ from .dynamics import (
     Disturbance,
     LoopConfig,
     Trajectory,
+    atomic_open,
     checked_mode,
+    lasso_shape,
     shift_trajectory,
     simulate,
     write_trajectory_csv,
@@ -93,7 +95,16 @@ def rms_quantized_error(traj: Trajectory, horizon: int) -> float:
         raise ValueError(
             f"trajectory has {len(traj)} records, horizon {horizon} needs "
             f"at least {horizon}")
-    total = sum(rho_e ** 2 for rho_e in traj.rho_e[:horizon])
+    # steps past the lasso's first period repeat it: whole cycles times the
+    # cycle's sum plus a part cycle, an exact int sum
+    entry, period = lasso_shape(traj.rho_e)
+    stored = min(horizon, entry + period)
+    squares = [rho_e ** 2 for rho_e in traj.rho_e[:stored]]
+    total = sum(squares)
+    if horizon > stored:
+        cycles, rest = divmod(horizon - stored, period)
+        total += (cycles * sum(squares[entry:])
+                  + sum(squares[entry:entry + rest]))
     return math.sqrt(total / horizon)
 
 
@@ -132,7 +143,7 @@ def run_table1(spec: Optional[CampaignSpec] = None) -> list:
 
 
 def write_table1_csv(rows: Sequence[RmsRow], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TABLE1_CSV_COLUMNS)
         for row in rows:
@@ -166,16 +177,33 @@ def read_json(path) -> dict:
 
 def write_json(data: dict, path) -> Path:
     """Write a JSON report, indented and newline-terminated; returns path."""
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
     return path
 
 
+def _unknown_key(raw: dict, keys, prefix: str = "") -> Optional[str]:
+    """The dotted path of the first key of ``raw`` that is neither one of
+    the dotted ``keys`` nor a block above one of them, or None."""
+    for key, value in raw.items():
+        path = prefix + key
+        if path in keys:
+            continue
+        if not any(k.startswith(path + ".") for k in keys):
+            return path
+        if isinstance(value, dict):
+            found = _unknown_key(value, keys, path + ".")
+            if found:
+                return found
+    return None
+
+
 def config_fields(raw: dict, source: str, keys):
     """``field(path, parse=parse_scalar)``: ``parse`` of the value at the
     dotted key ``path`` of a JSON config, with errors that name the source
-    and the key path.  A top-level key outside ``keys`` is an error."""
+    and the key path.  A key outside the dotted ``keys``, at any depth, is
+    an error."""
     def field(path: str, parse=parse_scalar):
         value = raw
         for key in path.split("."):
@@ -186,9 +214,9 @@ def config_fields(raw: dict, source: str, keys):
             return parse(value)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"{source}: key {path!r}: {exc}") from None
-    for key in raw:
-        if key not in keys:
-            raise ValueError(f"{source}: unknown key {key!r}")
+    unknown = _unknown_key(raw, keys)
+    if unknown:
+        raise ValueError(f"{source}: unknown key {unknown!r}")
     return field
 
 
@@ -232,34 +260,45 @@ def load_scenario(path, mode_override: Optional[str] = None) -> LoopConfig:
     return scenario_from_dict(read_json(path), mode_override, source=str(path))
 
 
+#: Each disturbance kind: its payload key, the payload's parser and the
+#: constructor.
+_DISTURBANCES = {
+    "constant": ("value", parse_scalar, Disturbance.constant),
+    "piecewise-linear": ("breakpoints", _parse_breakpoints, Disturbance.ramp),
+    "samples": ("values", parse_list, Disturbance.from_samples),
+}
+
+
 def scenario_from_dict(raw: dict, mode_override: Optional[str] = None,
                        source: str = "scenario") -> LoopConfig:
-    field = config_fields(raw, source, ("alpha", "controller", "disturbance",
-                                        "e0", "u0", "horizon", "mode"))
+    block = raw.get("disturbance")
+    kind = block.get("kind") if isinstance(block, dict) else None
+    # a known kind allows its own payload key, any other kind fails below
+    payloads = ([_DISTURBANCES[kind]] if isinstance(kind, str)
+                and kind in _DISTURBANCES else _DISTURBANCES.values())
+    field = config_fields(raw, source, (
+        "alpha", "controller", "e0", "u0", "horizon", "mode",
+        "disturbance.kind", *(f"disturbance.{key}" for key, *_ in payloads)))
     kind = field("disturbance.kind", str)
-    if kind == "constant":
-        dist = Disturbance.constant(field("disturbance.value"))
-    elif kind == "piecewise-linear":
-        dist = Disturbance.ramp(field("disturbance.breakpoints",
-                                      _parse_breakpoints))
-    elif kind == "samples":
-        dist = Disturbance.from_samples(field("disturbance.values", parse_list))
-    else:
+    if kind not in _DISTURBANCES:
         raise ValueError(f"{source}: unknown disturbance kind {kind!r}")
+    key, parse, make = _DISTURBANCES[kind]
+    dist = make(field(f"disturbance.{key}", parse))
 
-    mode = mode_override or (field("mode", checked_mode) if "mode" in raw
-                             else "exact")
+    mode = field("mode", checked_mode) if "mode" in raw else "exact"
     return _built(LoopConfig, source, alpha=field("alpha"),
                   controller=field("controller", str), disturbance=dist,
                   e0=field("e0"), u0=field("u0"),
-                  horizon=field("horizon", parse_int), mode=mode)
+                  horizon=field("horizon", parse_int),
+                  mode=mode_override or mode)
 
 
 def load_grid_spec(path: Optional[str] = None) -> GridSpec:
     """Load a sweep grid from JSON; absent keys, or no file, keep defaults."""
     raw, kwargs = (read_json(path) if path else {}), {}
-    field = config_fields(raw, str(path), ("alpha", "delta_d", "init",
-                                           "budget"))
+    field = config_fields(raw, str(path), (
+        "alpha.lo", "alpha.hi", "alpha.count", "delta_d.lo", "delta_d.hi",
+        "delta_d.count", "init.box", "init.count", "budget"))
     for axis, parse in (("alpha", lambda v: checked_gain(parse_scalar(v))),
                         ("delta_d", parse_scalar)):
         if axis in raw:

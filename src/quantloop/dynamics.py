@@ -42,27 +42,44 @@ boundary, in the value tables.  Float runs and the unquantized law (alpha e
 leaves the lattice) step with the generic laws, the kernel's test oracle.
 
 A :class:`Trajectory` stores a run as columns with the step ``k`` implicit:
-``rho_e``, ``rho_u`` and the branch are plain tuples, and ``e``, ``u`` and
-``d`` are dictionary-encoded (:class:`Column`), a table of values plus one
-int code per step.  Exact columns are interned, so their tables are
+``rho_e``, ``rho_u`` and the branch hold one entry per step, and ``e``,
+``u`` and ``d`` are dictionary-encoded (:class:`Column`), a table of values
+plus one int code per step.  Exact columns are interned, so their tables are
 injective and equal codes mean equal values; a lattice run's e and u share
 one table, an entry per lattice point visited.  Float columns get
 positional codes and are never interned: 0.0 == -0.0, but the two print
 differently.  Per-value work (shift, rounding, formatting, band and lock
 checks) runs once per table entry, and recurrence compares code pairs.
+
+Under a constant disturbance an exact run is autonomous from step 0, so
+its first state recurrence (j, k) is final: step k and every later step
+repeat steps j..k-1.  The kernel stops there and stores each per-step
+column of the run (the e, u and d codes, rho_e, rho_u and the branch) as a
+:class:`Lasso`: steps 0..k-1, the entry j and the logical length
+horizon + 1.  The branch column, which is ``n/a`` at step 0 whatever the
+state, enters at max(j, 1).  Memory is then O(entry + period) whatever the
+horizon.  Every other run (float, the unquantized law, ramps, samples, CSV
+read-back, and a recurrence beyond the horizon) stores plain tuples, which
+:func:`lasso_shape` treats as the lasso with no period: consumers take one
+path, doing their per-step work over the stored steps and expanding to
+logical steps only where they report them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import io
 import itertools
 import math
+import os
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .numerics import (
     Scalar,
@@ -300,6 +317,60 @@ class TrajectoryRecord:
 
 
 @dataclass(frozen=True)
+class Lasso(Sequence):
+    """A per-step column stored up to its run's first state recurrence:
+    ``stored`` holds steps 0..entry+period-1, and every later step k < length
+    repeats step ``entry + (k - entry) % period``.  Slices are tuples."""
+
+    stored: tuple
+    entry: int
+    length: int
+
+    @property
+    def period(self) -> int:
+        return len(self.stored) - self.entry
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(*k.indices(self.length))))
+        if k < 0:
+            k += self.length
+        if not 0 <= k < self.length:
+            raise IndexError("lasso index out of range")
+        if k >= len(self.stored):
+            k = self.entry + (k - self.entry) % self.period
+        return self.stored[k]
+
+    def __iter__(self) -> Iterator:
+        cycle = itertools.cycle(self.stored[self.entry:])
+        return itertools.chain(self.stored, itertools.islice(
+            cycle, self.length - len(self.stored)))
+
+
+def lasso_shape(*columns: Sequence) -> tuple:
+    """``(entry, period)`` shared by per-step ``columns`` of one run: in each
+    of them every step k >= entry + period repeats step k - period.  A plain
+    sequence is the lasso with no period, so any of them makes it
+    ``(len, 0)``."""
+    if not all(isinstance(column, Lasso) for column in columns):
+        return len(columns[0]), 0
+    return (max(column.entry for column in columns),
+            math.lcm(*(column.period for column in columns)))
+
+
+def map_steps(fn, column: Sequence) -> Sequence:
+    """The column of ``fn(value)``, in the same layout (lasso or tuple),
+    with ``fn`` called once per stored step."""
+    if isinstance(column, Lasso):
+        stored = tuple(map(fn, column.stored))
+        return dataclasses.replace(column, stored=stored)
+    return tuple(map(fn, column))
+
+
+@dataclass(frozen=True)
 class Column:
     """Dictionary-encoded column: the value at step k is ``table[codes[k]]``."""
 
@@ -341,10 +412,10 @@ class Trajectory:
 
     e: Column
     u: Column
-    rho_e: tuple
-    rho_u: tuple
+    rho_e: Sequence
+    rho_u: Sequence
     d: Column
-    branch: tuple
+    branch: Sequence
     mode: str = "exact"
     config: Optional[LoopConfig] = None
 
@@ -405,40 +476,62 @@ def simulate(config: LoopConfig) -> Trajectory:
 
 
 def _lattice_run(config: LoopConfig) -> Trajectory:
-    """An exact quantized run, stepped by :func:`_lattice_step`."""
+    """An exact quantized run, stepped by :func:`_lattice_step`; under a
+    constant disturbance it stops at the first state recurrence and stores
+    a lasso (see the module docstring)."""
     switched = config.controller == "switched-pi"
     dist = config.disturbance
     n = config.horizon + 1
-    if dist.is_constant:
-        d = Column((Fraction(dist.value),), (0,) * n)
-    else:
-        d = _encoded((Fraction(dist.eval(k)) for k in range(n)), "exact")
     den = math.lcm(_lattice_denominator(config.alpha, config.e0, config.u0),
                    dist.denominator())
+    if dist.is_constant:
+        d = Column((Fraction(dist.value),), Lasso((0,), 0, n))
+        ds = itertools.repeat(_scaled(d.table[0], den), n - 1)
+        seen: Optional[dict] = {}
+    else:
+        d = _encoded((Fraction(dist.eval(k)) for k in range(n)), "exact")
+        d_scaled = [_scaled(z, den) for z in d.table]
+        ds = map(d_scaled.__getitem__, itertools.islice(d.codes, n - 1))
+        seen = None
     alpha = _scaled(config.alpha, den)
-    d_scaled = [_scaled(z, den) for z in d.table]
     e, u = _scaled(config.e0, den), _scaled(config.u0, den)
     rho_e, rho_u = _rho_scaled(e, den), _rho_scaled(u, den)
     # States get codes as they are visited, keyed by their scaled ints: one
-    # injective table for e and u, a few hundred entries for a run under a
-    # constant disturbance, which is eventually periodic.
+    # injective table for e and u, so a state is its code pair.
     index: dict = {}
     code = index.setdefault
     e_codes = [code(e, 0)]
     u_codes = [code(u, len(index))]
     rho_es, rho_us = [rho_e], [rho_u]
-    for d_k in map(d_scaled.__getitem__, itertools.islice(d.codes, n - 1)):
+    entry = None
+    if seen is not None:
+        seen[e_codes[0], u_codes[0]] = 0
+    for d_k in ds:
         e, u, rho_e, rho_u = _lattice_step(e, u, rho_e, rho_u, d_k, alpha,
                                            den, switched)
-        e_codes.append(code(e, len(index)))
-        u_codes.append(code(u, len(index)))
+        state = code(e, len(index)), code(u, len(index))
+        if seen is not None:
+            j = seen.setdefault(state, len(e_codes))
+            if j < len(e_codes):
+                entry = j
+                break
+        e_codes.append(state[0])
+        u_codes.append(state[1])
         rho_es.append(rho_e)
         rho_us.append(rho_u)
     table = tuple(Fraction(x, den) for x in index)
-    return Trajectory(Column(table, tuple(e_codes)),
-                      Column(table, tuple(u_codes)), tuple(rho_es),
-                      tuple(rho_us), d, _branches(rho_es, switched), "exact",
-                      config)
+
+    def column(values, start=entry) -> Sequence:
+        values = tuple(values)
+        return values if entry is None else Lasso(values, start, n)
+
+    if entry == 0:  # step k = period has a branch, unlike step 0
+        branch = column(_branches(rho_es + rho_es[:1], switched), 1)
+    else:
+        branch = column(_branches(rho_es, switched))
+    return Trajectory(Column(table, column(e_codes)),
+                      Column(table, column(u_codes)), column(rho_es),
+                      column(rho_us), d, branch, "exact", config)
 
 
 def simulate_shifted(
@@ -474,22 +567,67 @@ def shift_trajectory(traj: Trajectory, dbar: Scalar) -> Trajectory:
     u = traj.u.mapped(lambda z: z + offset)
     rho_u = tuple(map(round_half_away, u.table))
     return dataclasses.replace(
-        traj, u=u, rho_u=tuple(map(rho_u.__getitem__, u.codes)),
+        traj, u=u, rho_u=map_steps(rho_u.__getitem__, u.codes),
         d=traj.d.mapped(lambda z: z - offset))
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV with the canonical column order."""
-    def text(column: Column):
-        return map(tuple(map(format_scalar, column.table)).__getitem__,
-                   column.codes)
+@contextlib.contextmanager
+def atomic_open(path, **kwargs):
+    """Open a temporary file beside ``path`` for writing (``kwargs`` as for
+    :func:`open`).  It replaces ``path`` when the block ends and is removed
+    if the block raises, so ``path`` is never left half written."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        writer.writerows(zip(range(len(traj)), text(traj.e), text(traj.u),
-                             traj.rho_e, traj.rho_u, text(traj.d),
-                             traj.branch))
+
+#: Rows of a dense trajectory formatted per write.
+_CSV_CHUNK = 1024
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write a trajectory as CSV with the canonical column order.
+
+    The text after ``k`` is formatted once per stored step (a chunk at a
+    time) and written again for every step that repeats it, one period at
+    a time.  No field holds a line break, so the CSV rows of a chunk split
+    at line ends.
+    """
+    columns = (traj.e.codes, traj.u.codes, traj.rho_e, traj.rho_u,
+               traj.d.codes, traj.branch)
+    n = len(traj)
+    entry, period = lasso_shape(*columns)
+    stored = min(n, entry + period)
+    e_text, u_text, d_text = (tuple(map(format_scalar, column.table))
+                              for column in (traj.e, traj.u, traj.d))
+
+    def tails(lo: int, hi: int) -> list:
+        e, u, rho_e, rho_u, d, branch = (c[lo:hi] for c in columns)
+        buf = io.StringIO()
+        csv.writer(buf).writerows(zip(
+            map(e_text.__getitem__, e), map(u_text.__getitem__, u),
+            rho_e, rho_u, map(d_text.__getitem__, d), branch))
+        return buf.getvalue().split("\r\n")[:-1]
+
+    def rows(k: int, lines: list) -> str:
+        return "".join(map("{},{}\r\n".format, itertools.count(k), lines))
+
+    with atomic_open(path, newline="") as fh:
+        csv.writer(fh).writerow(TRAJECTORY_COLUMNS)
+        for lo in range(0, stored, _CSV_CHUNK):
+            fh.write(rows(lo, tails(lo, min(lo + _CSV_CHUNK, stored))))
+        if stored < n:
+            cycle = tails(entry, stored)
+            for lo in range(stored, n, period):
+                fh.write(rows(lo, cycle[:n - lo]))
 
 
 def read_trajectory_csv(path, mode: str = "exact") -> Trajectory:

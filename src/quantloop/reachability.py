@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .analysis import amplitude2_pairs, minimal_invariant_pairs
-from .dynamics import _lattice_step, _rho_scaled, _scaled
+from .dynamics import _lattice_step, _rho_scaled, _scaled, atomic_open
 from .numerics import Scalar, format_scalar, sign
 
 TAG_THEOREM1 = "theorem1-set"
@@ -251,7 +251,7 @@ def attraction_region(result: GridResult) -> list:
 
 
 def write_grid_csv(result: GridResult, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(GRID_CSV_COLUMNS)
         for c in result.cells:
@@ -262,7 +262,7 @@ def write_grid_csv(result: GridResult, path) -> None:
 
 def write_region_csv(result: GridResult, path) -> None:
     region = set(attraction_region(result))
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REGION_CSV_COLUMNS)
         for c in result.cells:

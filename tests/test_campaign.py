@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantloop import campaign
 from quantloop.campaign import (
     CampaignSpec,
+    RmsRow,
     analyze_trajectory,
     format_table1,
     load_scenario,
@@ -21,10 +23,20 @@ from quantloop.campaign import (
     write_table1_csv,
 )
 from quantloop.dynamics import (
+    Column,
     Disturbance,
     LoopConfig,
+    Trajectory,
     read_trajectory_csv,
     simulate,
+    write_trajectory_csv,
+)
+from quantloop.reachability import (
+    CellResult,
+    GridResult,
+    GridSpec,
+    write_grid_csv,
+    write_region_csv,
 )
 
 
@@ -233,3 +245,39 @@ def test_analysis_rejects_time_varying_disturbance(tmp_path):
     traj = simulate(config)
     with pytest.raises(ValueError):
         analyze_trajectory(traj, config)
+
+
+# --- atomic outputs ---------------------------------------------------------
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format")
+
+
+def _failing_writes():
+    """``(writer, argument)`` pairs whose write raises part-way."""
+    good = CellResult(F(13, 10), F(1, 4), 9, 9, 0, 0, 0)
+    bad = CellResult(Unprintable(), F(1, 4), 9, 0, 9, 0, 0)
+    grid = GridResult(GridSpec(), (good, bad))
+    n = 3000  # past the first chunk of rows the trajectory writer formats
+    traj = Trajectory(Column((F(0),), (0,) * n), Column((F(0),), (0,) * n),
+                      (0,) * (n - 1) + (Unprintable(),), (0,) * n,
+                      Column((F(0),), (0,) * n), ("n/a",) * n)
+    return [
+        (write_trajectory_csv, traj),
+        (campaign.write_json, {"delta_d": "1/5", "cycle": Unprintable()}),
+        (write_table1_csv, [RmsRow(F(1, 10), 0.5, 0.3, 0.4),
+                            RmsRow(F(1, 5), "x", 0.3, 0.4)]),
+        (write_grid_csv, grid),
+        (write_region_csv, grid),
+    ]
+
+
+@pytest.mark.parametrize("writer, data", _failing_writes())
+def test_a_failed_write_leaves_the_earlier_file(tmp_path, writer, data):
+    path = tmp_path / "output"
+    path.write_text("earlier\n")
+    with pytest.raises((RuntimeError, TypeError, ValueError)):
+        writer(data, path)
+    assert path.read_text() == "earlier\n"
+    assert list(tmp_path.iterdir()) == [path]

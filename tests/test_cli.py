@@ -246,11 +246,36 @@ def test_top_level_list_config_is_rejected(tmp_path, capsys):
     ("table1", {"horzion": 20, "disturbances": ["0.1"]}, "horzion"),
     ("table1", {"disturbances": ["0.1"],
                 "controllers": ["standard-pi", "switched-pi"]}, "controllers"),
+    # keys inside a block, and a disturbance payload key of another kind
+    ("sweep", dict(GRID, alpha={"lo": "1.3", "hi": "1.4", "count": 2,
+                                "cuont": 5}), "alpha.cuont"),
+    ("sweep", dict(GRID, delta_d={"lo": "0", "hi": "0", "count": 1,
+                                  "cuont": 5}), "delta_d.cuont"),
+    ("sweep", dict(GRID, init={"box": "2", "count": 3, "cuont": 5}),
+     "init.cuont"),
+    ("simulate", dict(CYCLE_SCENARIO, disturbance={
+        "kind": "constant", "value": "1/5", "valeu": "2/5"}),
+     "disturbance.valeu"),
+    ("simulate", dict(CYCLE_SCENARIO, disturbance={
+        "kind": "samples", "values": ["1/5"], "value": "1/5"}),
+     "disturbance.value"),
+    ("simulate", dict(CYCLE_SCENARIO, disturbance={
+        "kind": "piecewise-linear", "breakpoints": [[0, "1/5"]],
+        "values": ["1/5"]}), "disturbance.values"),
 ])
 def test_unknown_config_key_is_rejected(tmp_path, capsys, command, payload,
                                         key):
     assert run_with_config(tmp_path, command, payload) == 1
     assert f"error: {tmp_path / 'config.json'}: unknown key {key!r}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_mode_is_checked_under_the_mode_flag(tmp_path, capsys):
+    config = write_scenario(tmp_path, dict(CYCLE_SCENARIO, mode="symbolic"))
+    assert main(["simulate", "-c", str(config), "-o", str(tmp_path / "out"),
+                 "--mode", "exact"]) == 1
+    assert "key 'mode': unknown arithmetic mode: 'symbolic'" in \
         capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

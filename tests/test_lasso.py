@@ -1,0 +1,208 @@
+"""Lasso runs: an exact constant-disturbance run stored up to its first
+state recurrence, checked against the same run stored densely."""
+
+import csv
+import io
+import itertools
+import math
+import operator
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quantloop.analysis import (
+    EntryRegion,
+    cycle_error_band,
+    detect_cycle,
+    predict_cycle,
+    verify_band,
+    verify_capture,
+    verify_control_lock,
+)
+from quantloop.campaign import rms_quantized_error
+from quantloop.dynamics import (
+    MODE_NA,
+    MODE_ZERO,
+    TRAJECTORY_COLUMNS,
+    Column,
+    Disturbance,
+    Lasso,
+    LoopConfig,
+    Trajectory,
+    lasso_shape,
+    shift_trajectory,
+    simulate,
+    write_trajectory_csv,
+)
+from quantloop.numerics import format_scalar, rounding_error
+from test_dynamics import law_records
+
+# rationals, the rounding ties Z + 1/2, and disturbances at |delta_d| = 1/2
+ties = st.integers(-10, 9).map(lambda n: F(2 * n + 1, 2))
+scalars = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12), ties)
+disturbances = st.one_of(
+    scalars,
+    st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=12),
+    st.builds(lambda n, half: n + half, st.integers(-3, 3),
+              st.sampled_from([F(1, 2), F(-1, 2)])))
+gains = st.one_of(
+    st.fractions(min_value=F(41, 40), max_value=F(119, 40),
+                 max_denominator=40),
+    st.sampled_from([F(5, 4), F(11, 8), F(3, 2), F(2)]))
+
+
+def constant_config(alpha, controller, dbar, e0, u0, horizon):
+    return LoopConfig(alpha=alpha, controller=controller,
+                      disturbance=Disturbance.constant(dbar), e0=e0, u0=u0,
+                      horizon=horizon)
+
+
+def dense_run(traj: Trajectory) -> Trajectory:
+    """The run of ``traj`` stored densely, built from its records with
+    tables of its own: e, u and d get separate interned tables."""
+    records = traj.records
+
+    def column(values) -> Column:
+        index: dict = {}
+        codes = tuple([index.setdefault(z, len(index)) for z in values])
+        return Column(tuple(index), codes)
+
+    return Trajectory(column(r.e for r in records),
+                      column(r.u for r in records),
+                      tuple(r.rho_e for r in records),
+                      tuple(r.rho_u for r in records),
+                      column(r.d for r in records),
+                      tuple(r.mode for r in records), traj.mode, traj.config)
+
+
+def csv_bytes(traj: Trajectory, path) -> bytes:
+    write_trajectory_csv(traj, path)
+    return path.read_bytes()
+
+
+def reference_csv(traj: Trajectory) -> bytes:
+    """The CSV of ``traj`` written row by row with :mod:`csv`."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(TRAJECTORY_COLUMNS)
+    writer.writerows((r.k, format_scalar(r.e), format_scalar(r.u), r.rho_e,
+                      r.rho_u, format_scalar(r.d), r.mode)
+                     for r in traj.records)
+    return buf.getvalue().encode()
+
+
+@st.composite
+def lasso_runs(draw):
+    """An exact constant-disturbance config of either quantized law whose
+    horizon cuts the run's cycle at a drawn offset, or ends before it."""
+    e0, u0 = draw(st.one_of(st.just((0, 0)), st.tuples(scalars, scalars)))
+    config = constant_config(
+        draw(gains), draw(st.sampled_from(["standard-pi", "switched-pi"])),
+        draw(disturbances), e0, u0, 600)
+    traj = simulate(config)
+    entry, period = lasso_shape(traj.e.codes, traj.u.codes)
+    if period and draw(st.integers(0, 3)):
+        # cut the cycle at every offset
+        horizon = (entry + period * draw(st.integers(1, 3))
+                   + draw(st.integers(0, period - 1)))
+    else:
+        # may end before the state recurs
+        horizon = draw(st.integers(0, entry + period if period else 600))
+    return LoopConfig(**{**vars(config), "horizon": horizon})
+
+
+@settings(max_examples=300, deadline=None)
+@given(lasso_runs(), st.integers(-2, 8), st.data())
+def test_lasso_matches_its_dense_expansion(tmp_path_factory, config, start,
+                                           data):
+    traj = simulate(config)
+    dense = dense_run(traj)
+    assert traj.records == dense.records == law_records(config)
+    for column in (traj.e.codes, traj.u.codes, traj.rho_e, traj.rho_u,
+                   traj.d.codes, traj.branch):
+        assert len(column) == config.horizon + 1
+
+    work = tmp_path_factory.getbasetemp()
+    reference = reference_csv(dense)
+    assert csv_bytes(traj, work / "lasso.csv") == reference
+    assert csv_bytes(dense, work / "dense.csv") == reference
+
+    horizons = {1, len(traj), data.draw(st.integers(1, len(traj)))}
+    for horizon in horizons:
+        assert rms_quantized_error(traj, horizon) == \
+            rms_quantized_error(dense, horizon)
+
+    assert detect_cycle(traj) == detect_cycle(dense)
+    dbar = config.disturbance.value
+    shifted = shift_trajectory(traj, dbar)
+    dense_shifted = shift_trajectory(dense, dbar)
+    assert shifted.records == dense_shifted.records
+    assert detect_cycle(shifted) == detect_cycle(dense_shifted)
+
+    delta_d = rounding_error(F(dbar))
+    if 1 < config.alpha < F(3, 2):
+        region = EntryRegion(config.alpha, delta_d)
+        assert verify_capture(shifted, region) == \
+            verify_capture(dense_shifted, region)
+    assert verify_control_lock(shifted, config.alpha, start) == \
+        verify_control_lock(dense_shifted, config.alpha, start)
+    if abs(delta_d) < F(1, 2):
+        band = cycle_error_band(delta_d)
+        assert verify_band(shifted, band, start) == \
+            verify_band(dense_shifted, band, start)
+
+
+def test_cycle_entered_at_step_zero():
+    # from rest the switched loop is back at rest after one period: the
+    # state recurs at step 10, but row 0 has no branch and row 10 has one
+    config = constant_config(F(11, 8), "switched-pi", F(1, 10), 0, 0, 95)
+    traj = simulate(config)
+    assert lasso_shape(traj.e.codes, traj.u.codes) == (0, 10)
+    assert len(traj.e.codes.stored) == 10
+    assert lasso_shape(traj.branch) == (1, 10)
+    assert traj.records[0].mode == MODE_NA
+    assert traj.records[10].mode == MODE_ZERO
+    assert (traj.records[0].e, traj.records[0].u) == \
+        (traj.records[10].e, traj.records[10].u)
+    assert traj.records == law_records(config)
+
+
+def test_run_without_recurrence_in_the_horizon_stays_dense(tmp_path):
+    config = constant_config(F(11, 8), "switched-pi", F(1, 211), 0, 0, 150)
+    traj = simulate(config)
+    assert all(isinstance(column, tuple) for column in (
+        traj.e.codes, traj.u.codes, traj.rho_e, traj.rho_u, traj.branch))
+    assert not detect_cycle(traj).periodic
+    assert csv_bytes(traj, tmp_path / "t.csv") == reference_csv(traj)
+
+
+def test_dense_csv_longer_than_a_write_chunk(tmp_path):
+    config = LoopConfig(alpha=F(11, 8), controller="switched-pi",
+                        disturbance=Disturbance.constant(F(1, 10)), e0=F(1, 3),
+                        u0=0, horizon=2500, mode="float")
+    traj = simulate(config)
+    assert csv_bytes(traj, tmp_path / "t.csv") == reference_csv(traj)
+
+
+def test_long_horizon_stores_one_cycle():
+    # the analyze-long shape: delta_d = 8/37, started away from rest
+    horizon = 10 ** 7
+    config = constant_config(F(11, 8), "switched-pi", 2 + F(8, 37), F(-7, 3),
+                             F(4, 5), horizon)
+    traj = simulate(config)
+    assert len(traj) == horizon + 1
+    entry, period = lasso_shape(traj.e.codes, traj.u.codes, traj.rho_e,
+                                traj.rho_u, traj.d.codes, traj.branch)
+    for column in (traj.e.codes, traj.u.codes, traj.rho_e, traj.rho_u):
+        assert isinstance(column, Lasso)
+        assert len(column.stored) <= entry + period
+        assert len(column) == horizon + 1
+    delta_d = F(8, 37)
+    report = detect_cycle(shift_trajectory(traj, config.disturbance.value))
+    predicted = predict_cycle(delta_d)
+    assert (report.n, report.m) == (predicted.n, predicted.m) == (8, 37)
+    squares = sum(map(operator.mul, itertools.islice(traj.rho_e, horizon),
+                      itertools.islice(traj.rho_e, horizon)))
+    assert rms_quantized_error(traj, horizon) == math.sqrt(squares / horizon)
