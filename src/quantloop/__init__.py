@@ -28,7 +28,6 @@ from .campaign import (
     run_table1,
 )
 from .dynamics import (
-    Column,
     Disturbance,
     Lasso,
     LoopConfig,

@@ -127,10 +127,9 @@ def verify_capture(traj: Trajectory, region: EntryRegion) -> Verdict:
     disturbance.  Returns status ``not-entered`` when the region is never
     reached within the horizon.
     """
-    e, u = traj.e, traj.u
-    steps, (e_codes, u_codes) = _window(0, e.codes, u.codes)
-    entry = next((k for k, ec, uc in zip(steps, e_codes, u_codes)
-                  if in_entry_region(e.table[ec], u.table[uc], region)), None)
+    steps, (es, us) = _window(0, traj.e, traj.u)
+    entry = next((k for k, e, u in zip(steps, es, us)
+                  if in_entry_region(e, u, region)), None)
     if entry is None:
         return Verdict("capture", "not-entered")
     allowed = minimal_invariant_pairs(region.delta_d)
@@ -152,17 +151,14 @@ def verify_control_lock(
     ``-alpha * rho(e)`` (exactly in exact mode, within ``tol`` in float)."""
     exact = traj.mode == "exact"
 
-    def locked(code: int, rho_e: int) -> bool:
-        u, expected = traj.u.table[code], -alpha * rho_e
+    def locked(u: Scalar, rho_e: int) -> bool:
+        expected = -alpha * rho_e
         return u == expected if exact else abs(u - expected) <= tol
 
-    steps, views = _window(max(entry_step + 2, 0), traj.u.codes, traj.rho_e)
-    pairs = list(zip(*views))
-    # one check per distinct (u code, rho_e) pair
-    failing = {pair for pair in set(pairs) if not locked(*pair)}
+    steps, (us, rho_es) = _window(max(entry_step + 2, 0), traj.u, traj.rho_e)
     violations = _repeats(
-        [k for k, pair in zip(steps, pairs) if pair in failing],
-        traj.u.codes, traj.rho_e)
+        [k for k, u, rho_e in zip(steps, us, rho_es) if not locked(u, rho_e)],
+        traj.u, traj.rho_e)
     status = "pass" if not violations else "fail"
     return Verdict("control-lock", status, entry_step, violations)
 
@@ -221,10 +217,9 @@ def cycle_error_band(delta_d: Scalar) -> Interval:
 
 def verify_band(traj: Trajectory, band: Interval, start: int) -> Verdict:
     """Check that every error sample from step ``start`` on lies in ``band``."""
-    inside = [z in band for z in traj.e.table]  # once per table entry
-    steps, (codes,) = _window(max(start, 0), traj.e.codes)
+    steps, (es,) = _window(max(start, 0), traj.e)
     violations = _repeats(
-        [k for k, code in zip(steps, codes) if not inside[code]], traj.e.codes)
+        [k for k, e in zip(steps, es) if e not in band], traj.e)
     status = "pass" if not violations else "fail"
     return Verdict("band", status, start, violations)
 
@@ -288,7 +283,7 @@ def _count_switches(traj: Trajectory, start: int, period: int) -> int:
 
 
 def _sustained_recurrence(e, u) -> Optional[tuple]:
-    """``(entry, period)`` of the first recurrence of the (e, u) code pairs
+    """``(entry, period)`` of the first recurrence of the (e, u) states
     that holds to the end of the run, or None."""
     n = len(e)
     seen: dict = {}
@@ -309,14 +304,13 @@ def detect_cycle(traj: Trajectory) -> CycleReport:
     gives the candidate (entry, period); a confirmation pass then checks
     the recurrence holds for every remaining step, which guards against
     coincidental collisions on trajectories that are not autonomous
-    (e.g. under a time-varying disturbance).  Exact value tables are
-    injective, so both passes compare the states' code pairs.  Float
-    trajectories are rejected; use :func:`detect_cycle_approx`.
+    (e.g. under a time-varying disturbance).  Float trajectories are
+    rejected; use :func:`detect_cycle_approx`.
     """
     if traj.mode != "exact":
         raise TypeError("exact-state detection needs an exact trajectory; "
                         "use detect_cycle_approx for float runs")
-    e, u = traj.e.codes, traj.u.codes
+    e, u = traj.e, traj.u
     entry, period = lasso_shape(e, u)
     if not period:
         found = _sustained_recurrence(e, u)

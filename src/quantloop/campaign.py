@@ -41,6 +41,7 @@ from .dynamics import (
     lasso_shape,
     shift_trajectory,
     simulate,
+    stable_gain,
     write_trajectory_csv,
 )
 from .numerics import (
@@ -66,15 +67,14 @@ TABLE1_CSV_COLUMNS = ("disturbance", "rms_standard", "rms_switched",
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """Comparison campaign: disturbance magnitudes, gain, horizon, init."""
+    """Comparison campaign: disturbance magnitudes, gain and horizon."""
 
     disturbances: tuple = TABLE1_DISTURBANCES
     alpha: Scalar = Fraction(11, 8)
     horizon: int = 1000
-    e0: Scalar = 0
-    u0: Scalar = 0
 
     def __post_init__(self):
+        stable_gain(self.alpha)
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 
@@ -112,7 +112,7 @@ def _campaign_rms(spec: CampaignSpec, controller: str, dbar: Scalar) -> float:
     mode = "exact" if is_exact(dbar) else "float"
     config = LoopConfig(alpha=spec.alpha, controller=controller,
                         disturbance=Disturbance.constant(dbar),
-                        e0=spec.e0, u0=spec.u0, horizon=spec.horizon,
+                        e0=0, u0=0, horizon=spec.horizon,
                         mode=mode)
     return rms_quantized_error(simulate(config), spec.horizon)
 
@@ -315,8 +315,7 @@ def load_grid_spec(path: Optional[str] = None) -> GridSpec:
 
 #: The parser of each key of a campaign config.
 _CAMPAIGN_KEYS = {"disturbances": lambda v: tuple(parse_list(v)),
-                  "alpha": parse_scalar, "e0": parse_scalar,
-                  "u0": parse_scalar, "horizon": parse_int}
+                  "alpha": parse_scalar, "horizon": parse_int}
 
 
 def load_campaign_spec(path: Optional[str] = None) -> CampaignSpec:

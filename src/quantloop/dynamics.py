@@ -38,23 +38,15 @@ integer, so (e, u) stays on (1/D)Z.  The kernel holds the state as the int
 pair (E, U) = (D e, D u): rho is one floor division, (2|E| + D) // 2D with
 the sign of E, so ties go away from zero; the reset is (rho(u) + rho(e)) D
 and state equality is int equality.  ``Fraction`` appears only at the
-boundary, in the value tables.  Float runs and the unquantized law (alpha e
-leaves the lattice) step with the generic laws, the kernel's test oracle.
+boundary, one per lattice point visited.  Float runs and the unquantized
+law (alpha e leaves the lattice) step with the generic laws, the kernel's
+test oracle.
 
-A :class:`Trajectory` stores a run as columns with the step ``k`` implicit:
-``rho_e``, ``rho_u`` and the branch hold one entry per step, and ``e``,
-``u`` and ``d`` are dictionary-encoded (:class:`Column`), a table of values
-plus one int code per step.  Exact columns are interned, so their tables are
-injective and equal codes mean equal values; a lattice run's e and u share
-one table, an entry per lattice point visited.  Float columns get
-positional codes and are never interned: 0.0 == -0.0, but the two print
-differently.  Per-value work (shift, rounding, formatting, band and lock
-checks) runs once per table entry, and recurrence compares code pairs.
-
-Under a constant disturbance an exact run is autonomous from step 0, so
-its first state recurrence (j, k) is final: step k and every later step
-repeat steps j..k-1.  The kernel stops there and stores each per-step
-column of the run (the e, u and d codes, rho_e, rho_u and the branch) as a
+A :class:`Trajectory` stores a run as per-step columns with the step ``k``
+implicit: ``e``, ``u``, ``rho_e``, ``rho_u``, ``d`` and the branch.  Under
+a constant disturbance an exact run is autonomous from step 0, so its
+first state recurrence (j, k) is final: step k and every later step repeat
+steps j..k-1.  The kernel stops there and stores each column as a
 :class:`Lasso`: steps 0..k-1, the entry j and the logical length
 horizon + 1.  The branch column, which is ``n/a`` at step 0 whatever the
 state, enters at max(j, 1).  Memory is then O(entry + period) whatever the
@@ -162,6 +154,14 @@ def checked_mode(mode: str) -> str:
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown arithmetic mode: {mode!r}")
     return mode
+
+
+def stable_gain(alpha: Scalar) -> Scalar:
+    """``alpha`` if it lies in (1, 3), where the loop is stable."""
+    if not 1 < alpha < 3:
+        raise ValueError(
+            f"alpha={alpha} is outside (1, 3); the loop is unstable")
+    return alpha
 
 
 def _lattice_denominator(*values: Scalar) -> int:
@@ -273,10 +273,7 @@ class LoopConfig:
         checked_mode(self.mode)
         if self.horizon < 0:
             raise ValueError("horizon must be non-negative")
-        if not 1 < self.alpha < 3:
-            raise ValueError(
-                f"alpha={self.alpha} is outside (1, 3); the loop is unstable"
-            )
+        stable_gain(self.alpha)
 
     @property
     def alpha_in_capture_range(self) -> bool:
@@ -370,34 +367,6 @@ def map_steps(fn, column: Sequence) -> Sequence:
     return tuple(map(fn, column))
 
 
-@dataclass(frozen=True)
-class Column:
-    """Dictionary-encoded column: the value at step k is ``table[codes[k]]``."""
-
-    table: tuple
-    codes: Sequence[int]
-
-    def __getitem__(self, k: int) -> Scalar:
-        return self.table[self.codes[k]]
-
-    def __iter__(self) -> Iterator[Scalar]:
-        return map(self.table.__getitem__, self.codes)
-
-    def mapped(self, fn) -> "Column":
-        """The column of ``fn(value)``, with ``fn`` called once per entry."""
-        return Column(tuple(map(fn, self.table)), self.codes)
-
-
-def _encoded(values, mode: str) -> Column:
-    """Exact values are interned; floats get positional codes."""
-    if mode == "float":
-        values = tuple(values)
-        return Column(values, range(len(values)))
-    index: dict = {}
-    codes = tuple([index.setdefault(z, len(index)) for z in values])
-    return Column(tuple(index), codes)
-
-
 def _branches(rho_e: Sequence[int], switched: bool) -> tuple:
     """The branch column: which switched-law branch produced each state."""
     zero, nonzero = (MODE_ZERO, MODE_NONZERO) if switched else (MODE_NA,) * 2
@@ -410,11 +379,11 @@ class Trajectory:
     the config that produced it (see the module docstring for the layout).
     ``records`` gives a per-step view."""
 
-    e: Column
-    u: Column
+    e: Sequence
+    u: Sequence
     rho_e: Sequence
     rho_u: Sequence
-    d: Column
+    d: Sequence
     branch: Sequence
     mode: str = "exact"
     config: Optional[LoopConfig] = None
@@ -470,8 +439,8 @@ def simulate(config: LoopConfig) -> Trajectory:
         es.append(e)
         us.append(u)
     rho_e = tuple(map(round_half_away, es))
-    return Trajectory(_encoded(es, mode), _encoded(us, mode), rho_e,
-                      tuple(map(round_half_away, us)), _encoded(ds, mode),
+    return Trajectory(tuple(es), tuple(us), rho_e,
+                      tuple(map(round_half_away, us)), tuple(ds),
                       _branches(rho_e, switched), mode, config)
 
 
@@ -485,41 +454,30 @@ def _lattice_run(config: LoopConfig) -> Trajectory:
     den = math.lcm(_lattice_denominator(config.alpha, config.e0, config.u0),
                    dist.denominator())
     if dist.is_constant:
-        d = Column((Fraction(dist.value),), Lasso((0,), 0, n))
-        ds = itertools.repeat(_scaled(d.table[0], den), n - 1)
-        seen: Optional[dict] = {}
+        d = Lasso((Fraction(dist.value),), 0, n)
+        ds = itertools.repeat(_scaled(d.stored[0], den), n - 1)
     else:
-        d = _encoded((Fraction(dist.eval(k)) for k in range(n)), "exact")
-        d_scaled = [_scaled(z, den) for z in d.table]
-        ds = map(d_scaled.__getitem__, itertools.islice(d.codes, n - 1))
-        seen = None
+        d = tuple(Fraction(dist.eval(k)) for k in range(n))
+        ds = [_scaled(z, den) for z in d[:-1]]
     alpha = _scaled(config.alpha, den)
     e, u = _scaled(config.e0, den), _scaled(config.u0, den)
     rho_e, rho_u = _rho_scaled(e, den), _rho_scaled(u, den)
-    # States get codes as they are visited, keyed by their scaled ints: one
-    # injective table for e and u, so a state is its code pair.
-    index: dict = {}
-    code = index.setdefault
-    e_codes = [code(e, 0)]
-    u_codes = [code(u, len(index))]
-    rho_es, rho_us = [rho_e], [rho_u]
+    es, us, rho_es, rho_us = [e], [u], [rho_e], [rho_u]
+    seen = {(e, u): 0} if dist.is_constant else None
     entry = None
-    if seen is not None:
-        seen[e_codes[0], u_codes[0]] = 0
     for d_k in ds:
         e, u, rho_e, rho_u = _lattice_step(e, u, rho_e, rho_u, d_k, alpha,
                                            den, switched)
-        state = code(e, len(index)), code(u, len(index))
         if seen is not None:
-            j = seen.setdefault(state, len(e_codes))
-            if j < len(e_codes):
+            j = seen.setdefault((e, u), len(es))
+            if j < len(es):
                 entry = j
                 break
-        e_codes.append(state[0])
-        u_codes.append(state[1])
+        es.append(e)
+        us.append(u)
         rho_es.append(rho_e)
         rho_us.append(rho_u)
-    table = tuple(Fraction(x, den) for x in index)
+    value = {x: Fraction(x, den) for x in {*es, *us}}.__getitem__
 
     def column(values, start=entry) -> Sequence:
         values = tuple(values)
@@ -529,9 +487,9 @@ def _lattice_run(config: LoopConfig) -> Trajectory:
         branch = column(_branches(rho_es + rho_es[:1], switched), 1)
     else:
         branch = column(_branches(rho_es, switched))
-    return Trajectory(Column(table, column(e_codes)),
-                      Column(table, column(u_codes)), column(rho_es),
-                      column(rho_us), d, branch, "exact", config)
+    return Trajectory(column(map(value, es)), column(map(value, us)),
+                      column(rho_es), column(rho_us), d, branch, "exact",
+                      config)
 
 
 def simulate_shifted(
@@ -558,17 +516,16 @@ def shift_trajectory(traj: Trajectory, dbar: Scalar) -> Trajectory:
     """Map a constant-disturbance run into shifted coordinates.
 
     The control input becomes ``u + rho(dbar)`` and the disturbance the
-    rounding error ``d - rho(dbar)``, both computed once per table entry.
+    rounding error ``d - rho(dbar)``, both computed once per stored step.
     The quantized view of the shifted control is recomputed by rounding
     rather than by offsetting rho(u): the two differ when u sits exactly
     on a half-integer that the shift moves across zero.
     """
     offset = round_half_away(dbar)
-    u = traj.u.mapped(lambda z: z + offset)
-    rho_u = tuple(map(round_half_away, u.table))
+    u = map_steps(lambda z: z + offset, traj.u)
     return dataclasses.replace(
-        traj, u=u, rho_u=map_steps(rho_u.__getitem__, u.codes),
-        d=traj.d.mapped(lambda z: z - offset))
+        traj, u=u, rho_u=map_steps(round_half_away, u),
+        d=map_steps(lambda z: z - offset, traj.d))
 
 
 @contextlib.contextmanager
@@ -601,20 +558,17 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     a time.  No field holds a line break, so the CSV rows of a chunk split
     at line ends.
     """
-    columns = (traj.e.codes, traj.u.codes, traj.rho_e, traj.rho_u,
-               traj.d.codes, traj.branch)
+    columns = (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d, traj.branch)
     n = len(traj)
     entry, period = lasso_shape(*columns)
     stored = min(n, entry + period)
-    e_text, u_text, d_text = (tuple(map(format_scalar, column.table))
-                              for column in (traj.e, traj.u, traj.d))
 
     def tails(lo: int, hi: int) -> list:
         e, u, rho_e, rho_u, d, branch = (c[lo:hi] for c in columns)
         buf = io.StringIO()
         csv.writer(buf).writerows(zip(
-            map(e_text.__getitem__, e), map(u_text.__getitem__, u),
-            rho_e, rho_u, map(d_text.__getitem__, d), branch))
+            map(format_scalar, e), map(format_scalar, u), rho_e, rho_u,
+            map(format_scalar, d), branch))
         return buf.getvalue().split("\r\n")[:-1]
 
     def rows(k: int, lines: list) -> str:
@@ -633,8 +587,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def read_trajectory_csv(path, mode: str = "exact") -> Trajectory:
     """Read a trajectory CSV back; ``mode`` selects the scalar parser.
 
-    Exact-mode round trips are bit-exact, and exact columns are interned
-    by value.
+    Exact-mode round trips are bit-exact.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -646,9 +599,8 @@ def read_trajectory_csv(path, mode: str = "exact") -> Trajectory:
     if list(map(int, ks)) != list(range(len(ks))):
         raise ValueError("trajectory steps must run 0, 1, 2, ...")
 
-    def column(texts) -> Column:
-        parsed = {t: parse_csv_scalar(t, mode) for t in set(texts)}
-        return _encoded(map(parsed.__getitem__, texts), mode)
+    def column(texts) -> tuple:
+        return tuple(parse_csv_scalar(t, mode) for t in texts)
 
     return Trajectory(column(e), column(u), tuple(map(int, rho_e)),
                       tuple(map(int, rho_u)), column(d), branch, mode, None)

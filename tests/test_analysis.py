@@ -23,7 +23,6 @@ from quantloop.analysis import (
     verify_control_lock,
 )
 from quantloop.dynamics import (
-    Column,
     Disturbance,
     LoopConfig,
     Trajectory,
@@ -401,11 +400,10 @@ def test_verdicts_match_their_record_wise_definitions(alpha, dbar, e0, u0,
 
 def test_detect_cycle_confirms_both_coordinates():
     # e recurs with period 1 throughout, u breaks the recurrence late: a
-    # recurrence must hold for the (e, u) code pair to the end of the run
-    traj = Trajectory(e=Column((F(0),), (0, 0, 0, 0)),
-                      u=Column((F(0), F(1)), (0, 0, 0, 1)),
+    # recurrence must hold for the (e, u) pair to the end of the run
+    traj = Trajectory(e=(F(0),) * 4, u=(F(0), F(0), F(0), F(1)),
                       rho_e=(0,) * 4, rho_u=(0, 0, 0, 1),
-                      d=Column((F(0),), (0,) * 4), branch=("n/a",) * 4)
+                      d=(F(0),) * 4, branch=("n/a",) * 4)
     assert not detect_cycle(traj).periodic
 
 

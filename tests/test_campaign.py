@@ -23,7 +23,6 @@ from quantloop.campaign import (
     write_table1_csv,
 )
 from quantloop.dynamics import (
-    Column,
     Disturbance,
     LoopConfig,
     Trajectory,
@@ -260,9 +259,9 @@ def _failing_writes():
     bad = CellResult(Unprintable(), F(1, 4), 9, 0, 9, 0, 0)
     grid = GridResult(GridSpec(), (good, bad))
     n = 3000  # past the first chunk of rows the trajectory writer formats
-    traj = Trajectory(Column((F(0),), (0,) * n), Column((F(0),), (0,) * n),
+    traj = Trajectory((F(0),) * n, (F(0),) * n,
                       (0,) * (n - 1) + (Unprintable(),), (0,) * n,
-                      Column((F(0),), (0,) * n), ("n/a",) * n)
+                      (F(0),) * n, ("n/a",) * n)
     return [
         (write_trajectory_csv, traj),
         (campaign.write_json, {"delta_d": "1/5", "cycle": Unprintable()}),

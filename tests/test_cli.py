@@ -262,6 +262,9 @@ def test_top_level_list_config_is_rejected(tmp_path, capsys):
     ("simulate", dict(CYCLE_SCENARIO, disturbance={
         "kind": "piecewise-linear", "breakpoints": [[0, "1/5"]],
         "values": ["1/5"]}), "disturbance.values"),
+    # a campaign always starts from rest
+    ("table1", {"disturbances": ["0.1"], "e0": "1/3"}, "e0"),
+    ("table1", {"disturbances": ["0.1"], "u0": "2"}, "u0"),
 ])
 def test_unknown_config_key_is_rejected(tmp_path, capsys, command, payload,
                                         key):
@@ -314,6 +317,10 @@ def test_sweep_gain_outside_the_capture_range_names_the_key(
      "init_count must be >= 1"),
     ("table1", {"disturbances": ["1/10"], "horizon": 0},
      "horizon must be >= 1"),
+    ("table1", {"disturbances": ["1/10"], "alpha": "1"},
+     "alpha=1 is outside (1, 3); the loop is unstable"),
+    ("table1", {"disturbances": ["1/10"], "alpha": "5"},
+     "alpha=5 is outside (1, 3); the loop is unstable"),
 ])
 def test_spec_errors_name_the_file(tmp_path, capsys, command, payload,
                                    message):

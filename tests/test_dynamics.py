@@ -508,20 +508,14 @@ def test_records_view_matches_law_run(config, mode):
     assert traj.mode == mode
     assert traj.records == law_records(config, mode)
     for column in (traj.e, traj.u, traj.d):
-        assert len(column.codes) == len(traj) == config.horizon + 1
-        if mode == "exact":
-            # interned: equal codes if and only if equal values
-            assert len(set(column.table)) == len(column.table)
-        else:
-            assert list(column.codes) == list(range(len(traj)))
-            assert all(isinstance(z, float) for z in column.table)
+        assert len(column) == len(traj) == config.horizon + 1
 
 
 @pytest.mark.parametrize("controller", ["switched-pi", "standard-pi"])
 @pytest.mark.parametrize("d_text", ["float:0.0", "float:-0.0"])
 def test_signed_zero_rows_pinned(tmp_path, controller, d_text):
-    # -0.0 stays in row 0, while every later step prints 0.0: float
-    # columns are positional, since interning would merge the two zeros.
+    # -0.0 stays in row 0, while every later step prints 0.0: each step
+    # keeps its own float, although 0.0 == -0.0.
     zero = parse_scalar("float:-0.0")
     config = constant_config(F(11, 8), controller, parse_scalar(d_text),
                              zero, zero, 4, mode="float")
@@ -555,14 +549,14 @@ def test_read_back_gives_the_same_cycle_report(tmp_path, dbar, e0, u0):
     assert detect_cycle(back) == report
 
 
-def test_read_back_interns_equal_values(tmp_path):
+def test_read_back_equal_values_are_one_state(tmp_path):
+    # 1/3 and 2/6 parse to one value, so the state recurs at step 1
     path = tmp_path / "traj.csv"
     path.write_text("k,e,u,rho_e,rho_u,d,mode\n"
                     "0,1/3,2/6,0,0,1/5,n/a\n"
                     "1,2/6,1/3,0,0,1/5,rho-zero-branch\n")
     back = read_trajectory_csv(path)
-    assert back.e.codes == back.u.codes == (0, 0)
-    assert back.e.table == back.u.table == (F(1, 3),)
+    assert back.states() == [(F(1, 3), F(1, 3))] * 2
     assert detect_cycle(back).m == 1
 
 

@@ -25,7 +25,6 @@ from quantloop.dynamics import (
     MODE_NA,
     MODE_ZERO,
     TRAJECTORY_COLUMNS,
-    Column,
     Disturbance,
     Lasso,
     LoopConfig,
@@ -60,20 +59,13 @@ def constant_config(alpha, controller, dbar, e0, u0, horizon):
 
 
 def dense_run(traj: Trajectory) -> Trajectory:
-    """The run of ``traj`` stored densely, built from its records with
-    tables of its own: e, u and d get separate interned tables."""
+    """The run of ``traj`` stored densely, built from its records."""
     records = traj.records
-
-    def column(values) -> Column:
-        index: dict = {}
-        codes = tuple([index.setdefault(z, len(index)) for z in values])
-        return Column(tuple(index), codes)
-
-    return Trajectory(column(r.e for r in records),
-                      column(r.u for r in records),
+    return Trajectory(tuple(r.e for r in records),
+                      tuple(r.u for r in records),
                       tuple(r.rho_e for r in records),
                       tuple(r.rho_u for r in records),
-                      column(r.d for r in records),
+                      tuple(r.d for r in records),
                       tuple(r.mode for r in records), traj.mode, traj.config)
 
 
@@ -102,7 +94,7 @@ def lasso_runs(draw):
         draw(gains), draw(st.sampled_from(["standard-pi", "switched-pi"])),
         draw(disturbances), e0, u0, 600)
     traj = simulate(config)
-    entry, period = lasso_shape(traj.e.codes, traj.u.codes)
+    entry, period = lasso_shape(traj.e, traj.u)
     if period and draw(st.integers(0, 3)):
         # cut the cycle at every offset
         horizon = (entry + period * draw(st.integers(1, 3))
@@ -120,8 +112,8 @@ def test_lasso_matches_its_dense_expansion(tmp_path_factory, config, start,
     traj = simulate(config)
     dense = dense_run(traj)
     assert traj.records == dense.records == law_records(config)
-    for column in (traj.e.codes, traj.u.codes, traj.rho_e, traj.rho_u,
-                   traj.d.codes, traj.branch):
+    for column in (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d,
+                   traj.branch):
         assert len(column) == config.horizon + 1
 
     work = tmp_path_factory.getbasetemp()
@@ -159,8 +151,8 @@ def test_cycle_entered_at_step_zero():
     # state recurs at step 10, but row 0 has no branch and row 10 has one
     config = constant_config(F(11, 8), "switched-pi", F(1, 10), 0, 0, 95)
     traj = simulate(config)
-    assert lasso_shape(traj.e.codes, traj.u.codes) == (0, 10)
-    assert len(traj.e.codes.stored) == 10
+    assert lasso_shape(traj.e, traj.u) == (0, 10)
+    assert len(traj.e.stored) == 10
     assert lasso_shape(traj.branch) == (1, 10)
     assert traj.records[0].mode == MODE_NA
     assert traj.records[10].mode == MODE_ZERO
@@ -173,7 +165,7 @@ def test_run_without_recurrence_in_the_horizon_stays_dense(tmp_path):
     config = constant_config(F(11, 8), "switched-pi", F(1, 211), 0, 0, 150)
     traj = simulate(config)
     assert all(isinstance(column, tuple) for column in (
-        traj.e.codes, traj.u.codes, traj.rho_e, traj.rho_u, traj.branch))
+        traj.e, traj.u, traj.rho_e, traj.rho_u, traj.branch))
     assert not detect_cycle(traj).periodic
     assert csv_bytes(traj, tmp_path / "t.csv") == reference_csv(traj)
 
@@ -193,9 +185,9 @@ def test_long_horizon_stores_one_cycle():
                              F(4, 5), horizon)
     traj = simulate(config)
     assert len(traj) == horizon + 1
-    entry, period = lasso_shape(traj.e.codes, traj.u.codes, traj.rho_e,
-                                traj.rho_u, traj.d.codes, traj.branch)
-    for column in (traj.e.codes, traj.u.codes, traj.rho_e, traj.rho_u):
+    entry, period = lasso_shape(traj.e, traj.u, traj.rho_e, traj.rho_u,
+                                traj.d, traj.branch)
+    for column in (traj.e, traj.u, traj.rho_e, traj.rho_u):
         assert isinstance(column, Lasso)
         assert len(column.stored) <= entry + period
         assert len(column) == horizon + 1
