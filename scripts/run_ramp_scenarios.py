@@ -50,7 +50,7 @@ def main():
         traj = simulate(config)
         path = out_dir / f"{name}.csv"
         write_trajectory_csv(traj, path)
-        rho_e_tail = sorted({r.rho_e for r in traj.records[-100:]})
+        rho_e_tail = sorted(set(traj.rho_e[-100:]))
         print(f"{name}: quantized error values over the last 100 steps: "
               f"{rho_e_tail}; wrote {path}")
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import Trajectory, lasso_shape
+from .dynamics import Trajectory, lasso_shape, steady_step
 from .numerics import Scalar, format_scalar, is_exact, sign
 
 _HALF = Fraction(1, 2)
@@ -282,30 +282,19 @@ def _count_switches(traj: Trajectory, start: int, period: int) -> int:
     return sum(1 for rho_e in traj.rho_e[start:start + period] if rho_e != 0)
 
 
-def _sustained_recurrence(e, u) -> Optional[tuple]:
-    """``(entry, period)`` of the first recurrence of the (e, u) states
-    that holds to the end of the run, or None."""
-    n = len(e)
-    seen: dict = {}
-    for k, state in enumerate(zip(e, u)):
-        j = seen.setdefault(state, k)
-        if j != k and e[j:j - k + n] == e[k:] and u[j:j - k + n] == u[k:]:
-            return j, k - j
-    return None
-
-
 def detect_cycle(traj: Trajectory) -> CycleReport:
-    """Find the smallest period and entry step with an exact state
-    recurrence sustained to the end of the trajectory.
+    """Find the smallest period and entry step of the run's exact state
+    recurrence.
 
-    A lasso run (see :mod:`.dynamics`) already stopped at its first state
-    recurrence, which is final, so its entry and period are the answer.
-    On a dense run, first-recurrence hashing of the exact (e, u) states
-    gives the candidate (entry, period); a confirmation pass then checks
-    the recurrence holds for every remaining step, which guards against
-    coincidental collisions on trajectories that are not autonomous
-    (e.g. under a time-varying disturbance).  Float trajectories are
-    rejected; use :func:`detect_cycle_approx`.
+    A run is autonomous from the steady step of its disturbance
+    (:func:`.dynamics.steady_step`), so its first (e, u) recurrence at or
+    after that step is final.  A lasso run (see :mod:`.dynamics`) already
+    stopped there, so its entry and period are the answer.  On a dense run,
+    hashing the states from the steady step finds the first recurrence
+    (j, k), and one linear pass confirms that the steps from k repeat the
+    steps from j to the end of the run, which rejects a run (read back from
+    CSV) that no law produced.  Float trajectories are rejected; use
+    :func:`detect_cycle_approx`.
     """
     if traj.mode != "exact":
         raise TypeError("exact-state detection needs an exact trajectory; "
@@ -313,10 +302,16 @@ def detect_cycle(traj: Trajectory) -> CycleReport:
     e, u = traj.e, traj.u
     entry, period = lasso_shape(e, u)
     if not period:
-        found = _sustained_recurrence(e, u)
-        if found is None:
+        n, steady, seen = len(e), steady_step(traj.d), {}
+        for k, state in enumerate(zip(e[steady:], u[steady:]), steady):
+            entry = seen.setdefault(state, k)
+            if entry < k:
+                break
+        else:
             return CycleReport(periodic=False)
-        entry, period = found
+        if e[entry:entry - k + n] != e[k:] or u[entry:entry - k + n] != u[k:]:
+            return CycleReport(periodic=False)
+        period = k - entry
     return CycleReport(
         periodic=True,
         n=_count_switches(traj, entry, period),

@@ -383,6 +383,9 @@ def run_scenario(config_path, out_dir, with_analysis: bool = False,
     ``report.json``.  Returns the mapping of artifact names to paths.
     """
     config = load_scenario(config_path, mode_override)
+    if with_analysis and not config.alpha_in_capture_range:
+        raise ValueError(f"{config_path}: key 'alpha': the capture analysis "
+                         f"needs a gain in (1, 3/2), got {config.alpha}")
     traj = simulate(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

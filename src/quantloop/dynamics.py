@@ -30,31 +30,32 @@ plain switched run on the residual disturbance.
 
 Exact runs of the two quantized laws step on an integer lattice.  Every
 exact input is a rational, so let D be the lcm of the denominators of
-alpha, e0, u0 and every disturbance value (for a piecewise-linear
-disturbance, each segment contributes its value denominators times its
-length, which covers the interpolated values).  Each step adds integers and
-d to e, and adds integers and alpha times an integer to u or resets u to an
-integer, so (e, u) stays on (1/D)Z.  The kernel holds the state as the int
-pair (E, U) = (D e, D u): rho is one floor division, (2|E| + D) // 2D with
-the sign of E, so ties go away from zero; the reset is (rho(u) + rho(e)) D
-and state equality is int equality.  ``Fraction`` appears only at the
-boundary, one per lattice point visited.  Float runs and the unquantized
-law (alpha e leaves the lattice) step with the generic laws, the kernel's
-test oracle.
+alpha, e0, u0 and the disturbance's per-step values.  Each step adds
+integers and d to e, and adds integers and alpha times an integer to u or
+resets u to an integer, so (e, u) stays on (1/D)Z.  The kernel holds the
+state as the int pair (E, U) = (D e, D u): rho is one floor division,
+(2|E| + D) // 2D with the sign of E, so ties go away from zero; the reset
+is (rho(u) + rho(e)) D and state equality is int equality.  ``Fraction``
+appears only at the boundary, one per lattice point visited.  Float runs
+and the unquantized law (alpha e leaves the lattice) step with the generic
+laws, the kernel's test oracle.
 
 A :class:`Trajectory` stores a run as per-step columns with the step ``k``
-implicit: ``e``, ``u``, ``rho_e``, ``rho_u``, ``d`` and the branch.  Under
-a constant disturbance an exact run is autonomous from step 0, so its
-first state recurrence (j, k) is final: step k and every later step repeat
-steps j..k-1.  The kernel stops there and stores each column as a
-:class:`Lasso`: steps 0..k-1, the entry j and the logical length
-horizon + 1.  The branch column, which is ``n/a`` at step 0 whatever the
-state, enters at max(j, 1).  Memory is then O(entry + period) whatever the
-horizon.  Every other run (float, the unquantized law, ramps, samples, CSV
-read-back, and a recurrence beyond the horizon) stores plain tuples, which
-:func:`lasso_shape` treats as the lasso with no period: consumers take one
-path, doing their per-step work over the stored steps and expanding to
-logical steps only where they report them.
+implicit: ``e``, ``u``, ``rho_e``, ``rho_u``, ``d`` and the branch.  Every
+disturbance holds its last value from some step on, so the ``d`` column is
+a period-1 :class:`Lasso` (:meth:`Disturbance.column`), and a run is
+autonomous from its *steady step* (:func:`steady_step`): the least step
+from which d keeps its last value, 0 for a constant.  An exact run's first
+state recurrence (j, k) with j at or after that step is therefore final:
+step k and every later step repeat steps j..k-1.  The kernel stops there
+and stores each column as a :class:`Lasso`: steps 0..k-1, the entry j and
+the logical length horizon + 1.  The branch column, which is ``n/a`` at
+step 0 whatever the state, enters at max(j, 1).  Memory is then
+O(entry + period) whatever the horizon.  Every other run (float, the
+unquantized law, CSV read-back, and a recurrence beyond the horizon)
+stores plain tuples, which :func:`lasso_shape` treats as the lasso with no
+period: consumers take one path, doing their per-step work over the stored
+steps and expanding to logical steps only where they report them.
 """
 
 from __future__ import annotations
@@ -164,11 +165,6 @@ def stable_gain(alpha: Scalar) -> Scalar:
     return alpha
 
 
-def _lattice_denominator(*values: Scalar) -> int:
-    """Least D such that ``D * z`` is an int for every exact ``z``."""
-    return math.lcm(*(Fraction(z).denominator for z in values))
-
-
 @dataclass(frozen=True)
 class Disturbance:
     """Disturbance signal on the control input.
@@ -235,17 +231,18 @@ class Disturbance:
                 return v0 + (v1 - v0) * Fraction(k - k0, k1 - k0)
         raise AssertionError("unreachable")
 
-    def denominator(self) -> int:
-        """Least D such that ``D * eval(k)`` is an int for every step ``k``
-        (exact values only).  A ramp segment's interpolated values have
-        denominators dividing its value denominators times its length."""
-        if self.kind != "piecewise-linear":
-            return _lattice_denominator(*self.scalars())
-        points = self.breakpoints
-        den = _lattice_denominator(points[0][1])
-        for (k0, v0), (k1, v1) in zip(points, points[1:]):
-            den = math.lcm(den, _lattice_denominator(v0, v1) * (k1 - k0))
-        return den
+    def column(self, n: int) -> "Lasso":
+        """The values at steps 0..n-1 as a period-1 lasso, stored up to the
+        step from which the signal holds its last value (0, the last sample
+        or the last breakpoint floored at 0), clamped to n - 1."""
+        if self.kind == "constant":
+            held = 0
+        elif self.kind == "samples":
+            held = len(self.samples) - 1
+        else:
+            held = max(self.breakpoints[-1][0], 0)
+        held = min(held, n - 1)
+        return Lasso(tuple(map(self.eval, range(held + 1))), held, n)
 
     def scalars(self) -> list:
         if self.kind == "constant":
@@ -315,9 +312,10 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class Lasso(Sequence):
-    """A per-step column stored up to its run's first state recurrence:
-    ``stored`` holds steps 0..entry+period-1, and every later step k < length
-    repeats step ``entry + (k - entry) % period``.  Slices are tuples."""
+    """A per-step column stored up to the step from which it repeats (a
+    run's first state recurrence, a disturbance's last value): ``stored``
+    holds steps 0..entry+period-1, and every later step k < length repeats
+    step ``entry + (k - entry) % period``.  Slices are tuples."""
 
     stored: tuple
     entry: int
@@ -332,7 +330,14 @@ class Lasso(Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(map(self.__getitem__, range(*k.indices(self.length))))
+            steps = range(*k.indices(self.length))
+            if steps.step != 1:
+                return tuple(map(self.__getitem__, steps))
+            lo = max(steps.start, len(self.stored))
+            skip = (lo - self.entry) % self.period
+            cycle = itertools.cycle(self.stored[self.entry:])
+            return self.stored[steps.start:steps.stop] + tuple(
+                itertools.islice(cycle, skip, skip + max(steps.stop - lo, 0)))
         if k < 0:
             k += self.length
         if not 0 <= k < self.length:
@@ -356,6 +361,16 @@ def lasso_shape(*columns: Sequence) -> tuple:
         return len(columns[0]), 0
     return (max(column.entry for column in columns),
             math.lcm(*(column.period for column in columns)))
+
+
+def steady_step(d: Sequence) -> int:
+    """The least step from which the disturbance column ``d`` (a tuple or
+    a period-1 lasso) keeps its last value, by exact equality."""
+    values = d.stored if isinstance(d, Lasso) else d
+    s = max(len(values) - 1, 0)
+    while s and values[s - 1] == values[-1]:
+        s -= 1
+    return s
 
 
 def map_steps(fn, column: Sequence) -> Sequence:
@@ -432,43 +447,40 @@ def simulate(config: LoopConfig) -> Trajectory:
 
     coerce = float if mode == "float" else Fraction
     alpha, e, u = coerce(config.alpha), coerce(config.e0), coerce(config.u0)
-    ds = [coerce(config.disturbance.eval(k)) for k in range(config.horizon + 1)]
+    d = map_steps(coerce, config.disturbance.column(config.horizon + 1))
     es, us = [e], [u]
-    for d_k in ds[:-1]:
+    for d_k in itertools.islice(d, config.horizon):
         e, u = law(e, u, d_k, alpha, quantize)
         es.append(e)
         us.append(u)
     rho_e = tuple(map(round_half_away, es))
     return Trajectory(tuple(es), tuple(us), rho_e,
-                      tuple(map(round_half_away, us)), tuple(ds),
+                      tuple(map(round_half_away, us)), d,
                       _branches(rho_e, switched), mode, config)
 
 
 def _lattice_run(config: LoopConfig) -> Trajectory:
-    """An exact quantized run, stepped by :func:`_lattice_step`; under a
-    constant disturbance it stops at the first state recurrence and stores
-    a lasso (see the module docstring)."""
+    """An exact quantized run, stepped by :func:`_lattice_step`; it stops
+    at the first state recurrence from the disturbance's steady step and
+    stores a lasso (see the module docstring)."""
     switched = config.controller == "switched-pi"
-    dist = config.disturbance
     n = config.horizon + 1
-    den = math.lcm(_lattice_denominator(config.alpha, config.e0, config.u0),
-                   dist.denominator())
-    if dist.is_constant:
-        d = Lasso((Fraction(dist.value),), 0, n)
-        ds = itertools.repeat(_scaled(d.stored[0], den), n - 1)
-    else:
-        d = tuple(Fraction(dist.eval(k)) for k in range(n))
-        ds = [_scaled(z, den) for z in d[:-1]]
+    d = map_steps(Fraction, config.disturbance.column(n))
+    den = math.lcm(*(z.denominator for z in (config.alpha, config.e0,
+                                             config.u0, *d.stored)))
+    ds = [_scaled(z, den) for z in d.stored]
+    steady = steady_step(ds)
     alpha = _scaled(config.alpha, den)
     e, u = _scaled(config.e0, den), _scaled(config.u0, den)
     rho_e, rho_u = _rho_scaled(e, den), _rho_scaled(u, den)
     es, us, rho_es, rho_us = [e], [u], [rho_e], [rho_u]
-    seen = {(e, u): 0} if dist.is_constant else None
+    seen = {} if steady else {(e, u): 0}
     entry = None
-    for d_k in ds:
+    for d_k in itertools.chain(ds[:steady],
+                               itertools.repeat(ds[-1], n - 1 - steady)):
         e, u, rho_e, rho_u = _lattice_step(e, u, rho_e, rho_u, d_k, alpha,
                                            den, switched)
-        if seen is not None:
+        if len(es) >= steady:
             j = seen.setdefault((e, u), len(es))
             if j < len(es):
                 entry = j

@@ -407,6 +407,15 @@ def test_detect_cycle_confirms_both_coordinates():
     assert not detect_cycle(traj).periodic
 
 
+def test_detect_cycle_ignores_a_recurrence_before_the_disturbance_settles():
+    # (e, u) = (0, 0) recurs at steps 0 and 2, but d only settles at step 2:
+    # a recurrence there is not a cycle, however the tail compares
+    traj = Trajectory(e=(F(0), F(1), F(0)), u=(F(0),) * 3, rho_e=(0, 1, 0),
+                      rho_u=(0,) * 3, d=(F(0), F(1), F(2)),
+                      branch=("n/a",) * 3)
+    assert not detect_cycle(traj).periodic
+
+
 def test_detect_cycle_skips_a_recurrence_the_disturbance_ends():
     # at rest under a zero disturbance the state recurs at once, but the
     # disturbance steps to 1/3 at k = 5; the cycle is the one it drives

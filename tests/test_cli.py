@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from quantloop.cli import main
+from quantloop.numerics import parse_scalar
 
 CAPTURE_SCENARIO = {
     "alpha": "11/10",
@@ -309,6 +310,23 @@ def test_sweep_gain_outside_the_capture_range_names_the_key(
     assert f"error: {path}: key {key!r}: classification requires a gain " \
         "in (1, 3/2)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alpha", ["3/2", "2", "2.9"])
+def test_analyze_gain_outside_the_capture_range_names_the_key(
+        tmp_path, capsys, alpha):
+    # rejected while loading, before a trajectory is written; simulate and
+    # cycles still run any stable gain
+    config = write_scenario(tmp_path, dict(CYCLE_SCENARIO, alpha=alpha))
+    out = tmp_path / "out"
+    assert main(["analyze", "-c", str(config), "-o", str(out)]) == 1
+    assert f"error: {config}: key 'alpha': the capture analysis needs a " \
+        f"gain in (1, 3/2), got {parse_scalar(alpha)}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    for command in ("simulate", "cycles"):
+        assert main([command, "-c", str(config),
+                     "-o", str(tmp_path / command)]) == 0
 
 
 @pytest.mark.parametrize("command, payload, message", [

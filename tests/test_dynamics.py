@@ -433,13 +433,6 @@ def test_lattice_kernel_matches_fraction_law(config):
                for z in (r.e, r.u))
 
 
-@settings(max_examples=200, deadline=None)
-@given(lattice_disturbances())
-def test_disturbance_denominator_covers_every_step(dist):
-    den = dist.denominator()
-    assert all((dist.eval(k) * den).denominator == 1 for k in range(40))
-
-
 def test_kernel_tie_cases_pinned():
     # e0 on Z + 1/2 rounds away from zero on both sides; the standard law
     # at a negative tie and the switched reset at |delta_d| = 1/2

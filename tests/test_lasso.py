@@ -1,5 +1,6 @@
-"""Lasso runs: an exact constant-disturbance run stored up to its first
-state recurrence, checked against the same run stored densely."""
+"""Lasso runs: an exact run stored up to its first state recurrence from
+the step its disturbance settles, checked against the same run stored
+densely."""
 
 import csv
 import io
@@ -32,10 +33,11 @@ from quantloop.dynamics import (
     lasso_shape,
     shift_trajectory,
     simulate,
+    steady_step,
     write_trajectory_csv,
 )
 from quantloop.numerics import format_scalar, rounding_error
-from test_dynamics import law_records
+from test_dynamics import lattice_disturbances, law_records
 
 # rationals, the rounding ties Z + 1/2, and disturbances at |delta_d| = 1/2
 ties = st.integers(-10, 9).map(lambda n: F(2 * n + 1, 2))
@@ -87,12 +89,16 @@ def reference_csv(traj: Trajectory) -> bytes:
 
 @st.composite
 def lasso_runs(draw):
-    """An exact constant-disturbance config of either quantized law whose
-    horizon cuts the run's cycle at a drawn offset, or ends before it."""
+    """An exact config of either quantized law, under a constant
+    disturbance or a ramp or samples that settle by step 30, whose horizon
+    cuts the run's cycle at a drawn offset, or ends before it."""
     e0, u0 = draw(st.one_of(st.just((0, 0)), st.tuples(scalars, scalars)))
-    config = constant_config(
-        draw(gains), draw(st.sampled_from(["standard-pi", "switched-pi"])),
-        draw(disturbances), e0, u0, 600)
+    disturbance = draw(st.one_of(disturbances.map(Disturbance.constant),
+                                 lattice_disturbances()))
+    config = LoopConfig(
+        alpha=draw(gains),
+        controller=draw(st.sampled_from(["standard-pi", "switched-pi"])),
+        disturbance=disturbance, e0=e0, u0=u0, horizon=600)
     traj = simulate(config)
     entry, period = lasso_shape(traj.e, traj.u)
     if period and draw(st.integers(0, 3)):
@@ -100,7 +106,7 @@ def lasso_runs(draw):
         horizon = (entry + period * draw(st.integers(1, 3))
                    + draw(st.integers(0, period - 1)))
     else:
-        # may end before the state recurs
+        # may end before the state recurs or the disturbance settles
         horizon = draw(st.integers(0, entry + period if period else 600))
     return LoopConfig(**{**vars(config), "horizon": horizon})
 
@@ -126,7 +132,12 @@ def test_lasso_matches_its_dense_expansion(tmp_path_factory, config, start,
         assert rms_quantized_error(traj, horizon) == \
             rms_quantized_error(dense, horizon)
 
-    assert detect_cycle(traj) == detect_cycle(dense)
+    report = detect_cycle(traj)
+    assert report == detect_cycle(dense)
+    if report.periodic:
+        assert report.entry_step >= steady_step(dense.d)
+    if not config.disturbance.is_constant:
+        return
     dbar = config.disturbance.value
     shifted = shift_trajectory(traj, dbar)
     dense_shifted = shift_trajectory(dense, dbar)
@@ -198,3 +209,22 @@ def test_long_horizon_stores_one_cycle():
     squares = sum(map(operator.mul, itertools.islice(traj.rho_e, horizon),
                       itertools.islice(traj.rho_e, horizon)))
     assert rms_quantized_error(traj, horizon) == math.sqrt(squares / horizon)
+
+
+def test_settling_ramp_stores_a_lasso():
+    # the ramp scenario settles at step 40; from there the run is
+    # autonomous, so a long horizon stores only the steps to its cycle
+    horizon = 10 ** 5
+    config = LoopConfig(alpha=F(11, 8), controller="switched-pi",
+                        disturbance=Disturbance.ramp([(20, F(26, 10)),
+                                                      (40, F(24, 10))]),
+                        e0=0, u0=0, horizon=horizon)
+    traj = simulate(config)
+    assert len(traj) == horizon + 1
+    entry, period = lasso_shape(traj.e, traj.u)
+    assert entry >= steady_step(traj.d) == 40
+    for column in (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d,
+                   traj.branch):
+        assert isinstance(column, Lasso)
+        assert len(column.stored) <= 50
+    assert detect_cycle(traj).m == period
