@@ -326,6 +326,16 @@ def load_campaign_spec(path: Optional[str] = None) -> CampaignSpec:
                   **{key: field(key, _CAMPAIGN_KEYS[key]) for key in raw})
 
 
+def checked_constant(config: LoopConfig, source="scenario") -> LoopConfig:
+    """``config`` if its disturbance is constant, as the cycle and capture
+    analyses need; the error names the source and the key."""
+    if not config.disturbance.is_constant:
+        raise ValueError(f"{source}: key 'disturbance.kind': the analysis "
+                         f"needs a constant disturbance, got "
+                         f"{config.disturbance.kind!r}")
+    return config
+
+
 def shifted_run(traj: Trajectory) -> tuple:
     """``(delta_d, shifted)``: the residual disturbance of a constant-
     disturbance run and the run in shifted coordinates."""
@@ -352,8 +362,7 @@ def analyze_trajectory(traj: Trajectory, config: LoopConfig) -> dict:
     """Shift a constant-disturbance run and attach the full analysis:
     capture verdict, control-lock verdict, cycle report (detected and,
     in exact mode, predicted), and the error-band check."""
-    if not config.disturbance.is_constant:
-        raise ValueError("analysis requires a constant disturbance")
+    checked_constant(config)
     delta_d, shifted = shifted_run(traj)
 
     region = EntryRegion(config.alpha, delta_d)
@@ -383,9 +392,12 @@ def run_scenario(config_path, out_dir, with_analysis: bool = False,
     ``report.json``.  Returns the mapping of artifact names to paths.
     """
     config = load_scenario(config_path, mode_override)
-    if with_analysis and not config.alpha_in_capture_range:
-        raise ValueError(f"{config_path}: key 'alpha': the capture analysis "
-                         f"needs a gain in (1, 3/2), got {config.alpha}")
+    if with_analysis:
+        checked_constant(config, config_path)
+        if not config.alpha_in_capture_range:
+            raise ValueError(f"{config_path}: key 'alpha': the capture "
+                             f"analysis needs a gain in (1, 3/2), got "
+                             f"{config.alpha}")
     traj = simulate(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

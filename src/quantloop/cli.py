@@ -54,9 +54,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
-    config = campaign.load_scenario(args.config, args.mode)
-    if not config.disturbance.is_constant:
-        raise ValueError("cycle analysis requires a constant disturbance")
+    config = campaign.checked_constant(
+        campaign.load_scenario(args.config, args.mode), args.config)
     delta_d, shifted = campaign.shifted_run(simulate(config))
     report = {"delta_d": format_scalar(delta_d),
               **campaign.cycle_report(shifted, delta_d)}

@@ -9,7 +9,11 @@ are sampled as exact rationals so the classification itself is exact,
 including the delicate |delta_d| = 1/2 boundary.
 
 Cells are independent work items; the sweep optionally fans them out over
-a process pool and aggregates deterministically in grid order.
+a process pool and aggregates deterministically in grid order.  The loop is
+odd in (e, u_bar, delta_d), so on a delta_d axis that is its own negation
+(lo == -hi, over an initial-state grid that is too) only the cells with
+delta_d >= 0 are classified and each cell with delta_d < 0 takes the
+tallies of its mirror; an asymmetric axis has every cell classified.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import csv
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -228,8 +232,14 @@ def sweep(spec: GridSpec, jobs: int = 1) -> GridResult:
         warnings.warn(
             f"sweep upper bound exceeds {_FULL_SCALE_STEPS:,} simulation "
             "steps; expect a very long run", stacklevel=2)
-    work = [(a, dd) for a in spec.alphas() for dd in spec.delta_ds()]
-    inits = spec.inits()
+    alphas, delta_ds, inits = spec.alphas(), spec.delta_ds(), spec.inits()
+    # Half-away rounding is odd, so cell (alpha, -dd) from (-e0, -u0) gets
+    # the tag of (alpha, dd) from (e0, u0).  Where both grids are their own
+    # negation, only the cells with dd >= 0 are classified.
+    mirrored = (delta_ds[::-1] == [-dd for dd in delta_ds]
+                and inits[::-1] == [(-e0, -u0) for e0, u0 in inits])
+    work = [(a, dd) for a in alphas for dd in delta_ds
+            if dd >= 0 or not mirrored]
     if jobs > 1:
         import multiprocessing  # only a pool needs it; keeps CLI start-up lean
         # A few chunks per worker balance the uneven cells (low-gain rows
@@ -240,6 +250,11 @@ def sweep(spec: GridSpec, jobs: int = 1) -> GridResult:
             cells = pool.map(_evaluate_worker_cell, work, chunksize)
     else:
         cells = [_evaluate_cell(spec, inits, a, dd) for a, dd in work]
+    if mirrored:
+        done = {(c.alpha, c.delta_d): c for c in cells}
+        cells = [done[a, dd] if dd >= 0
+                 else replace(done[a, -dd], delta_d=dd)
+                 for a in alphas for dd in delta_ds]
     return GridResult(spec, tuple(cells))
 
 

@@ -89,6 +89,27 @@ def test_cycles_rejects_ramp(tmp_path):
     assert main(["cycles", "-c", str(config), "-o", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("disturbance", [
+    {"kind": "piecewise-linear", "breakpoints": [[0, "0"], [100, "3/7"]]},
+    {"kind": "samples", "values": ["1/5", "2/5"]},
+], ids=["ramp", "samples"])
+@pytest.mark.parametrize("command", ["analyze", "cycles"])
+def test_analyses_reject_a_varying_disturbance_before_simulating(
+        tmp_path, capsys, command, disturbance):
+    # rejected while loading, before a trajectory is written; simulate
+    # still runs the scenario
+    config = write_scenario(tmp_path, dict(CYCLE_SCENARIO,
+                                           disturbance=disturbance))
+    out = tmp_path / "out"
+    assert main([command, "-c", str(config), "-o", str(out)]) == 1
+    assert f"error: {config}: key 'disturbance.kind': the analysis needs a " \
+        f"constant disturbance, got {disturbance['kind']!r}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    assert main(["simulate", "-c", str(config),
+                 "-o", str(tmp_path / "simulate")]) == 0
+
+
 def test_mode_override_flag(tmp_path):
     config = write_scenario(tmp_path, CYCLE_SCENARIO)
     out = tmp_path / "out"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quantloop import reachability
 from quantloop.analysis import (
     EntryRegion,
     in_entry_region,
@@ -23,6 +24,7 @@ from quantloop.reachability import (
     AttractorClass,
     GridSpec,
     _classify_cycle,
+    _evaluate_cell,
     attraction_region,
     classify_trajectory,
     grid_values,
@@ -209,6 +211,24 @@ def test_classification_takes_int_fraction_and_float_arguments(case):
         fraction_classify(*case)
 
 
+@settings(max_examples=300, deadline=None)
+@given(classify_cases())
+@example((F(13, 10), F(1, 4), F(5, 2), F(-1, 2), 300))    # tie inits
+@example((F(13, 10), F(1, 2), F(-3, 4), F(1, 2), 300))    # amplitude-2 sets
+@example((F(13, 10), F(-1, 2), F(3, 4), F(-1, 2), 300))
+@example((F(1333, 1000), F(0), F(5, 2), F(0), 300))       # stuck on the ties
+@example((F(13, 10), F(0), F(3, 4), F(-5, 4), 300))
+@example((F(11, 10), F(-3, 10), F(-1, 4), F(3, 5), 3))    # budget exhausted
+def test_classification_is_odd(case):
+    # (alpha, -delta_d) from (-e0, -u0) mirrors (alpha, delta_d) from (e0, u0)
+    alpha, delta_d, e0, u0, budget = case
+    plus = classify_trajectory(alpha, delta_d, e0, u0, budget)
+    minus = classify_trajectory(alpha, -delta_d, -e0, -u0, budget)
+    assert (minus.tag, minus.steps_to_entry) == \
+        (plus.tag, plus.steps_to_entry)
+    assert minus.witness_pairs == {(-p, -q) for p, q in plus.witness_pairs}
+
+
 def small_spec(**overrides):
     base = dict(alpha_lo=F(13, 10), alpha_hi=F(14, 10), alpha_count=2,
                 delta_d_lo=F(-1, 4), delta_d_hi=F(1, 4), delta_d_count=3,
@@ -239,6 +259,55 @@ def test_sweep_zero_residual_column():
 def test_sweep_is_order_and_parallelism_independent():
     spec = small_spec()
     assert sweep(spec, jobs=1) == sweep(spec, jobs=2)
+
+
+def every_cell(spec):
+    """The sweep's cells, each classified on its own."""
+    inits = spec.inits()
+    return tuple(_evaluate_cell(spec, inits, a, dd)
+                 for a in spec.alphas() for dd in spec.delta_ds())
+
+
+def test_mirrored_sweep_matches_every_cell_classified():
+    # tie inits (step 1/2), the amplitude-2 columns |delta_d| = 1/2 and the
+    # self-mirrored delta_d = 0 column; all four tallies occur
+    spec = small_spec(alpha_lo=F(21, 20), alpha_hi=F(7, 5), alpha_count=3,
+                      delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2),
+                      delta_d_count=5, init_box=1, init_count=5, budget=500)
+    expected = every_cell(spec)
+    assert sweep(spec, jobs=1).cells == expected
+    assert sweep(spec, jobs=2).cells == expected
+
+
+@pytest.mark.parametrize("overrides, classified", [
+    # symmetric grids: only delta_d >= 0
+    (dict(delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2), delta_d_count=5),
+     [0, F(1, 4), F(1, 2)]),
+    (dict(delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2), delta_d_count=4),
+     [F(1, 6), F(1, 2)]),
+    # asymmetric delta_d axis: every cell
+    (dict(delta_d_lo=F(-1, 2), delta_d_hi=F(1, 4), delta_d_count=4),
+     [F(-1, 2), F(-1, 4), 0, F(1, 4)]),
+    # one initial state (-1, -1) is not its own mirror: every cell
+    (dict(delta_d_lo=F(-1, 4), delta_d_hi=F(1, 4), delta_d_count=3,
+          init_box=1, init_count=1),
+     [F(-1, 4), 0, F(1, 4)]),
+])
+def test_sweep_classifies_each_cell_it_cannot_mirror(monkeypatch, overrides,
+                                                     classified):
+    spec = small_spec(**overrides)
+    expected = every_cell(spec)
+    calls = []
+
+    def counted(alpha, delta_d, *args):
+        calls.append((alpha, delta_d))
+        return classify_trajectory(alpha, delta_d, *args)
+
+    # sweep calls the module global once per init, which tracing relies on
+    monkeypatch.setattr(reachability, "classify_trajectory", counted)
+    assert sweep(spec).cells == expected
+    assert calls == [(a, dd) for a in spec.alphas() for dd in classified
+                     for _ in spec.inits()]
 
 
 def test_attraction_region_mask():
@@ -302,8 +371,9 @@ def test_full_scale_warning_names_its_threshold():
 
 
 def test_parallel_sweep_keeps_grid_order_across_chunks():
-    # 4 x 5 cells on 2 workers map in chunks of 2 cells
-    spec = small_spec(alpha_count=4, delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2),
+    # 6 x 5 cells, of which the 6 x 3 with delta_d >= 0 are classified, map
+    # on 2 workers in chunks of 2 cells
+    spec = small_spec(alpha_count=6, delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2),
                       delta_d_count=5, init_count=2, budget=500)
     serial = sweep(spec, jobs=1)
     assert [(c.alpha, c.delta_d) for c in serial.cells] == [
