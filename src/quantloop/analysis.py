@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import Trajectory, lasso_shape, steady_step
+from .dynamics import Trajectory, in_capture_range, lasso_shape
 from .numerics import Scalar, format_scalar, is_exact, sign
 
 _HALF = Fraction(1, 2)
@@ -40,16 +40,11 @@ class EntryRegion:
     alpha: Scalar
     delta_d: Scalar
 
-    @property
-    def valid(self) -> bool:
-        """The region is meaningful only for gains in (1, 3/2)."""
-        return 1 < self.alpha < Fraction(3, 2)
-
 
 def in_entry_region(e: Scalar, u_bar: Scalar, region: EntryRegion) -> bool:
     """True iff (e, u_bar) satisfies all three capture inequalities,
     with their exact strict/non-strict senses."""
-    if not region.valid:
+    if not in_capture_range(region.alpha):
         raise ValueError(
             f"alpha={region.alpha} outside (1, 3/2); capture region undefined")
     if not -_HALF < e < _HALF:
@@ -251,6 +246,15 @@ class CycleReport:
         }
 
 
+def checked_residual(delta_d: Scalar) -> Scalar:
+    """``delta_d`` if it lies in [-1/2, 1/2], the range of a disturbance's
+    rounding error."""
+    if abs(delta_d) > _HALF:
+        raise ValueError(f"a disturbance rounding error satisfies "
+                         f"|delta_d| <= 1/2, got {delta_d}")
+    return delta_d
+
+
 def predict_cycle(delta_d: Scalar) -> CycleReport:
     """Predict the cycle from the residual disturbance alone.
 
@@ -261,9 +265,7 @@ def predict_cycle(delta_d: Scalar) -> CycleReport:
     """
     if not is_exact(delta_d):
         raise TypeError("cycle prediction requires an exact rational delta_d")
-    dd = Fraction(delta_d)
-    if abs(dd) > _HALF:
-        raise ValueError("a disturbance rounding error satisfies |delta_d| <= 1/2")
+    dd = Fraction(checked_residual(delta_d))
     if dd == 0:
         return CycleReport(periodic=True, n=0, m=1,
                            error_band=cycle_error_band(0))
@@ -283,35 +285,21 @@ def _count_switches(traj: Trajectory, start: int, period: int) -> int:
 
 
 def detect_cycle(traj: Trajectory) -> CycleReport:
-    """Find the smallest period and entry step of the run's exact state
-    recurrence.
+    """The period and entry step of the run's exact state recurrence.
 
-    A run is autonomous from the steady step of its disturbance
-    (:func:`.dynamics.steady_step`), so its first (e, u) recurrence at or
-    after that step is final.  A lasso run (see :mod:`.dynamics`) already
-    stopped there, so its entry and period are the answer.  On a dense run,
-    hashing the states from the steady step finds the first recurrence
-    (j, k), and one linear pass confirms that the steps from k repeat the
-    steps from j to the end of the run, which rejects a run (read back from
-    CSV) that no law produced.  Float trajectories are rejected; use
+    An exact run from :func:`.dynamics.simulate` stops at its first (e, u)
+    recurrence from the steady step of its disturbance, which is final, and
+    stores a lasso, so its entry and period are the answer.  A run stored
+    without a period has no recurrence within its horizon and is not
+    periodic.  Float trajectories are rejected; use
     :func:`detect_cycle_approx`.
     """
     if traj.mode != "exact":
         raise TypeError("exact-state detection needs an exact trajectory; "
                         "use detect_cycle_approx for float runs")
-    e, u = traj.e, traj.u
-    entry, period = lasso_shape(e, u)
+    entry, period = lasso_shape(traj.e, traj.u)
     if not period:
-        n, steady, seen = len(e), steady_step(traj.d), {}
-        for k, state in enumerate(zip(e[steady:], u[steady:]), steady):
-            entry = seen.setdefault(state, k)
-            if entry < k:
-                break
-        else:
-            return CycleReport(periodic=False)
-        if e[entry:entry - k + n] != e[k:] or u[entry:entry - k + n] != u[k:]:
-            return CycleReport(periodic=False)
-        period = k - entry
+        return CycleReport(periodic=False)
     return CycleReport(
         periodic=True,
         n=_count_switches(traj, entry, period),
@@ -333,7 +321,7 @@ def detect_cycle_approx(traj: Trajectory, tol: float = 1e-9) -> CycleReport:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    states = traj.states()
+    states = list(zip(traj.e, traj.u))
 
     def close(a, b):
         return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol

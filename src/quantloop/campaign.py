@@ -14,7 +14,6 @@ hard error since it would falsify the reported table.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from typing import Optional, Sequence
 
 from .analysis import (
     EntryRegion,
+    checked_residual,
     cycle_error_band,
     detect_cycle,
     detect_cycle_approx,
@@ -38,10 +38,12 @@ from .dynamics import (
     Trajectory,
     atomic_open,
     checked_mode,
+    in_capture_range,
     lasso_shape,
     shift_trajectory,
     simulate,
     stable_gain,
+    write_csv,
     write_trajectory_csv,
 )
 from .numerics import (
@@ -50,7 +52,7 @@ from .numerics import (
     format_scalar,
     is_exact,
     parse_scalar,
-    round_half_away,
+    rounding_error,
 )
 from .reachability import GridSpec, checked_gain
 
@@ -143,14 +145,10 @@ def run_table1(spec: Optional[CampaignSpec] = None) -> list:
 
 
 def write_table1_csv(rows: Sequence[RmsRow], path) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE1_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([format_scalar(row.disturbance),
-                             f"{row.rms_standard:.3f}",
-                             f"{row.rms_switched:.3f}",
-                             f"{row.improvement:.3f}"])
+    write_csv(path, TABLE1_CSV_COLUMNS, (
+        [format_scalar(row.disturbance), f"{row.rms_standard:.3f}",
+         f"{row.rms_switched:.3f}", f"{row.improvement:.3f}"]
+        for row in rows))
 
 
 def format_table1(rows: Sequence[RmsRow]) -> str:
@@ -173,6 +171,13 @@ def read_json(path) -> dict:
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return raw
+
+
+def output_dir(path) -> Path:
+    """The output directory ``path``, created with its parents if missing."""
+    out_dir = Path(path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def write_json(data: dict, path) -> Path:
@@ -300,7 +305,8 @@ def load_grid_spec(path: Optional[str] = None) -> GridSpec:
         "alpha.lo", "alpha.hi", "alpha.count", "delta_d.lo", "delta_d.hi",
         "delta_d.count", "init.box", "init.count", "budget"))
     for axis, parse in (("alpha", lambda v: checked_gain(parse_scalar(v))),
-                        ("delta_d", parse_scalar)):
+                        ("delta_d",
+                         lambda v: checked_residual(parse_scalar(v)))):
         if axis in raw:
             kwargs[f"{axis}_lo"] = field(f"{axis}.lo", parse)
             kwargs[f"{axis}_hi"] = field(f"{axis}.hi", parse)
@@ -340,7 +346,7 @@ def shifted_run(traj: Trajectory) -> tuple:
     """``(delta_d, shifted)``: the residual disturbance of a constant-
     disturbance run and the run in shifted coordinates."""
     dbar = traj.d[0]  # already coerced to the run's mode
-    return dbar - round_half_away(dbar), shift_trajectory(traj, dbar)
+    return rounding_error(dbar), shift_trajectory(traj, dbar)
 
 
 def cycle_report(shifted: Trajectory, delta_d: Scalar) -> dict:
@@ -394,13 +400,12 @@ def run_scenario(config_path, out_dir, with_analysis: bool = False,
     config = load_scenario(config_path, mode_override)
     if with_analysis:
         checked_constant(config, config_path)
-        if not config.alpha_in_capture_range:
+        if not in_capture_range(config.alpha):
             raise ValueError(f"{config_path}: key 'alpha': the capture "
                              f"analysis needs a gain in (1, 3/2), got "
                              f"{config.alpha}")
     traj = simulate(config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(out_dir)
     outputs = {"trajectory": out_dir / "trajectory.csv"}
     write_trajectory_csv(traj, outputs["trajectory"])
     if with_analysis:

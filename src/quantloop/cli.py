@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import Optional
 
 from . import campaign, reachability
@@ -60,9 +59,8 @@ def _cmd_cycles(args) -> int:
     report = {"delta_d": format_scalar(delta_d),
               **campaign.cycle_report(shifted, delta_d)}
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = campaign.write_json(report, out_dir / "cycles.json")
+    path = campaign.write_json(report,
+                               campaign.output_dir(args.out) / "cycles.json")
     cycle = report["cycle"]
     if cycle["periodic"]:
         print(f"periodic: n={cycle['n']} switches per period, "
@@ -76,8 +74,7 @@ def _cmd_cycles(args) -> int:
 def _cmd_sweep(args) -> int:
     result = reachability.sweep(campaign.load_grid_spec(args.config),
                                 jobs=args.jobs)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = campaign.output_dir(args.out)
     grid_path = out_dir / "grid.csv"
     region_path = out_dir / "region.csv"
     reachability.write_grid_csv(result, grid_path)
@@ -91,9 +88,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_table1(args) -> int:
     rows = campaign.run_table1(campaign.load_campaign_spec(args.config))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "table1.csv"
+    path = campaign.output_dir(args.out) / "table1.csv"
     campaign.write_table1_csv(rows, path)
     print(campaign.format_table1(rows))
     print(f"wrote {path}")

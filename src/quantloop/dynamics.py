@@ -38,7 +38,8 @@ state as the int pair (E, U) = (D e, D u): rho is one floor division,
 is (rho(u) + rho(e)) D and state equality is int equality.  ``Fraction``
 appears only at the boundary, one per lattice point visited.  Float runs
 and the unquantized law (alpha e leaves the lattice) step with the generic
-laws, the kernel's test oracle.
+laws, the kernel's test oracle.  One loop in :func:`simulate` runs either
+step function.
 
 A :class:`Trajectory` stores a run as per-step columns with the step ``k``
 implicit: ``e``, ``u``, ``rho_e``, ``rho_u``, ``d`` and the branch.  Every
@@ -47,12 +48,12 @@ a period-1 :class:`Lasso` (:meth:`Disturbance.column`), and a run is
 autonomous from its *steady step* (:func:`steady_step`): the least step
 from which d keeps its last value, 0 for a constant.  An exact run's first
 state recurrence (j, k) with j at or after that step is therefore final:
-step k and every later step repeat steps j..k-1.  The kernel stops there
-and stores each column as a :class:`Lasso`: steps 0..k-1, the entry j and
-the logical length horizon + 1.  The branch column, which is ``n/a`` at
-step 0 whatever the state, enters at max(j, 1).  Memory is then
-O(entry + period) whatever the horizon.  Every other run (float, the
-unquantized law, CSV read-back, and a recurrence beyond the horizon)
+step k and every later step repeat steps j..k-1.  Every exact run, under
+all three laws, stops there and stores each column as a :class:`Lasso`:
+steps 0..k-1, the entry j and the logical length horizon + 1.  The branch
+column, which is ``n/a`` at step 0 whatever the state, enters at
+max(j, 1).  Memory is then O(entry + period) whatever the horizon.  A
+float run, and an exact run whose recurrence lies beyond the horizon,
 stores plain tuples, which :func:`lasso_shape` treats as the lasso with no
 period: consumers take one path, doing their per-step work over the stored
 steps and expanding to logical steps only where they report them.
@@ -78,7 +79,6 @@ from .numerics import (
     Scalar,
     format_scalar,
     is_exact,
-    parse_csv_scalar,
     round_half_away,
 )
 
@@ -103,15 +103,13 @@ def _identity(z: Scalar) -> Scalar:
     return z
 
 
-def _standard_law(e, u, d, alpha, quantize):
+def _law(alpha, quantize, switched, state, d):
+    """One step of the generic laws from ``state = (e, u)``: the standard
+    law, or with ``switched`` the switched law's reset on steps whose new
+    quantized error is zero.  Returns the next ``(e, u)``."""
+    e, u = state
     e1 = e + quantize(u) + d
-    u1 = u + quantize(e) - alpha * quantize(e1)
-    return e1, u1
-
-
-def _switched_law(e, u, d, alpha, quantize):
-    e1 = e + quantize(u) + d
-    if quantize(e1) == 0:
+    if switched and quantize(e1) == 0:
         u1 = quantize(u) + quantize(e)
         if isinstance(u, float):
             u1 = float(u1)  # the sum of quantized values is an int
@@ -133,14 +131,16 @@ def _scaled(z: Scalar, den: int) -> int:
     return z.numerator * (den // z.denominator)
 
 
-def _lattice_step(e, u, rho_e, rho_u, d, alpha, den, switched):
+def _lattice_step(alpha, den, switched, state, d):
     """One exact step of a quantized law on the lattice (1/den)Z.
 
-    ``e``, ``u``, ``d`` and ``alpha`` are the scaled ints ``den * value``;
-    ``rho_e`` and ``rho_u`` are the quantized views of the current state.
-    Returns the next ``(e, u, rho_e, rho_u)``.  ``switched`` selects the
-    switched law's reset on steps whose new quantized error is zero.
+    ``state`` is ``(e, u, rho_e, rho_u)``: ``e``, ``u``, and likewise ``d``
+    and ``alpha``, are the scaled ints ``den * value``; ``rho_e`` and
+    ``rho_u`` are the quantized views of the current state.  Returns the
+    next state.  ``switched`` selects the switched law's reset on steps
+    whose new quantized error is zero.
     """
+    e, u, rho_e, rho_u = state
     e1 = e + rho_u * den + d
     rho_e1 = _rho_scaled(e1, den)
     if switched and rho_e1 == 0:
@@ -163,6 +163,12 @@ def stable_gain(alpha: Scalar) -> Scalar:
         raise ValueError(
             f"alpha={alpha} is outside (1, 3); the loop is unstable")
     return alpha
+
+
+def in_capture_range(alpha: Scalar) -> bool:
+    """True for gains in (1, 3/2), the range that the capture analysis and
+    the sweep's classification cover."""
+    return 1 < alpha < Fraction(3, 2)
 
 
 @dataclass(frozen=True)
@@ -271,11 +277,6 @@ class LoopConfig:
         if self.horizon < 0:
             raise ValueError("horizon must be non-negative")
         stable_gain(self.alpha)
-
-    @property
-    def alpha_in_capture_range(self) -> bool:
-        """Gain range required by the invariant-capture analysis."""
-        return 1 < self.alpha < Fraction(3, 2)
 
     @property
     def alpha_in_attractive_range(self) -> bool:
@@ -412,17 +413,17 @@ class Trajectory:
         return tuple(map(TrajectoryRecord, itertools.count(), self.e, self.u,
                          self.rho_e, self.rho_u, self.d, self.branch))
 
-    def states(self) -> list:
-        return list(zip(self.e, self.u))
-
 
 def simulate(config: LoopConfig) -> Trajectory:
     """Run ``config`` and return the full trajectory (horizon + 1 steps).
 
-    Deterministic: equal configs produce equal trajectories.
+    Deterministic: equal configs produce equal trajectories.  An exact run
+    is stored as a lasso (see the module docstring).  A float run hashes no
+    state, since 0.0 == -0.0 although the two print differently, so it is
+    stored densely.
     """
     if config.controller == "switched-pi":
-        if not config.alpha_in_capture_range:
+        if not in_capture_range(config.alpha):
             warnings.warn(
                 "switched-pi gain outside (1, 3/2); capture analysis does not apply",
                 TuningWarning, stacklevel=2)
@@ -437,91 +438,58 @@ def simulate(config: LoopConfig) -> Trajectory:
         warnings.warn(
             "exact-mode config contains float inputs; run promoted to float",
             ModePromotionWarning, stacklevel=2)
-    if mode == "exact" and config.controller != "unquantized-pi":
-        return _lattice_run(config)
 
-    switched = config.controller == "switched-pi"
-    law = _switched_law if switched else _standard_law
-    quantize = (_identity if config.controller == "unquantized-pi"
-                else round_half_away)
-
-    coerce = float if mode == "float" else Fraction
-    alpha, e, u = coerce(config.alpha), coerce(config.e0), coerce(config.u0)
-    d = map_steps(coerce, config.disturbance.column(config.horizon + 1))
-    es, us = [e], [u]
-    for d_k in itertools.islice(d, config.horizon):
-        e, u = law(e, u, d_k, alpha, quantize)
-        es.append(e)
-        us.append(u)
-    rho_e = tuple(map(round_half_away, es))
-    return Trajectory(tuple(es), tuple(us), rho_e,
-                      tuple(map(round_half_away, us)), d,
-                      _branches(rho_e, switched), mode, config)
-
-
-def _lattice_run(config: LoopConfig) -> Trajectory:
-    """An exact quantized run, stepped by :func:`_lattice_step`; it stops
-    at the first state recurrence from the disturbance's steady step and
-    stores a lasso (see the module docstring)."""
-    switched = config.controller == "switched-pi"
     n = config.horizon + 1
-    d = map_steps(Fraction, config.disturbance.column(n))
-    den = math.lcm(*(z.denominator for z in (config.alpha, config.e0,
-                                             config.u0, *d.stored)))
-    ds = [_scaled(z, den) for z in d.stored]
-    steady = steady_step(ds)
-    alpha = _scaled(config.alpha, den)
-    e, u = _scaled(config.e0, den), _scaled(config.u0, den)
-    rho_e, rho_u = _rho_scaled(e, den), _rho_scaled(u, den)
-    es, us, rho_es, rho_us = [e], [u], [rho_e], [rho_u]
-    seen = {} if steady else {(e, u): 0}
-    entry = None
-    for d_k in itertools.chain(ds[:steady],
-                               itertools.repeat(ds[-1], n - 1 - steady)):
-        e, u, rho_e, rho_u = _lattice_step(e, u, rho_e, rho_u, d_k, alpha,
-                                           den, switched)
-        if len(es) >= steady:
-            j = seen.setdefault((e, u), len(es))
-            if j < len(es):
+    switched = config.controller == "switched-pi"
+    quantized = config.controller != "unquantized-pi"
+    lattice = mode == "exact" and quantized
+    coerce = Fraction if mode == "exact" else float
+    alpha, e, u = map(coerce, (config.alpha, config.e0, config.u0))
+    d = map_steps(coerce, config.disturbance.column(n))
+    if lattice:
+        den = math.lcm(*(z.denominator for z in (alpha, e, u, *d.stored)))
+        e, u = _scaled(e, den), _scaled(u, den)
+        # both step functions take (alpha, q, switched, state, d), where q
+        # is the kernel's den or the generic law's quantizer
+        step, alpha, q = _lattice_step, _scaled(alpha, den), den
+        state = e, u, _rho_scaled(e, den), _rho_scaled(u, den)
+        inputs = map_steps(lambda z: _scaled(z, den), d)
+    else:
+        step, q = _law, round_half_away if quantized else _identity
+        state, inputs = (e, u), d
+
+    # A lattice state carries its quantized views, which (e, u) determine,
+    # so the whole state is the recurrence key.
+    steady = steady_step(d) if mode == "exact" else n
+    states, seen, entry = [state], {}, None
+    if not steady:
+        seen[state] = 0
+    for k, d_k in enumerate(itertools.islice(inputs, n - 1), 1):
+        state = step(alpha, q, switched, state, d_k)
+        if k >= steady:
+            j = seen.setdefault(state, k)
+            if j < k:
                 entry = j
                 break
-        es.append(e)
-        us.append(u)
-        rho_es.append(rho_e)
-        rho_us.append(rho_u)
-    value = {x: Fraction(x, den) for x in {*es, *us}}.__getitem__
+        states.append(state)
+
+    e, u, *rho = zip(*states)
+    if lattice:
+        value = {x: Fraction(x, den) for x in {*e, *u}}.__getitem__
+        e, u = tuple(map(value, e)), tuple(map(value, u))
+    else:
+        rho = tuple(map(round_half_away, e)), tuple(map(round_half_away, u))
+    rho_e, rho_u = rho
 
     def column(values, start=entry) -> Sequence:
-        values = tuple(values)
         return values if entry is None else Lasso(values, start, n)
 
     if entry == 0:  # step k = period has a branch, unlike step 0
-        branch = column(_branches(rho_es + rho_es[:1], switched), 1)
+        branch = column(_branches(rho_e + rho_e[:1], switched), 1)
     else:
-        branch = column(_branches(rho_es, switched))
-    return Trajectory(column(map(value, es)), column(map(value, us)),
-                      column(rho_es), column(rho_us), d, branch, "exact",
-                      config)
-
-
-def simulate_shifted(
-    alpha: Scalar,
-    delta_d: Scalar,
-    e0: Scalar,
-    u_bar0: Scalar,
-    horizon: int,
-    mode: str = "exact",
-) -> Trajectory:
-    """Run the switched loop in shifted coordinates.
-
-    The returned trajectory's ``u`` column holds ``u_bar`` and its ``d``
-    column holds ``delta_d``; the recurrences are the switched ones, which
-    coincide with the shifted ones for a constant disturbance.
-    """
-    config = LoopConfig(alpha=alpha, controller="switched-pi",
-                        disturbance=Disturbance.constant(delta_d),
-                        e0=e0, u0=u_bar0, horizon=horizon, mode=mode)
-    return simulate(config)
+        branch = column(_branches(rho_e, switched))
+    return Trajectory(column(e), column(u), column(rho_e), column(rho_u), d,
+                      branch, mode, config)
 
 
 def shift_trajectory(traj: Trajectory, dbar: Scalar) -> Trajectory:
@@ -556,6 +524,14 @@ def atomic_open(path, **kwargs):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header: Sequence, rows) -> None:
+    """Write a CSV of a ``header`` row and ``rows`` atomically to ``path``."""
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 #: Rows of a dense trajectory formatted per write.
@@ -594,25 +570,3 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             cycle = tails(entry, stored)
             for lo in range(stored, n, period):
                 fh.write(rows(lo, cycle[:n - lo]))
-
-
-def read_trajectory_csv(path, mode: str = "exact") -> Trajectory:
-    """Read a trajectory CSV back; ``mode`` selects the scalar parser.
-
-    Exact-mode round trips are bit-exact.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != TRAJECTORY_COLUMNS:
-            raise ValueError(f"unexpected trajectory header: {header!r}")
-        rows = list(reader)
-    ks, e, u, rho_e, rho_u, d, branch = zip(*rows) if rows else [()] * 7
-    if list(map(int, ks)) != list(range(len(ks))):
-        raise ValueError("trajectory steps must run 0, 1, 2, ...")
-
-    def column(texts) -> tuple:
-        return tuple(parse_csv_scalar(t, mode) for t in texts)
-
-    return Trajectory(column(e), column(u), tuple(map(int, rho_e)),
-                      tuple(map(int, rho_u)), column(d), branch, mode, None)

@@ -39,17 +39,6 @@ def sign(z: Scalar) -> int:
     return 0
 
 
-def int_part(z: Scalar) -> int:
-    """Integer part of ``z``: truncation toward zero (floor for z >= 0,
-    ceiling for z < 0)."""
-    return math.trunc(z)
-
-
-def frac_part(z: Scalar) -> Scalar:
-    """Fractional part ``z - int_part(z)``; same sign as ``z``, |result| < 1."""
-    return z - math.trunc(z)
-
-
 def round_half_away(z: Scalar) -> int:
     """Round ``z`` to the nearest integer, halves away from zero.
 
@@ -118,10 +107,3 @@ def format_scalar(z: Scalar) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_csv_scalar(text: str, mode: str) -> Scalar:
-    """Parse a scalar from a CSV cell, given the trajectory's arithmetic mode."""
-    if mode == "float":
-        return float(text)
-    return Fraction(text)

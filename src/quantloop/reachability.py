@@ -18,7 +18,6 @@ tallies of its mirror; an asymmetric axis has every cell classified.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import warnings
@@ -27,7 +26,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .analysis import amplitude2_pairs, minimal_invariant_pairs
-from .dynamics import _lattice_step, _rho_scaled, _scaled, atomic_open
+from .dynamics import (
+    _lattice_step,
+    _rho_scaled,
+    _scaled,
+    in_capture_range,
+    write_csv,
+)
 from .numerics import Scalar, format_scalar, sign
 
 TAG_THEOREM1 = "theorem1-set"
@@ -133,26 +138,26 @@ def classify_trajectory(
     scale = math.lcm(den, e0.denominator, u_bar0.denominator) // den
     a, d, den = a * scale, d * scale, den * scale
     e, u = _scaled(e0, den), _scaled(u_bar0, den)
-    rho_e, rho_u = _rho_scaled(e, den), _rho_scaled(u, den)
+    state = e, u, _rho_scaled(e, den), _rho_scaled(u, den)
     seen: dict = {}
     pairs: list = []
     for k in range(budget + 1):
+        e, u, rho_e, rho_u = state
         # -1/2 < e < 1/2, -1/2 < u_bar < 1/2, 1 <= alpha - s u_bar < 3/2
         if (-den < 2 * e < den and -den < 2 * u < den
                 and den <= a - s * u and 2 * (a - s * u) < 3 * den):
             return AttractorClass(TAG_THEOREM1, minimal, k)
-        j = seen.setdefault((e, u), k)
+        j = seen.setdefault(state, k)
         if j != k:
             return _classify_cycle(delta_d, frozenset(pairs[j:k]), j)
         pairs.append((rho_e, rho_u))
-        e, u, rho_e, rho_u = _lattice_step(e, u, rho_e, rho_u, d, a, den,
-                                           True)
+        state = _lattice_step(a, den, True, state, d)
     return AttractorClass(TAG_UNRESOLVED, frozenset(pairs[-8:]), None)
 
 
 def checked_gain(alpha: Scalar) -> Scalar:
     """``alpha`` if it lies in (1, 3/2), the gains classification covers."""
-    if not 1 < alpha < Fraction(3, 2):
+    if not in_capture_range(alpha):
         raise ValueError(f"classification requires a gain in (1, 3/2), "
                          f"got {alpha}")
     return alpha
@@ -266,21 +271,15 @@ def attraction_region(result: GridResult) -> list:
 
 
 def write_grid_csv(result: GridResult, path) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GRID_CSV_COLUMNS)
-        for c in result.cells:
-            writer.writerow([format_scalar(c.alpha), format_scalar(c.delta_d),
-                             c.n_inits, c.n_theorem1, c.n_alt, c.n_amp2,
-                             c.n_unresolved])
+    write_csv(path, GRID_CSV_COLUMNS, (
+        [format_scalar(c.alpha), format_scalar(c.delta_d), c.n_inits,
+         c.n_theorem1, c.n_alt, c.n_amp2, c.n_unresolved]
+        for c in result.cells))
 
 
 def write_region_csv(result: GridResult, path) -> None:
     region = set(attraction_region(result))
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REGION_CSV_COLUMNS)
-        for c in result.cells:
-            flag = 1 if (c.alpha, c.delta_d) in region else 0
-            writer.writerow([format_scalar(c.alpha),
-                             format_scalar(c.delta_d), flag])
+    write_csv(path, REGION_CSV_COLUMNS, (
+        [format_scalar(c.alpha), format_scalar(c.delta_d),
+         1 if (c.alpha, c.delta_d) in region else 0]
+        for c in result.cells))

@@ -29,10 +29,9 @@ from quantloop.dynamics import (
     Disturbance,
     LoopConfig,
     _identity,
-    _switched_law,
+    _law,
     shift_trajectory,
     simulate,
-    simulate_shifted,
 )
 from quantloop.numerics import SQRT2_MINUS_1, sign
 from quantloop.reachability import (
@@ -43,6 +42,7 @@ from quantloop.reachability import (
     grid_values,
     sweep,
 )
+from oracles import simulate_shifted
 
 JOBS = 2  # sweep parallelism used by the reachability criterion
 
@@ -320,7 +320,7 @@ def test_scheme_coincidence_and_deadbeat():
         standard = simulate(config)
         e, u = F(e0), F(u0)
         for r in standard.records[1:]:
-            e, u = _switched_law(e, u, F(dbar), F(alpha), _identity)
+            e, u = _law(F(alpha), _identity, True, (e, u), F(dbar))
             assert (e, u) == (r.e, r.u)
 
     for _ in range(200):

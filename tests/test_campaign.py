@@ -26,7 +26,6 @@ from quantloop.dynamics import (
     Disturbance,
     LoopConfig,
     Trajectory,
-    read_trajectory_csv,
     simulate,
     write_trajectory_csv,
 )
@@ -37,6 +36,7 @@ from quantloop.reachability import (
     write_grid_csv,
     write_region_csv,
 )
+from oracles import read_trajectory_csv
 
 
 def write_json(path, payload):

@@ -333,6 +333,23 @@ def test_sweep_gain_outside_the_capture_range_names_the_key(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lo, hi, key", [("-2", "2", "delta_d.lo"),
+                                         ("0", "2", "delta_d.hi"),
+                                         ("-1/2", "float:0.6", "delta_d.hi")])
+def test_sweep_residual_outside_its_range_names_the_key(
+        tmp_path, capsys, monkeypatch, lo, hi, key):
+    # a rounding error lies in [-1/2, 1/2]; rejected before a pool starts
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    payload = dict(GRID, delta_d={"lo": lo, "hi": hi, "count": 3})
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(payload))
+    assert main(["sweep", "-c", str(path), "-o", str(tmp_path / "out"),
+                 "--jobs", "2"]) == 1
+    assert f"error: {path}: key {key!r}: a disturbance rounding error " \
+        "satisfies |delta_d| <= 1/2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("alpha", ["3/2", "2", "2.9"])
 def test_analyze_gain_outside_the_capture_range_names_the_key(
         tmp_path, capsys, alpha):

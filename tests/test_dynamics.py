@@ -19,15 +19,14 @@ from quantloop.dynamics import (
     TuningWarning,
     _identity,
     _rho_scaled,
-    _standard_law,
-    _switched_law,
-    read_trajectory_csv,
+    _law,
+    in_capture_range,
     shift_trajectory,
     simulate,
-    simulate_shifted,
     write_trajectory_csv,
 )
 from quantloop.numerics import parse_scalar, round_half_away
+from oracles import cycle_oracle, read_trajectory_csv, simulate_shifted
 
 # Half-integer quantizer ties are where the original/shifted equivalence
 # genuinely breaks (see test_shift_tie_divergence), so the equivalence
@@ -191,11 +190,12 @@ def test_config_rejects_junk():
 
 def test_gain_range_flags():
     config = constant_config(F(13, 10), "switched-pi", F(1, 10), 0, 0, 5)
-    assert config.alpha_in_capture_range and config.alpha_in_attractive_range
+    assert in_capture_range(config.alpha) and config.alpha_in_attractive_range
     config = constant_config(F(11, 10), "switched-pi", F(1, 10), 0, 0, 5)
-    assert config.alpha_in_capture_range and not config.alpha_in_attractive_range
+    assert (in_capture_range(config.alpha)
+            and not config.alpha_in_attractive_range)
     config = constant_config(F(2), "unquantized-pi", F(1, 10), 0, 0, 5)
-    assert not config.alpha_in_capture_range
+    assert not in_capture_range(config.alpha)
 
 
 @pytest.mark.filterwarnings("error::quantloop.dynamics.TuningWarning")
@@ -322,9 +322,9 @@ def test_pi_schemes_coincide_without_quantizers(alpha, dbar, e0, u0):
     e, u = e0, u0
     states = [(e, u)]
     for _ in range(30):
-        e, u = _switched_law(e, u, dbar, alpha, _identity)
+        e, u = _law(alpha, _identity, True, (e, u), dbar)
         states.append((e, u))
-    assert traj.states() == states
+    assert list(zip(traj.e, traj.u)) == states
     assert len(traj) == 31
 
 
@@ -386,7 +386,6 @@ def law_records(config, mode="exact"):
     """Record-by-record run of the generic laws in ``mode``: the oracle of
     the lattice kernel, the columnar trajectory and its per-step view."""
     coerce = float if mode == "float" else F
-    law = _switched_law if config.controller == "switched-pi" else _standard_law
     quantize = _identity if config.controller == "unquantized-pi" else round_half_away
     alpha = coerce(config.alpha)
     e, u = coerce(config.e0), coerce(config.u0)
@@ -398,7 +397,8 @@ def law_records(config, mode="exact"):
         d_k = coerce(config.disturbance.eval(k))
         records.append(TrajectoryRecord(k, e, u, round_half_away(e),
                                         round_half_away(u), d_k, branch))
-        e, u = law(e, u, d_k, alpha, quantize)
+        e, u = _law(alpha, quantize, config.controller == "switched-pi",
+                    (e, u), d_k)
     return tuple(records)
 
 
@@ -531,6 +531,7 @@ def test_signed_zero_rows_pinned(tmp_path, controller, d_text):
     (F(1, 2), F(1, 3), F(0)),
 ])
 def test_read_back_gives_the_same_cycle_report(tmp_path, dbar, e0, u0):
+    # the CSV of a lasso run recurs, step by step, where detect_cycle says
     traj = simulate(constant_config(F(11, 8), "switched-pi", dbar, e0, u0, 400))
     shifted = shift_trajectory(traj, dbar)
     path = tmp_path / "shifted.csv"
@@ -539,7 +540,7 @@ def test_read_back_gives_the_same_cycle_report(tmp_path, dbar, e0, u0):
     assert back.records == shifted.records
     report = detect_cycle(shifted)
     assert report.periodic
-    assert detect_cycle(back) == report
+    assert cycle_oracle(back) == report
 
 
 def test_read_back_equal_values_are_one_state(tmp_path):
@@ -549,8 +550,8 @@ def test_read_back_equal_values_are_one_state(tmp_path):
                     "0,1/3,2/6,0,0,1/5,n/a\n"
                     "1,2/6,1/3,0,0,1/5,rho-zero-branch\n")
     back = read_trajectory_csv(path)
-    assert back.states() == [(F(1, 3), F(1, 3))] * 2
-    assert detect_cycle(back).m == 1
+    assert list(zip(back.e, back.u)) == [(F(1, 3), F(1, 3))] * 2
+    assert cycle_oracle(back).m == 1
 
 
 def test_read_rejects_out_of_order_steps(tmp_path):

@@ -1,6 +1,6 @@
-"""Lasso runs: an exact run stored up to its first state recurrence from
-the step its disturbance settles, checked against the same run stored
-densely."""
+"""Lasso runs: an exact run, under any of the three laws, stored up to its
+first state recurrence from the step its disturbance settles, checked
+against the same run stored densely."""
 
 import csv
 import io
@@ -23,6 +23,7 @@ from quantloop.analysis import (
 )
 from quantloop.campaign import rms_quantized_error
 from quantloop.dynamics import (
+    CONTROLLERS,
     MODE_NA,
     MODE_ZERO,
     TRAJECTORY_COLUMNS,
@@ -37,6 +38,7 @@ from quantloop.dynamics import (
     write_trajectory_csv,
 )
 from quantloop.numerics import format_scalar, rounding_error
+from oracles import cycle_oracle
 from test_dynamics import lattice_disturbances, law_records
 
 # rationals, the rounding ties Z + 1/2, and disturbances at |delta_d| = 1/2
@@ -89,16 +91,18 @@ def reference_csv(traj: Trajectory) -> bytes:
 
 @st.composite
 def lasso_runs(draw):
-    """An exact config of either quantized law, under a constant
+    """An exact config of any of the three laws, under a constant
     disturbance or a ramp or samples that settle by step 30, whose horizon
     cuts the run's cycle at a drawn offset, or ends before it."""
     e0, u0 = draw(st.one_of(st.just((0, 0)), st.tuples(scalars, scalars)))
     disturbance = draw(st.one_of(disturbances.map(Disturbance.constant),
                                  lattice_disturbances()))
-    config = LoopConfig(
-        alpha=draw(gains),
-        controller=draw(st.sampled_from(["standard-pi", "switched-pi"])),
-        disturbance=disturbance, e0=e0, u0=u0, horizon=600)
+    controller = draw(st.sampled_from(CONTROLLERS))
+    # the unquantized law's denominators grow about 3 bits a step
+    longest = 100 if controller == "unquantized-pi" else 600
+    config = LoopConfig(alpha=draw(gains), controller=controller,
+                        disturbance=disturbance, e0=e0, u0=u0,
+                        horizon=longest)
     traj = simulate(config)
     entry, period = lasso_shape(traj.e, traj.u)
     if period and draw(st.integers(0, 3)):
@@ -107,7 +111,7 @@ def lasso_runs(draw):
                    + draw(st.integers(0, period - 1)))
     else:
         # may end before the state recurs or the disturbance settles
-        horizon = draw(st.integers(0, entry + period if period else 600))
+        horizon = draw(st.integers(0, entry + period if period else longest))
     return LoopConfig(**{**vars(config), "horizon": horizon})
 
 
@@ -132,17 +136,14 @@ def test_lasso_matches_its_dense_expansion(tmp_path_factory, config, start,
         assert rms_quantized_error(traj, horizon) == \
             rms_quantized_error(dense, horizon)
 
-    report = detect_cycle(traj)
-    assert report == detect_cycle(dense)
-    if report.periodic:
-        assert report.entry_step >= steady_step(dense.d)
+    assert detect_cycle(traj) == cycle_oracle(dense)
     if not config.disturbance.is_constant:
         return
     dbar = config.disturbance.value
     shifted = shift_trajectory(traj, dbar)
     dense_shifted = shift_trajectory(dense, dbar)
     assert shifted.records == dense_shifted.records
-    assert detect_cycle(shifted) == detect_cycle(dense_shifted)
+    assert detect_cycle(shifted) == cycle_oracle(dense_shifted)
 
     delta_d = rounding_error(F(dbar))
     if 1 < config.alpha < F(3, 2):
@@ -228,3 +229,17 @@ def test_settling_ramp_stores_a_lasso():
         assert isinstance(column, Lasso)
         assert len(column.stored) <= 50
     assert detect_cycle(traj).m == period
+
+
+def test_deadbeat_unquantized_run_stores_its_fixed_point():
+    # gain 2 without quantizers is deadbeat: the state is fixed from step 2
+    config = constant_config(F(2), "unquantized-pi", F(1, 3), F(1, 5), 0,
+                             10 ** 4)
+    traj = simulate(config)
+    assert len(traj) == 10 ** 4 + 1
+    for column in (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.branch):
+        assert isinstance(column, Lasso)
+        assert len(column.stored) <= 3
+    report = detect_cycle(traj)
+    assert (report.n, report.m) == (0, 1)
+    assert traj.records[-1] == law_records(config)[-1]

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from quantloop.numerics import (
     SQRT2_MINUS_1,
     format_scalar,
-    frac_part,
-    int_part,
-    parse_csv_scalar,
     parse_scalar,
     round_half_away,
     rounding_error,
     sign,
 )
+from oracles import frac_part, int_part, parse_csv_scalar
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=200)
 

@@ -13,7 +13,7 @@ from quantloop.analysis import (
     in_entry_region,
     minimal_invariant_pairs,
 )
-from quantloop.dynamics import _switched_law, simulate_shifted
+from quantloop.dynamics import _law
 from quantloop.numerics import round_half_away
 from quantloop.reachability import (
     _FULL_SCALE_STEPS,
@@ -32,6 +32,7 @@ from quantloop.reachability import (
     write_grid_csv,
     write_region_csv,
 )
+from oracles import simulate_shifted
 
 
 def test_grid_values_exact_spacing():
@@ -136,7 +137,7 @@ def fraction_classify(alpha, delta_d, e0, u_bar0, budget):
         seen[(e, u)] = k
         pairs.append((round_half_away(e), round_half_away(u)))
         if k < budget:
-            e, u = _switched_law(e, u, delta_d, alpha, round_half_away)
+            e, u = _law(alpha, round_half_away, True, (e, u), delta_d)
     return AttractorClass(TAG_UNRESOLVED, frozenset(pairs[-8:]), None)
 
 
