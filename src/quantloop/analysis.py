@@ -40,13 +40,15 @@ class EntryRegion:
     alpha: Scalar
     delta_d: Scalar
 
+    def __post_init__(self):
+        if not in_capture_range(self.alpha):
+            raise ValueError(f"alpha={self.alpha} outside (1, 3/2); "
+                             f"capture region undefined")
+
 
 def in_entry_region(e: Scalar, u_bar: Scalar, region: EntryRegion) -> bool:
     """True iff (e, u_bar) satisfies all three capture inequalities,
     with their exact strict/non-strict senses."""
-    if not in_capture_range(region.alpha):
-        raise ValueError(
-            f"alpha={region.alpha} outside (1, 3/2); capture region undefined")
     if not -_HALF < e < _HALF:
         return False
     if not -_HALF < u_bar < _HALF:
@@ -81,10 +83,6 @@ class Verdict:
     status: str  # "pass" | "fail" | "not-entered"
     entry_step: Optional[int] = None
     violations: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
     def to_record(self) -> dict:
         return {
@@ -226,7 +224,6 @@ class CycleReport:
     ``n`` counts the switch steps per period (steps taken on the nonzero
     branch, i.e. with nonzero quantized error); ``m`` is the period in
     steps; ``entry_step`` the first step from which the state recurs.
-    ``witness`` holds one full period of (e, u) states for detected cycles.
     """
 
     periodic: bool
@@ -234,7 +231,6 @@ class CycleReport:
     m: Optional[int] = None
     entry_step: Optional[int] = None
     error_band: Optional[Interval] = None
-    witness: Optional[tuple] = None
 
     def to_record(self) -> dict:
         return {
@@ -305,8 +301,6 @@ def detect_cycle(traj: Trajectory) -> CycleReport:
         n=_count_switches(traj, entry, period),
         m=period,
         entry_step=entry,
-        witness=tuple((traj.e[i], traj.u[i])
-                      for i in range(entry, entry + period)),
     )
 
 
@@ -345,7 +339,6 @@ def detect_cycle_approx(traj: Trajectory, tol: float = 1e-9) -> CycleReport:
                     n=_count_switches(traj, j, period),
                     m=period,
                     entry_step=j,
-                    witness=tuple(states[j:j + period]),
                 )
         cells.setdefault((ci, cj), []).append(k)
     return CycleReport(periodic=False)

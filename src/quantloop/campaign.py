@@ -342,6 +342,19 @@ def checked_constant(config: LoopConfig, source="scenario") -> LoopConfig:
     return config
 
 
+def checked_analyzable(config: LoopConfig, source="scenario") -> LoopConfig:
+    """``config`` if the switched loop's capture analysis covers it: a
+    constant disturbance, the switched-pi law and a gain in (1, 3/2)."""
+    checked_constant(config, source)
+    if config.controller != "switched-pi":
+        raise ValueError(f"{source}: key 'controller': the capture analysis "
+                         f"needs 'switched-pi', got {config.controller!r}")
+    if not in_capture_range(config.alpha):
+        raise ValueError(f"{source}: key 'alpha': the capture analysis needs "
+                         f"a gain in (1, 3/2), got {config.alpha}")
+    return config
+
+
 def shifted_run(traj: Trajectory) -> tuple:
     """``(delta_d, shifted)``: the residual disturbance of a constant-
     disturbance run and the run in shifted coordinates."""
@@ -349,12 +362,16 @@ def shifted_run(traj: Trajectory) -> tuple:
     return rounding_error(dbar), shift_trajectory(traj, dbar)
 
 
-def cycle_report(shifted: Trajectory, delta_d: Scalar) -> dict:
-    """The ``cycle`` record of a shifted run; in exact mode also the
+def cycle_report(shifted: Trajectory, delta_d: Scalar,
+                 config: LoopConfig) -> dict:
+    """The ``cycle`` record of a shifted run of ``config``; for an exact
+    switched-pi run, the only law the prediction covers, also the
     ``predicted-cycle`` record and ``cycle-agreement``."""
     if shifted.mode != "exact":
         return {"cycle": detect_cycle_approx(shifted).to_record()}
     detected = detect_cycle(shifted)
+    if config.controller != "switched-pi":
+        return {"cycle": detected.to_record()}
     predicted = predict_cycle(delta_d)
     agreement = (detected.periodic == predicted.periodic
                  and (not detected.periodic
@@ -368,7 +385,7 @@ def analyze_trajectory(traj: Trajectory, config: LoopConfig) -> dict:
     """Shift a constant-disturbance run and attach the full analysis:
     capture verdict, control-lock verdict, cycle report (detected and,
     in exact mode, predicted), and the error-band check."""
-    checked_constant(config)
+    checked_analyzable(config)
     delta_d, shifted = shifted_run(traj)
 
     region = EntryRegion(config.alpha, delta_d)
@@ -380,7 +397,7 @@ def analyze_trajectory(traj: Trajectory, config: LoopConfig) -> dict:
         lock = verify_control_lock(shifted, config.alpha, capture.entry_step)
         report["control-lock"] = lock.to_record()
 
-    report.update(cycle_report(shifted, delta_d))
+    report.update(cycle_report(shifted, delta_d, config))
     cycle = report["cycle"]
     if cycle["periodic"] and abs(delta_d) < Fraction(1, 2):
         band = cycle_error_band(delta_d)
@@ -399,11 +416,7 @@ def run_scenario(config_path, out_dir, with_analysis: bool = False,
     """
     config = load_scenario(config_path, mode_override)
     if with_analysis:
-        checked_constant(config, config_path)
-        if not in_capture_range(config.alpha):
-            raise ValueError(f"{config_path}: key 'alpha': the capture "
-                             f"analysis needs a gain in (1, 3/2), got "
-                             f"{config.alpha}")
+        checked_analyzable(config, config_path)
     traj = simulate(config)
     out_dir = output_dir(out_dir)
     outputs = {"trajectory": out_dir / "trajectory.csv"}

@@ -57,7 +57,7 @@ def _cmd_cycles(args) -> int:
         campaign.load_scenario(args.config, args.mode), args.config)
     delta_d, shifted = campaign.shifted_run(simulate(config))
     report = {"delta_d": format_scalar(delta_d),
-              **campaign.cycle_report(shifted, delta_d)}
+              **campaign.cycle_report(shifted, delta_d, config)}
 
     path = campaign.write_json(report,
                                campaign.output_dir(args.out) / "cycles.json")
@@ -72,15 +72,15 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    result = reachability.sweep(campaign.load_grid_spec(args.config),
-                                jobs=args.jobs)
+    cells = reachability.sweep(campaign.load_grid_spec(args.config),
+                               jobs=args.jobs)
     out_dir = campaign.output_dir(args.out)
     grid_path = out_dir / "grid.csv"
     region_path = out_dir / "region.csv"
-    reachability.write_grid_csv(result, grid_path)
-    reachability.write_region_csv(result, region_path)
-    n_region = len(reachability.attraction_region(result))
-    print(f"{len(result.cells)} cells, {n_region} fully captured")
+    reachability.write_grid_csv(cells, grid_path)
+    reachability.write_region_csv(cells, region_path)
+    n_region = len(reachability.attraction_region(cells))
+    print(f"{len(cells)} cells, {n_region} fully captured")
     print(f"wrote {grid_path}")
     print(f"wrote {region_path}")
     return 0

@@ -391,9 +391,9 @@ def _branches(rho_e: Sequence[int], switched: bool) -> tuple:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A run as columns with one entry per step ``k = 0 .. horizon``, plus
-    the config that produced it (see the module docstring for the layout).
-    ``records`` gives a per-step view."""
+    """A run as columns with one entry per step ``k = 0 .. horizon`` (see
+    the module docstring for the layout).  ``records`` gives a per-step
+    view."""
 
     e: Sequence
     u: Sequence
@@ -402,7 +402,6 @@ class Trajectory:
     d: Sequence
     branch: Sequence
     mode: str = "exact"
-    config: Optional[LoopConfig] = None
 
     def __len__(self) -> int:
         return len(self.rho_e)
@@ -489,7 +488,7 @@ def simulate(config: LoopConfig) -> Trajectory:
     else:
         branch = column(_branches(rho_e, switched))
     return Trajectory(column(e), column(u), column(rho_e), column(rho_u), d,
-                      branch, mode, config)
+                      branch, mode)
 
 
 def shift_trajectory(traj: Trajectory, dbar: Scalar) -> Trajectory:

@@ -199,12 +199,6 @@ class CellResult:
     n_unresolved: int
 
 
-@dataclass(frozen=True)
-class GridResult:
-    spec: GridSpec
-    cells: tuple
-
-
 #: ``(spec, initial states)`` of the sweep a pool worker serves, sent once.
 _worker_sweep: tuple = ()
 
@@ -227,8 +221,8 @@ def _evaluate_cell(spec: GridSpec, inits: list, alpha, delta_d) -> CellResult:
     return CellResult(alpha, delta_d, len(inits), *counts.values())
 
 
-def sweep(spec: GridSpec, jobs: int = 1) -> GridResult:
-    """Run the full grid sweep.
+def sweep(spec: GridSpec, jobs: int = 1) -> tuple:
+    """Run the full grid sweep; one :class:`CellResult` per cell.
 
     Deterministic for a given spec regardless of ``jobs``: cells are
     independent and results are aggregated in grid order (alpha-major).
@@ -260,26 +254,26 @@ def sweep(spec: GridSpec, jobs: int = 1) -> GridResult:
         cells = [done[a, dd] if dd >= 0
                  else replace(done[a, -dd], delta_d=dd)
                  for a in alphas for dd in delta_ds]
-    return GridResult(spec, tuple(cells))
+    return tuple(cells)
 
 
-def attraction_region(result: GridResult) -> list:
+def attraction_region(cells) -> list:
     """Cells whose every sampled initial condition reached the guaranteed
     minimal set; the empirical global-attractiveness region."""
-    return [(c.alpha, c.delta_d) for c in result.cells
+    return [(c.alpha, c.delta_d) for c in cells
             if c.n_inits > 0 and c.n_theorem1 == c.n_inits]
 
 
-def write_grid_csv(result: GridResult, path) -> None:
+def write_grid_csv(cells, path) -> None:
     write_csv(path, GRID_CSV_COLUMNS, (
         [format_scalar(c.alpha), format_scalar(c.delta_d), c.n_inits,
          c.n_theorem1, c.n_alt, c.n_amp2, c.n_unresolved]
-        for c in result.cells))
+        for c in cells))
 
 
-def write_region_csv(result: GridResult, path) -> None:
-    region = set(attraction_region(result))
+def write_region_csv(cells, path) -> None:
+    region = set(attraction_region(cells))
     write_csv(path, REGION_CSV_COLUMNS, (
         [format_scalar(c.alpha), format_scalar(c.delta_d),
          1 if (c.alpha, c.delta_d) in region else 0]
-        for c in result.cells))
+        for c in cells))

@@ -62,7 +62,7 @@ def read_trajectory_csv(path, mode: str = "exact") -> Trajectory:
         return tuple(parse_csv_scalar(t, mode) for t in texts)
 
     return Trajectory(column(e), column(u), tuple(map(int, rho_e)),
-                      tuple(map(int, rho_u)), column(d), branch, mode, None)
+                      tuple(map(int, rho_u)), column(d), branch, mode)
 
 
 def cycle_oracle(traj: Trajectory) -> CycleReport:
@@ -79,7 +79,7 @@ def cycle_oracle(traj: Trajectory) -> CycleReport:
         if j < k:
             return CycleReport(
                 periodic=True, n=sum(r != 0 for r in traj.rho_e[j:k]),
-                m=k - j, entry_step=j, witness=tuple(zip(e[j:k], u[j:k])))
+                m=k - j, entry_step=j)
     return CycleReport(periodic=False)
 
 

@@ -151,7 +151,7 @@ def test_capture_containment_random_cases(capture_corpus):
     failures = []
     for alpha, delta_d, e0, u0, traj in capture_corpus:
         verdict = verify_capture(traj, EntryRegion(alpha, delta_d))
-        if not (verdict.passed and verdict.entry_step == 0):
+        if not (verdict.status == "pass" and verdict.entry_step == 0):
             failures.append((alpha, delta_d, e0, u0, verdict.status))
     assert failures == []
     ok("capture containment suite",
@@ -162,7 +162,7 @@ def test_control_lock_random_cases(capture_corpus):
     failures = []
     for alpha, delta_d, e0, u0, traj in capture_corpus:
         verdict = verify_control_lock(traj, alpha, 0)
-        if not verdict.passed:
+        if verdict.status != "pass":
             failures.append((alpha, delta_d, e0, u0, verdict.violations[:3]))
     assert failures == []
     ok("control lock suite", f"{len(capture_corpus)} cases, exact equality")
@@ -225,15 +225,15 @@ def test_attraction_sweep_desk_scale():
                     budget=10_000)
     assert grid_values(spec.alpha_lo, spec.alpha_hi, 24)[1] - \
         grid_values(spec.alpha_lo, spec.alpha_hi, 24)[0] == F(1, 100)
-    result = sweep(spec, jobs=JOBS)
-    assert len(result.cells) == 24 * 19
-    stragglers = [(c.alpha, c.delta_d) for c in result.cells
+    cells = sweep(spec, jobs=JOBS)
+    assert len(cells) == 24 * 19
+    stragglers = [(c.alpha, c.delta_d) for c in cells
                   if c.n_theorem1 != c.n_inits]
     assert stragglers == []
-    assert len(attraction_region(result)) == len(result.cells)
-    n_traj = sum(c.n_inits for c in result.cells)
+    assert len(attraction_region(cells)) == len(cells)
+    n_traj = sum(c.n_inits for c in cells)
     ok("scaled reachability sweep",
-       f"{len(result.cells)} cells, {n_traj} trajectories, 100% captured")
+       f"{len(cells)} cells, {n_traj} trajectories, 100% captured")
 
 
 def test_alternative_set_reproduction():
@@ -343,7 +343,9 @@ def test_cycle_error_band_containment(cycle_corpus):
             continue  # outside the band hypotheses
         band = cycle_error_band(delta_d)
         verdict = verify_band(traj, band, report.entry_step)
-        assert verdict.passed, (alpha, delta_d, verdict.violations[:3])
-        assert all(e in band for e, _ in report.witness)
+        assert verdict.status == "pass", (alpha, delta_d,
+                                          verdict.violations[:3])
+        entry = report.entry_step
+        assert all(e in band for e in traj.e[entry:entry + report.m])
         checked += 1
     ok("cycle error band", f"{checked} cycles, endpoint senses exact")

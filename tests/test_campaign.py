@@ -31,8 +31,6 @@ from quantloop.dynamics import (
 )
 from quantloop.reachability import (
     CellResult,
-    GridResult,
-    GridSpec,
     write_grid_csv,
     write_region_csv,
 )
@@ -257,7 +255,7 @@ def _failing_writes():
     """``(writer, argument)`` pairs whose write raises part-way."""
     good = CellResult(F(13, 10), F(1, 4), 9, 9, 0, 0, 0)
     bad = CellResult(Unprintable(), F(1, 4), 9, 0, 9, 0, 0)
-    grid = GridResult(GridSpec(), (good, bad))
+    grid = (good, bad)
     n = 3000  # past the first chunk of rows the trajectory writer formats
     traj = Trajectory((F(0),) * n, (F(0),) * n,
                       (0,) * (n - 1) + (Unprintable(),), (0,) * n,

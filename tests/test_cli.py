@@ -1,7 +1,6 @@
 """Command line interface tests (direct invocation of main)."""
 
 import csv
-import importlib.util
 import json
 import multiprocessing
 import os
@@ -32,6 +31,16 @@ CYCLE_SCENARIO = {
     "u0": "1/5",
     "horizon": 80,
     "mode": "exact",
+}
+
+#: Gain 11/8 from rest against d = 1/10; every law runs it.
+FROM_REST = {
+    "alpha": "11/8",
+    "controller": "switched-pi",
+    "disturbance": {"kind": "constant", "value": "1/10"},
+    "e0": "0",
+    "u0": "0",
+    "horizon": 200,
 }
 
 
@@ -367,6 +376,39 @@ def test_analyze_gain_outside_the_capture_range_names_the_key(
                      "-o", str(tmp_path / command)]) == 0
 
 
+@pytest.mark.parametrize("controller", ["standard-pi", "unquantized-pi"])
+def test_analyze_rejects_a_controller_other_than_switched_pi(
+        tmp_path, capsys, controller):
+    # the capture, lock and band verdicts are the switched loop's theory;
+    # rejected while loading, before a trajectory is written
+    config = write_scenario(tmp_path, dict(FROM_REST, controller=controller))
+    out = tmp_path / "out"
+    assert main(["analyze", "-c", str(config), "-o", str(out)]) == 1
+    assert f"error: {config}: key 'controller': the capture analysis needs " \
+        f"'switched-pi', got {controller!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("controller, cycle", [
+    ("switched-pi", (1, 10)), ("standard-pi", (2, 10)),
+    ("unquantized-pi", None)], ids=["switched-pi", "standard-pi",
+                                    "unquantized-pi"])
+def test_cycles_predicts_only_switched_runs(tmp_path, controller, cycle):
+    # predict_cycle holds for the switched law only; other runs report the
+    # detected cycle alone
+    config = write_scenario(tmp_path, dict(FROM_REST, controller=controller))
+    assert main(["cycles", "-c", str(config), "-o", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "cycles.json").read_text())
+    detected = report["cycle"]
+    assert ((detected["n"], detected["m"]) if detected["periodic"]
+            else None) == cycle
+    keys = ["delta_d", "cycle"]
+    if controller == "switched-pi":
+        keys += ["predicted-cycle", "cycle-agreement"]
+        assert report["cycle-agreement"] is True
+    assert list(report) == keys
+
+
 @pytest.mark.parametrize("command, payload, message", [
     ("sweep", dict(GRID, budget=0), "budget must be >= 1"),
     ("sweep", dict(GRID, init={"box": "2", "count": 0}),
@@ -413,19 +455,22 @@ def test_jobs_outside_the_cpu_range_is_a_usage_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3", str((os.cpu_count() or 1) + 1)])
-def test_sweep_script_checks_jobs(tmp_path, capsys, monkeypatch, jobs):
-    script = Path(__file__).parents[1] / "scripts" / "run_attraction_sweep.py"
-    spec = importlib.util.spec_from_file_location("run_attraction_sweep",
-                                                  script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    with pytest.raises(SystemExit) as exc:
-        module.main(["-o", str(tmp_path / "out"), "--fast", "--jobs", jobs])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+#: The committed experiments: each file, by its name's prefix, is a
+#: ``sweep`` grid or a ``simulate`` scenario.
+EXPERIMENTS = sorted((Path(__file__).parents[1] / "experiments").glob("*"))
+EXPERIMENT_KINDS = {"sweep": ("sweep", ("grid.csv", "region.csv")),
+                    "ramp": ("simulate", ("trajectory.csv",))}
+
+
+@pytest.mark.parametrize("config", EXPERIMENTS, ids=lambda path: path.name)
+def test_experiment_configs_run(tmp_path, config):
+    # a config that drifts from its loader fails here, not only in CI
+    command, outputs = EXPERIMENT_KINDS[config.name.split("-")[0]]
+    assert config.suffix == ".json"
+    out = tmp_path / "out"
+    assert main([command, "-c", str(config), "-o", str(out)]) == 0
+    for name in outputs:
+        assert (out / name).is_file()
 
 
 def test_cli_import_loads_no_multiprocessing():

@@ -70,7 +70,7 @@ def dense_run(traj: Trajectory) -> Trajectory:
                       tuple(r.rho_e for r in records),
                       tuple(r.rho_u for r in records),
                       tuple(r.d for r in records),
-                      tuple(r.mode for r in records), traj.mode, traj.config)
+                      tuple(r.mode for r in records), traj.mode)
 
 
 def csv_bytes(traj: Trajectory, path) -> bytes:

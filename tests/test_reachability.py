@@ -242,9 +242,9 @@ def test_sweep_single_cell_all_captured():
     spec = small_spec(alpha_lo=F(13, 10), alpha_hi=F(13, 10), alpha_count=1,
                       delta_d_lo=F(1, 4), delta_d_hi=F(1, 4), delta_d_count=1,
                       init_box=2, init_count=3)
-    result = sweep(spec)
-    assert len(result.cells) == 1
-    cell = result.cells[0]
+    cells = sweep(spec)
+    assert len(cells) == 1
+    cell = cells[0]
     assert cell.n_inits == 9
     assert cell.n_theorem1 == 9
     assert cell.n_alt == cell.n_amp2 == cell.n_unresolved == 0
@@ -252,8 +252,8 @@ def test_sweep_single_cell_all_captured():
 
 def test_sweep_zero_residual_column():
     spec = small_spec(delta_d_lo=0, delta_d_hi=0, delta_d_count=1)
-    result = sweep(spec)
-    for cell in result.cells:
+    cells = sweep(spec)
+    for cell in cells:
         assert cell.n_theorem1 == cell.n_inits
 
 
@@ -276,8 +276,8 @@ def test_mirrored_sweep_matches_every_cell_classified():
                       delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2),
                       delta_d_count=5, init_box=1, init_count=5, budget=500)
     expected = every_cell(spec)
-    assert sweep(spec, jobs=1).cells == expected
-    assert sweep(spec, jobs=2).cells == expected
+    assert sweep(spec, jobs=1) == expected
+    assert sweep(spec, jobs=2) == expected
 
 
 @pytest.mark.parametrize("overrides, classified", [
@@ -306,22 +306,21 @@ def test_sweep_classifies_each_cell_it_cannot_mirror(monkeypatch, overrides,
 
     # sweep calls the module global once per init, which tracing relies on
     monkeypatch.setattr(reachability, "classify_trajectory", counted)
-    assert sweep(spec).cells == expected
+    assert sweep(spec) == expected
     assert calls == [(a, dd) for a in spec.alphas() for dd in classified
                      for _ in spec.inits()]
 
 
 def test_attraction_region_mask():
     spec = small_spec()
-    result = sweep(spec)
-    region = attraction_region(result)
+    cells = sweep(spec)
+    region = attraction_region(cells)
     # the whole grid sits inside the attractive gain range
-    assert len(region) == len(result.cells)
+    assert len(region) == len(cells)
 
 
 def test_attraction_region_empty_result():
-    from quantloop.reachability import GridResult
-    assert attraction_region(GridResult(small_spec(), ())) == []
+    assert attraction_region(()) == []
 
 
 def test_low_gain_cells_reach_alternative_set():
@@ -330,9 +329,9 @@ def test_low_gain_cells_reach_alternative_set():
     spec = small_spec(alpha_lo=F(21, 20), alpha_hi=F(11, 10), alpha_count=2,
                       delta_d_lo=F(-3, 10), delta_d_hi=F(3, 10),
                       delta_d_count=2, init_box=2, init_count=9, budget=4000)
-    result = sweep(spec)
-    assert all(c.n_alt > 0 for c in result.cells)
-    assert attraction_region(result) == []
+    cells = sweep(spec)
+    assert all(c.n_alt > 0 for c in cells)
+    assert attraction_region(cells) == []
 
 
 def test_half_boundary_cell_is_not_fully_captured():
@@ -341,11 +340,11 @@ def test_half_boundary_cell_is_not_fully_captured():
     spec = GridSpec(alpha_lo=F(13, 10), alpha_hi=F(13, 10), alpha_count=1,
                     delta_d_lo=F(1, 2), delta_d_hi=F(1, 2), delta_d_count=1,
                     init_box=1, init_count=9, budget=2_000)
-    result = sweep(spec)
-    cell = result.cells[0]
+    cells = sweep(spec)
+    cell = cells[0]
     assert cell.n_amp2 > 0
     assert cell.n_theorem1 < cell.n_inits
-    assert attraction_region(result) == []
+    assert attraction_region(cells) == []
 
 
 def test_full_scale_spec_warns():
@@ -367,8 +366,8 @@ def test_full_scale_warning_names_its_threshold():
     assert spec.total_steps_bound() > _FULL_SCALE_STEPS
     with pytest.warns(UserWarning,
                       match="exceeds 10,000,000,000 simulation steps"):
-        result = sweep(spec)
-    assert result.cells[0].n_theorem1 == 1
+        cells = sweep(spec)
+    assert cells[0].n_theorem1 == 1
 
 
 def test_parallel_sweep_keeps_grid_order_across_chunks():
@@ -377,7 +376,7 @@ def test_parallel_sweep_keeps_grid_order_across_chunks():
     spec = small_spec(alpha_count=6, delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2),
                       delta_d_count=5, init_count=2, budget=500)
     serial = sweep(spec, jobs=1)
-    assert [(c.alpha, c.delta_d) for c in serial.cells] == [
+    assert [(c.alpha, c.delta_d) for c in serial] == [
         (a, dd) for a in spec.alphas() for dd in spec.delta_ds()]
     assert sweep(spec, jobs=2) == serial
 
@@ -391,15 +390,15 @@ def test_grid_spec_validation():
 
 def test_grid_csv_exports(tmp_path):
     spec = small_spec()
-    result = sweep(spec)
+    cells = sweep(spec)
     grid_path = tmp_path / "grid.csv"
     region_path = tmp_path / "region.csv"
-    write_grid_csv(result, grid_path)
-    write_region_csv(result, region_path)
+    write_grid_csv(cells, grid_path)
+    write_region_csv(cells, region_path)
 
     with open(grid_path) as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(result.cells)
+    assert len(rows) == len(cells)
     assert rows[0]["alpha"] == "13/10"
     assert int(rows[0]["n_inits"]) == 9
     totals = (int(rows[0]["n_theorem1"]) + int(rows[0]["n_alt"])
