@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import Trajectory, in_capture_range, lasso_shape
+from .dynamics import Trajectory, in_capture_range
 from .numerics import Scalar, format_scalar, is_exact, sign
 
 _HALF = Fraction(1, 2)
@@ -93,21 +93,22 @@ class Verdict:
         }
 
 
-def _window(start: int, *columns) -> tuple:
-    """``(steps, views)``: the steps of a run's ``columns`` from ``start`` up
-    to one period past their lasso entry, and each column over those steps.
-    Every later step repeats one of them; on a dense run the window is
-    every step from ``start``."""
-    entry, period = lasso_shape(*columns)
-    steps = range(start, min(len(columns[0]), max(start, entry) + period))
-    return steps, [column[steps.start:steps.stop] for column in columns]
+def _window(traj: Trajectory, start: int, *columns) -> tuple:
+    """``(steps, views)``: the steps of ``traj`` from ``start`` up to one
+    period past its entry, and each of its ``columns`` over those steps.
+    Every later step repeats one of them; on a run stored step by step the
+    window is every step from ``start``."""
+    steps = range(start, min(len(traj), max(start, traj.entry) + traj.period))
+    # the window's steps are stored steps lo.. then the cycle from its entry
+    lo = traj.index(start) if steps else traj.entry
+    return steps, [(column[lo:] + column[traj.entry:lo])[:len(steps)]
+                   for column in columns]
 
 
-def _repeats(steps, *columns) -> tuple:
-    """The window ``steps`` of :func:`_window` and every later step of the
-    run that repeats one of them, in order."""
-    entry, period = lasso_shape(*columns)
-    n = len(columns[0])
+def _repeats(traj: Trajectory, steps) -> tuple:
+    """The window ``steps`` of :func:`_window` and every later step of
+    ``traj`` that repeats one of them, in order."""
+    n, entry, period = len(traj), traj.entry, traj.period
     return tuple(sorted(k for w in steps for k in (
         range(w, n, period) if w >= entry else (w,))))
 
@@ -120,16 +121,15 @@ def verify_capture(traj: Trajectory, region: EntryRegion) -> Verdict:
     disturbance.  Returns status ``not-entered`` when the region is never
     reached within the horizon.
     """
-    steps, (es, us) = _window(0, traj.e, traj.u)
+    steps, (es, us) = _window(traj, 0, traj.e, traj.u)
     entry = next((k for k, e, u in zip(steps, es, us)
                   if in_entry_region(e, u, region)), None)
     if entry is None:
         return Verdict("capture", "not-entered")
     allowed = minimal_invariant_pairs(region.delta_d)
-    steps, views = _window(entry + 1, traj.rho_e, traj.rho_u)
-    violations = _repeats(
-        [k for k, pair in zip(steps, zip(*views)) if pair not in allowed],
-        traj.rho_e, traj.rho_u)
+    steps, views = _window(traj, entry + 1, traj.rho_e, traj.rho_u)
+    violations = _repeats(traj, [k for k, pair in zip(steps, zip(*views))
+                                 if pair not in allowed])
     status = "pass" if not violations else "fail"
     return Verdict("capture", status, entry, violations)
 
@@ -148,10 +148,10 @@ def verify_control_lock(
         expected = -alpha * rho_e
         return u == expected if exact else abs(u - expected) <= tol
 
-    steps, (us, rho_es) = _window(max(entry_step + 2, 0), traj.u, traj.rho_e)
-    violations = _repeats(
-        [k for k, u, rho_e in zip(steps, us, rho_es) if not locked(u, rho_e)],
-        traj.u, traj.rho_e)
+    steps, (us, rho_es) = _window(traj, max(entry_step + 2, 0), traj.u,
+                                  traj.rho_e)
+    violations = _repeats(traj, [k for k, u, rho_e in zip(steps, us, rho_es)
+                                 if not locked(u, rho_e)])
     status = "pass" if not violations else "fail"
     return Verdict("control-lock", status, entry_step, violations)
 
@@ -210,9 +210,9 @@ def cycle_error_band(delta_d: Scalar) -> Interval:
 
 def verify_band(traj: Trajectory, band: Interval, start: int) -> Verdict:
     """Check that every error sample from step ``start`` on lies in ``band``."""
-    steps, (es,) = _window(max(start, 0), traj.e)
-    violations = _repeats(
-        [k for k, e in zip(steps, es) if e not in band], traj.e)
+    steps, (es,) = _window(traj, max(start, 0), traj.e)
+    violations = _repeats(traj, [k for k, e in zip(steps, es)
+                                 if e not in band])
     status = "pass" if not violations else "fail"
     return Verdict("band", status, start, violations)
 
@@ -277,7 +277,8 @@ def predict_cycle(delta_d: Scalar) -> CycleReport:
 
 
 def _count_switches(traj: Trajectory, start: int, period: int) -> int:
-    return sum(1 for rho_e in traj.rho_e[start:start + period] if rho_e != 0)
+    return sum(1 for k in range(start, start + period)
+               if traj.rho_e[traj.index(k)] != 0)
 
 
 def detect_cycle(traj: Trajectory) -> CycleReport:
@@ -293,14 +294,13 @@ def detect_cycle(traj: Trajectory) -> CycleReport:
     if traj.mode != "exact":
         raise TypeError("exact-state detection needs an exact trajectory; "
                         "use detect_cycle_approx for float runs")
-    entry, period = lasso_shape(traj.e, traj.u)
-    if not period:
+    if not traj.period:
         return CycleReport(periodic=False)
     return CycleReport(
         periodic=True,
-        n=_count_switches(traj, entry, period),
-        m=period,
-        entry_step=entry,
+        n=_count_switches(traj, traj.entry, traj.period),
+        m=traj.period,
+        entry_step=traj.entry,
     )
 
 
@@ -315,7 +315,8 @@ def detect_cycle_approx(traj: Trajectory, tol: float = 1e-9) -> CycleReport:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    states = list(zip(traj.e, traj.u))
+    states = [(traj.e[i], traj.u[i])
+              for i in map(traj.index, range(len(traj)))]
 
     def close(a, b):
         return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol

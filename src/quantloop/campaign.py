@@ -37,9 +37,10 @@ from .dynamics import (
     LoopConfig,
     Trajectory,
     atomic_open,
+    checked_controller,
+    checked_count,
     checked_mode,
     in_capture_range,
-    lasso_shape,
     shift_trajectory,
     simulate,
     stable_gain,
@@ -77,8 +78,7 @@ class CampaignSpec:
 
     def __post_init__(self):
         stable_gain(self.alpha)
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        checked_count(self.horizon)
 
 
 @dataclass(frozen=True)
@@ -97,16 +97,15 @@ def rms_quantized_error(traj: Trajectory, horizon: int) -> float:
         raise ValueError(
             f"trajectory has {len(traj)} records, horizon {horizon} needs "
             f"at least {horizon}")
-    # steps past the lasso's first period repeat it: whole cycles times the
+    # steps past the stored ones repeat the cycle: whole cycles times the
     # cycle's sum plus a part cycle, an exact int sum
-    entry, period = lasso_shape(traj.rho_e)
-    stored = min(horizon, entry + period)
+    stored = min(horizon, len(traj.rho_e))
     squares = [rho_e ** 2 for rho_e in traj.rho_e[:stored]]
     total = sum(squares)
     if horizon > stored:
-        cycles, rest = divmod(horizon - stored, period)
-        total += (cycles * sum(squares[entry:])
-                  + sum(squares[entry:entry + rest]))
+        cycles, rest = divmod(horizon - stored, traj.period)
+        total += (cycles * sum(squares[traj.entry:])
+                  + sum(squares[traj.entry:traj.entry + rest]))
     return math.sqrt(total / horizon)
 
 
@@ -235,22 +234,21 @@ def parse_int(value) -> int:
         raise ValueError(f"expected an integer, got {value!r}") from None
 
 
+def parse_count(value) -> int:
+    """A count config value: an integer that is at least 1."""
+    return checked_count(parse_int(value))
+
+
 def parse_list(values, parse=parse_scalar) -> list:
     if not isinstance(values, list):
         raise TypeError(f"expected a JSON list, got {values!r}")
     return [parse(v) for v in values]
 
 
-def _parse_breakpoints(points) -> list:
-    return parse_list(points, lambda p: (parse_int(p[0]), parse_scalar(p[1])))
-
-
-def _built(cls, source: str, **kwargs):
-    """``cls(**kwargs)``, with its ValueError prefixed by the source."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+def _parse_breakpoint(point) -> tuple:
+    if not isinstance(point, list) or len(point) != 2:
+        raise TypeError(f"expected a [step, value] pair, got {point!r}")
+    return parse_int(point[0]), parse_scalar(point[1])
 
 
 def load_scenario(path, mode_override: Optional[str] = None) -> LoopConfig:
@@ -269,7 +267,9 @@ def load_scenario(path, mode_override: Optional[str] = None) -> LoopConfig:
 #: constructor.
 _DISTURBANCES = {
     "constant": ("value", parse_scalar, Disturbance.constant),
-    "piecewise-linear": ("breakpoints", _parse_breakpoints, Disturbance.ramp),
+    "piecewise-linear": ("breakpoints",
+                         lambda v: parse_list(v, _parse_breakpoint),
+                         Disturbance.ramp),
     "samples": ("values", parse_list, Disturbance.from_samples),
 }
 
@@ -288,14 +288,15 @@ def scenario_from_dict(raw: dict, mode_override: Optional[str] = None,
     if kind not in _DISTURBANCES:
         raise ValueError(f"{source}: unknown disturbance kind {kind!r}")
     key, parse, make = _DISTURBANCES[kind]
-    dist = make(field(f"disturbance.{key}", parse))
+    dist = field(f"disturbance.{key}", lambda value: make(parse(value)))
 
     mode = field("mode", checked_mode) if "mode" in raw else "exact"
-    return _built(LoopConfig, source, alpha=field("alpha"),
-                  controller=field("controller", str), disturbance=dist,
-                  e0=field("e0"), u0=field("u0"),
-                  horizon=field("horizon", parse_int),
-                  mode=mode_override or mode)
+    return LoopConfig(
+        alpha=field("alpha", lambda v: stable_gain(parse_scalar(v))),
+        controller=field("controller", checked_controller), disturbance=dist,
+        e0=field("e0"), u0=field("u0"),
+        horizon=field("horizon", lambda v: checked_count(parse_int(v), 0)),
+        mode=mode_override or mode)
 
 
 def load_grid_spec(path: Optional[str] = None) -> GridSpec:
@@ -310,26 +311,27 @@ def load_grid_spec(path: Optional[str] = None) -> GridSpec:
         if axis in raw:
             kwargs[f"{axis}_lo"] = field(f"{axis}.lo", parse)
             kwargs[f"{axis}_hi"] = field(f"{axis}.hi", parse)
-            kwargs[f"{axis}_count"] = field(f"{axis}.count", parse_int)
+            kwargs[f"{axis}_count"] = field(f"{axis}.count", parse_count)
     if "init" in raw:
         kwargs["init_box"] = field("init.box")
-        kwargs["init_count"] = field("init.count", parse_int)
+        kwargs["init_count"] = field("init.count", parse_count)
     if "budget" in raw:
-        kwargs["budget"] = field("budget", parse_int)
-    return _built(GridSpec, str(path), **kwargs)
+        kwargs["budget"] = field("budget", parse_count)
+    return GridSpec(**kwargs)
 
 
 #: The parser of each key of a campaign config.
 _CAMPAIGN_KEYS = {"disturbances": lambda v: tuple(parse_list(v)),
-                  "alpha": parse_scalar, "horizon": parse_int}
+                  "alpha": lambda v: stable_gain(parse_scalar(v)),
+                  "horizon": parse_count}
 
 
 def load_campaign_spec(path: Optional[str] = None) -> CampaignSpec:
     """Load a campaign from JSON; absent keys, or no file, keep defaults."""
     raw = read_json(path) if path else {}
     field = config_fields(raw, str(path), _CAMPAIGN_KEYS)
-    return _built(CampaignSpec, str(path),
-                  **{key: field(key, _CAMPAIGN_KEYS[key]) for key in raw})
+    return CampaignSpec(**{key: field(key, _CAMPAIGN_KEYS[key])
+                           for key in raw})
 
 
 def checked_constant(config: LoopConfig, source="scenario") -> LoopConfig:

@@ -41,22 +41,22 @@ and the unquantized law (alpha e leaves the lattice) step with the generic
 laws, the kernel's test oracle.  One loop in :func:`simulate` runs either
 step function.
 
-A :class:`Trajectory` stores a run as per-step columns with the step ``k``
-implicit: ``e``, ``u``, ``rho_e``, ``rho_u``, ``d`` and the branch.  Every
-disturbance holds its last value from some step on, so the ``d`` column is
-a period-1 :class:`Lasso` (:meth:`Disturbance.column`), and a run is
-autonomous from its *steady step* (:func:`steady_step`): the least step
-from which d keeps its last value, 0 for a constant.  An exact run's first
-state recurrence (j, k) with j at or after that step is therefore final:
-step k and every later step repeat steps j..k-1.  Every exact run, under
-all three laws, stops there and stores each column as a :class:`Lasso`:
-steps 0..k-1, the entry j and the logical length horizon + 1.  The branch
-column, which is ``n/a`` at step 0 whatever the state, enters at
-max(j, 1).  Memory is then O(entry + period) whatever the horizon.  A
-float run, and an exact run whose recurrence lies beyond the horizon,
-stores plain tuples, which :func:`lasso_shape` treats as the lasso with no
-period: consumers take one path, doing their per-step work over the stored
-steps and expanding to logical steps only where they report them.
+A :class:`Trajectory` stores a run as the per-step columns ``e``, ``u``,
+``rho_e``, ``rho_u`` and ``d``, tuples of one stored length s, with the
+step ``k`` implicit.  Every disturbance holds its last value from some
+step on, and a run is autonomous from its *steady step*, the least step
+from which d keeps its last value by exact equality.
+An exact run's first state recurrence (j, k) with j at or after that step
+is therefore final: step k and every later step repeat steps j..k-1.
+Every exact run, under all three laws, stops there, stores steps 0..k-1
+and keeps the entry j: the run, not each column, owns the shape, and
+:meth:`Trajectory.index` maps each logical step to the stored step it
+repeats, so memory is O(entry + period) whatever the horizon.  A float
+run, or an exact run whose recurrence lies beyond the horizon, stores
+every step (entry s, no period).  Consumers do their per-step work over
+the stored steps and expand to logical steps only where they report them.
+The branch that produced a state follows from ``rho_e`` and the law
+(:func:`branch`) and is not stored; step 0 has none.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 from .numerics import (
     Scalar,
@@ -150,6 +150,20 @@ def _lattice_step(alpha, den, switched, state, d):
     return e1, u1, rho_e1, _rho_scaled(u1, den)
 
 
+def checked_controller(controller: str) -> str:
+    """``controller`` if it names one of the three laws."""
+    if controller not in CONTROLLERS:
+        raise ValueError(f"unknown controller: {controller!r}")
+    return controller
+
+
+def checked_count(count: int, least: int = 1) -> int:
+    """``count`` if it is at least ``least``."""
+    if count < least:
+        raise ValueError(f"expected an integer >= {least}, got {count}")
+    return count
+
+
 def checked_mode(mode: str) -> str:
     """``mode`` if it names an arithmetic mode (exact or float)."""
     if mode not in ("exact", "float"):
@@ -219,36 +233,35 @@ class Disturbance:
     def is_constant(self) -> bool:
         return self.kind == "constant"
 
-    def eval(self, k: int) -> Scalar:
-        """Disturbance value at step ``k >= 0``."""
-        if k < 0:
-            raise ValueError("step index must be non-negative")
+    def column(self, n: int) -> tuple:
+        """The values at steps 0..h, clamped to n - 1, where from step h on
+        the signal holds its last value: 0, the last sample or the last
+        breakpoint floored at 0.  An exact ramp segment is walked by adding
+        its constant increment, one with a float end interpolated at each
+        step."""
         if self.kind == "constant":
-            return self.value
+            return (self.value,)
         if self.kind == "samples":
-            return self.samples[min(k, len(self.samples) - 1)]
+            return self.samples[:n]
         points = self.breakpoints
-        if k <= points[0][0]:
-            return points[0][1]
-        if k >= points[-1][0]:
-            return points[-1][1]
+        (k_first, v_first), (k_last, v_last) = points[0], points[-1]
+        held = min(max(k_last, 0), n - 1)
+        values = [v_first] * (min(k_first, held) + 1)
         for (k0, v0), (k1, v1) in zip(points, points[1:]):
-            if k0 <= k <= k1:
-                return v0 + (v1 - v0) * Fraction(k - k0, k1 - k0)
-        raise AssertionError("unreachable")
-
-    def column(self, n: int) -> "Lasso":
-        """The values at steps 0..n-1 as a period-1 lasso, stored up to the
-        step from which the signal holds its last value (0, the last sample
-        or the last breakpoint floored at 0), clamped to n - 1."""
-        if self.kind == "constant":
-            held = 0
-        elif self.kind == "samples":
-            held = len(self.samples) - 1
-        else:
-            held = max(self.breakpoints[-1][0], 0)
-        held = min(held, n - 1)
-        return Lasso(tuple(map(self.eval, range(held + 1))), held, n)
+            # values holds steps 0..len-1; the last breakpoint takes v_last
+            steps = range(len(values), min(k1 if k1 < k_last else k1 - 1,
+                                           held) + 1)
+            if is_exact(v0) and is_exact(v1):
+                rate = Fraction(v1 - v0, k1 - k0)
+                value = v0 + rate * (steps.start - k0)
+                for _ in steps:
+                    values.append(value)
+                    value += rate
+            else:
+                values += [v0 + (v1 - v0) * Fraction(k - k0, k1 - k0)
+                           for k in steps]
+        values += [v_last] * (held + 1 - len(values))
+        return tuple(values)
 
     def scalars(self) -> list:
         if self.kind == "constant":
@@ -271,11 +284,9 @@ class LoopConfig:
     mode: str = "exact"
 
     def __post_init__(self):
-        if self.controller not in CONTROLLERS:
-            raise ValueError(f"unknown controller: {self.controller!r}")
+        checked_controller(self.controller)
         checked_mode(self.mode)
-        if self.horizon < 0:
-            raise ValueError("horizon must be non-negative")
+        checked_count(self.horizon, 0)
         stable_gain(self.alpha)
 
     @property
@@ -311,106 +322,53 @@ class TrajectoryRecord:
     mode: str
 
 
-@dataclass(frozen=True)
-class Lasso(Sequence):
-    """A per-step column stored up to the step from which it repeats (a
-    run's first state recurrence, a disturbance's last value): ``stored``
-    holds steps 0..entry+period-1, and every later step k < length repeats
-    step ``entry + (k - entry) % period``.  Slices are tuples."""
-
-    stored: tuple
-    entry: int
-    length: int
-
-    @property
-    def period(self) -> int:
-        return len(self.stored) - self.entry
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            steps = range(*k.indices(self.length))
-            if steps.step != 1:
-                return tuple(map(self.__getitem__, steps))
-            lo = max(steps.start, len(self.stored))
-            skip = (lo - self.entry) % self.period
-            cycle = itertools.cycle(self.stored[self.entry:])
-            return self.stored[steps.start:steps.stop] + tuple(
-                itertools.islice(cycle, skip, skip + max(steps.stop - lo, 0)))
-        if k < 0:
-            k += self.length
-        if not 0 <= k < self.length:
-            raise IndexError("lasso index out of range")
-        if k >= len(self.stored):
-            k = self.entry + (k - self.entry) % self.period
-        return self.stored[k]
-
-    def __iter__(self) -> Iterator:
-        cycle = itertools.cycle(self.stored[self.entry:])
-        return itertools.chain(self.stored, itertools.islice(
-            cycle, self.length - len(self.stored)))
-
-
-def lasso_shape(*columns: Sequence) -> tuple:
-    """``(entry, period)`` shared by per-step ``columns`` of one run: in each
-    of them every step k >= entry + period repeats step k - period.  A plain
-    sequence is the lasso with no period, so any of them makes it
-    ``(len, 0)``."""
-    if not all(isinstance(column, Lasso) for column in columns):
-        return len(columns[0]), 0
-    return (max(column.entry for column in columns),
-            math.lcm(*(column.period for column in columns)))
-
-
-def steady_step(d: Sequence) -> int:
-    """The least step from which the disturbance column ``d`` (a tuple or
-    a period-1 lasso) keeps its last value, by exact equality."""
-    values = d.stored if isinstance(d, Lasso) else d
-    s = max(len(values) - 1, 0)
-    while s and values[s - 1] == values[-1]:
-        s -= 1
-    return s
-
-
-def map_steps(fn, column: Sequence) -> Sequence:
-    """The column of ``fn(value)``, in the same layout (lasso or tuple),
-    with ``fn`` called once per stored step."""
-    if isinstance(column, Lasso):
-        stored = tuple(map(fn, column.stored))
-        return dataclasses.replace(column, stored=stored)
-    return tuple(map(fn, column))
-
-
-def _branches(rho_e: Sequence[int], switched: bool) -> tuple:
-    """The branch column: which switched-law branch produced each state."""
-    zero, nonzero = (MODE_ZERO, MODE_NONZERO) if switched else (MODE_NA,) * 2
-    return (MODE_NA, *[zero if r == 0 else nonzero for r in rho_e[1:]])
+def branch(rho_e: int, switched: bool) -> str:
+    """The switched-law branch that produced a state at a step k >= 1 from
+    its quantized error ``rho_e``; ``n/a`` for the other laws."""
+    if not switched:
+        return MODE_NA
+    return MODE_ZERO if rho_e == 0 else MODE_NONZERO
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A run as columns with one entry per step ``k = 0 .. horizon`` (see
-    the module docstring for the layout).  ``records`` gives a per-step
-    view."""
+    """A run of ``length`` steps: columns of the stored steps 0..s-1, each
+    later step repeating stored step ``entry + (k - entry) % period`` with
+    period s - entry (0 when every step is stored), the law's ``switched``
+    flag for the branches, and a per-step ``records`` view."""
 
-    e: Sequence
-    u: Sequence
-    rho_e: Sequence
-    rho_u: Sequence
-    d: Sequence
-    branch: Sequence
+    e: tuple
+    u: tuple
+    rho_e: tuple
+    rho_u: tuple
+    d: tuple
+    entry: int
+    length: int
+    switched: bool = False
     mode: str = "exact"
 
+    @property
+    def period(self) -> int:
+        return len(self.rho_e) - self.entry
+
     def __len__(self) -> int:
-        return len(self.rho_e)
+        return self.length
+
+    def index(self, k: int) -> int:
+        """The stored step that logical step ``0 <= k < length`` repeats."""
+        if k < len(self.rho_e):
+            return k
+        return self.entry + (k - self.entry) % self.period
 
     @cached_property
     def records(self) -> tuple:
         """The run as per-step records, built on first use."""
-        return tuple(map(TrajectoryRecord, itertools.count(), self.e, self.u,
-                         self.rho_e, self.rho_u, self.d, self.branch))
+        return tuple(
+            TrajectoryRecord(k, self.e[i], self.u[i], self.rho_e[i],
+                             self.rho_u[i], self.d[i],
+                             branch(self.rho_e[i], self.switched) if k
+                             else MODE_NA)
+            for k, i in enumerate(map(self.index, range(self.length))))
 
 
 def simulate(config: LoopConfig) -> Trajectory:
@@ -444,25 +402,28 @@ def simulate(config: LoopConfig) -> Trajectory:
     lattice = mode == "exact" and quantized
     coerce = Fraction if mode == "exact" else float
     alpha, e, u = map(coerce, (config.alpha, config.e0, config.u0))
-    d = map_steps(coerce, config.disturbance.column(n))
+    d = tuple(map(coerce, config.disturbance.column(n)))
     if lattice:
-        den = math.lcm(*(z.denominator for z in (alpha, e, u, *d.stored)))
+        den = math.lcm(*(z.denominator for z in (alpha, e, u, *d)))
         e, u = _scaled(e, den), _scaled(u, den)
         # both step functions take (alpha, q, switched, state, d), where q
         # is the kernel's den or the generic law's quantizer
         step, alpha, q = _lattice_step, _scaled(alpha, den), den
         state = e, u, _rho_scaled(e, den), _rho_scaled(u, den)
-        inputs = map_steps(lambda z: _scaled(z, den), d)
+        inputs = [_scaled(z, den) for z in d]
     else:
         step, q = _law, round_half_away if quantized else _identity
         state, inputs = (e, u), d
 
     # A lattice state carries its quantized views, which (e, u) determine,
     # so the whole state is the recurrence key.
-    steady = steady_step(d) if mode == "exact" else n
+    steady = len(d) - 1 if mode == "exact" else n
+    while 0 < steady < n and d[steady - 1] == d[-1]:
+        steady -= 1
     states, seen, entry = [state], {}, None
     if not steady:
         seen[state] = 0
+    inputs = itertools.chain(inputs, itertools.repeat(inputs[-1]))
     for k, d_k in enumerate(itertools.islice(inputs, n - 1), 1):
         state = step(alpha, q, switched, state, d_k)
         if k >= steady:
@@ -478,17 +439,10 @@ def simulate(config: LoopConfig) -> Trajectory:
         e, u = tuple(map(value, e)), tuple(map(value, u))
     else:
         rho = tuple(map(round_half_away, e)), tuple(map(round_half_away, u))
-    rho_e, rho_u = rho
-
-    def column(values, start=entry) -> Sequence:
-        return values if entry is None else Lasso(values, start, n)
-
-    if entry == 0:  # step k = period has a branch, unlike step 0
-        branch = column(_branches(rho_e + rho_e[:1], switched), 1)
-    else:
-        branch = column(_branches(rho_e, switched))
-    return Trajectory(column(e), column(u), column(rho_e), column(rho_u), d,
-                      branch, mode)
+    s = len(states)
+    d = d[:s] + d[-1:] * (s - len(d))
+    return Trajectory(e, u, *rho, d, s if entry is None else entry, n,
+                      switched, mode)
 
 
 def shift_trajectory(traj: Trajectory, dbar: Scalar) -> Trajectory:
@@ -501,10 +455,10 @@ def shift_trajectory(traj: Trajectory, dbar: Scalar) -> Trajectory:
     on a half-integer that the shift moves across zero.
     """
     offset = round_half_away(dbar)
-    u = map_steps(lambda z: z + offset, traj.u)
+    u = tuple(z + offset for z in traj.u)
     return dataclasses.replace(
-        traj, u=u, rho_u=map_steps(round_half_away, u),
-        d=map_steps(lambda z: z - offset, traj.d))
+        traj, u=u, rho_u=tuple(map(round_half_away, u)),
+        d=tuple(z - offset for z in traj.d))
 
 
 @contextlib.contextmanager
@@ -540,32 +494,35 @@ _CSV_CHUNK = 1024
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with the canonical column order.
 
-    The text after ``k`` is formatted once per stored step (a chunk at a
-    time) and written again for every step that repeats it, one period at
-    a time.  No field holds a line break, so the CSV rows of a chunk split
-    at line ends.
+    Row 0, which has no branch, is written on its own.  The text after
+    ``k`` of every later row is formatted once per stored step (a chunk at
+    a time) and written again for every step that repeats it, one period
+    at a time.  No field holds a line break, so the CSV rows of a chunk
+    split at line ends.
     """
-    columns = (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d, traj.branch)
-    n = len(traj)
-    entry, period = lasso_shape(*columns)
-    stored = min(n, entry + period)
+    n, stored = len(traj), len(traj.rho_e)
 
     def tails(lo: int, hi: int) -> list:
-        e, u, rho_e, rho_u, d, branch = (c[lo:hi] for c in columns)
         buf = io.StringIO()
+        rho_e = traj.rho_e[lo:hi]
         csv.writer(buf).writerows(zip(
-            map(format_scalar, e), map(format_scalar, u), rho_e, rho_u,
-            map(format_scalar, d), branch))
+            map(format_scalar, traj.e[lo:hi]),
+            map(format_scalar, traj.u[lo:hi]), rho_e, traj.rho_u[lo:hi],
+            map(format_scalar, traj.d[lo:hi]),
+            [branch(r, traj.switched) for r in rho_e]))
         return buf.getvalue().split("\r\n")[:-1]
 
     def rows(k: int, lines: list) -> str:
         return "".join(map("{},{}\r\n".format, itertools.count(k), lines))
 
     with atomic_open(path, newline="") as fh:
-        csv.writer(fh).writerow(TRAJECTORY_COLUMNS)
-        for lo in range(0, stored, _CSV_CHUNK):
+        csv.writer(fh).writerows((TRAJECTORY_COLUMNS, (
+            0, format_scalar(traj.e[0]), format_scalar(traj.u[0]),
+            traj.rho_e[0], traj.rho_u[0], format_scalar(traj.d[0]),
+            MODE_NA)))
+        for lo in range(1, stored, _CSV_CHUNK):
             fh.write(rows(lo, tails(lo, min(lo + _CSV_CHUNK, stored))))
         if stored < n:
-            cycle = tails(entry, stored)
-            for lo in range(stored, n, period):
+            cycle = tails(traj.entry, stored)
+            for lo in range(stored, n, traj.period):
                 fh.write(rows(lo, cycle[:n - lo]))

@@ -30,6 +30,7 @@ from .dynamics import (
     _lattice_step,
     _rho_scaled,
     _scaled,
+    checked_count,
     in_capture_range,
     write_csv,
 )
@@ -70,11 +71,9 @@ class GridSpec:
     budget: int = 10_000
 
     def __post_init__(self):
-        for name in ("alpha_count", "delta_d_count", "init_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+        for count in (self.alpha_count, self.delta_d_count, self.init_count,
+                      self.budget):
+            checked_count(count)
 
     def alphas(self) -> list:
         return grid_values(self.alpha_lo, self.alpha_hi, self.alpha_count)

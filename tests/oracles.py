@@ -1,11 +1,15 @@
 """Test-side oracles: helpers only the tests use, kept out of the package.
 
 * :func:`simulate_shifted` runs the switched loop in shifted coordinates;
+* :func:`disturbance_value` evaluates a disturbance at one step, the
+  per-step reference of :meth:`Disturbance.column`;
 * :func:`read_trajectory_csv` reads a trajectory CSV back into dense
   columns (the CSV oracle), with :func:`parse_csv_scalar` for its cells;
-* :func:`cycle_oracle` finds a dense run's first state recurrence by
-  hashing its steps in order, the report :func:`detect_cycle` reads off a
-  lasso;
+* :func:`steady_step` finds the step from which a disturbance column
+  keeps its last value;
+* :func:`cycle_oracle` finds a run's first state recurrence by hashing its
+  logical steps in order, the report :func:`detect_cycle` reads off the
+  run's entry and period;
 * :func:`int_part` and :func:`frac_part` split a scalar at zero, as the
   rounding identities of ``test_numerics`` state them.
 """
@@ -16,6 +20,7 @@ from fractions import Fraction
 
 from quantloop.analysis import CycleReport
 from quantloop.dynamics import (
+    MODE_NA,
     TRAJECTORY_COLUMNS,
     Disturbance,
     LoopConfig,
@@ -38,6 +43,26 @@ def simulate_shifted(alpha, delta_d, e0, u_bar0, horizon, mode="exact"):
     return simulate(config)
 
 
+def disturbance_value(disturbance: Disturbance, k: int) -> Scalar:
+    """The value of ``disturbance`` at step ``k >= 0``, found by scanning
+    its breakpoints or samples."""
+    if k < 0:
+        raise ValueError("step index must be non-negative")
+    if disturbance.kind == "constant":
+        return disturbance.value
+    if disturbance.kind == "samples":
+        return disturbance.samples[min(k, len(disturbance.samples) - 1)]
+    points = disturbance.breakpoints
+    if k <= points[0][0]:
+        return points[0][1]
+    if k >= points[-1][0]:
+        return points[-1][1]
+    for (k0, v0), (k1, v1) in zip(points, points[1:]):
+        if k0 <= k <= k1:
+            return v0 + (v1 - v0) * Fraction(k - k0, k1 - k0)
+    raise AssertionError("unreachable")
+
+
 def parse_csv_scalar(text: str, mode: str) -> Scalar:
     """Parse a scalar from a CSV cell, given the trajectory's arithmetic mode."""
     if mode == "float":
@@ -46,8 +71,8 @@ def parse_csv_scalar(text: str, mode: str) -> Scalar:
 
 
 def read_trajectory_csv(path, mode: str = "exact") -> Trajectory:
-    """Read a trajectory CSV back as dense columns; ``mode`` selects the
-    scalar parser.  Exact-mode round trips are bit-exact."""
+    """Read a trajectory CSV back as a run stored step by step; ``mode``
+    selects the scalar parser.  Exact-mode round trips are bit-exact."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -62,23 +87,32 @@ def read_trajectory_csv(path, mode: str = "exact") -> Trajectory:
         return tuple(parse_csv_scalar(t, mode) for t in texts)
 
     return Trajectory(column(e), column(u), tuple(map(int, rho_e)),
-                      tuple(map(int, rho_u)), column(d), branch, mode)
+                      tuple(map(int, rho_u)), column(d), len(rows), len(rows),
+                      any(b != MODE_NA for b in branch), mode)
+
+
+def steady_step(d) -> int:
+    """The least step from which the disturbance column ``d`` keeps its
+    last value, by exact equality."""
+    s = max(len(d) - 1, 0)
+    while s and d[s - 1] == d[-1]:
+        s -= 1
+    return s
 
 
 def cycle_oracle(traj: Trajectory) -> CycleReport:
     """The cycle report of a run found step by step: the first (e, u)
     recurrence (j, k) with j at or after the least step from which the
     ``d`` column keeps its last value."""
-    e, u, d = list(traj.e), list(traj.u), list(traj.d)
-    steady = len(d) - 1
-    while steady and d[steady - 1] == d[-1]:
-        steady -= 1
+    records = traj.records
+    e, u, d = ([r.e for r in records], [r.u for r in records],
+               [r.d for r in records])
     seen = {}
-    for k in range(steady, len(e)):
+    for k in range(steady_step(d), len(e)):
         j = seen.setdefault((e[k], u[k]), k)
         if j < k:
             return CycleReport(
-                periodic=True, n=sum(r != 0 for r in traj.rho_e[j:k]),
+                periodic=True, n=sum(r.rho_e != 0 for r in records[j:k]),
                 m=k - j, entry_step=j)
     return CycleReport(periodic=False)
 

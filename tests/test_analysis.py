@@ -125,7 +125,7 @@ def test_verify_capture_not_entered():
     traj = simulate_shifted(F(11, 10), F(-3, 10), F(-1, 4), F(6, 10), 200)
     verdict = verify_capture(traj, EntryRegion(F(11, 10), F(-3, 10)))
     assert verdict.status == "not-entered"
-    assert set(zip(traj.rho_e[50:], traj.rho_u[50:])) == {(0, 1), (1, 0)}
+    assert {(r.rho_e, r.rho_u) for r in traj.records[50:]} == {(0, 1), (1, 0)}
 
 
 def test_verify_control_lock_on_capture_scenario():
@@ -315,7 +315,7 @@ def test_capture_keeps_pairs_in_minimal_set(case):
     alpha, delta_d, e0, u0 = case
     traj = simulate_shifted(alpha, delta_d, e0, u0, 120)
     allowed = minimal_invariant_pairs(delta_d)
-    assert all(p in allowed for p in zip(traj.rho_e[1:], traj.rho_u[1:]))
+    assert all((r.rho_e, r.rho_u) in allowed for r in traj.records[1:])
 
 
 @settings(max_examples=120, deadline=None)

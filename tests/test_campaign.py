@@ -34,7 +34,7 @@ from quantloop.reachability import (
     write_grid_csv,
     write_region_csv,
 )
-from oracles import read_trajectory_csv
+from oracles import disturbance_value, read_trajectory_csv
 
 
 def write_json(path, payload):
@@ -129,7 +129,7 @@ def test_load_scenario_round_trip(tmp_path):
     config = load_scenario(path)
     assert config.alpha == F(11, 8)
     assert config.controller == "switched-pi"
-    assert config.disturbance.eval(30) == F(5, 2)
+    assert disturbance_value(config.disturbance, 30) == F(5, 2)
     assert config.horizon == 200
     assert config.mode == "exact"
 
@@ -176,7 +176,7 @@ def test_scenario_from_dict_samples_kind():
     payload = dict(RAMP_SCENARIO)
     payload["disturbance"] = {"kind": "samples", "values": ["1/2", "1/4"]}
     config = scenario_from_dict(payload)
-    assert config.disturbance.eval(5) == F(1, 4)
+    assert disturbance_value(config.disturbance, 5) == F(1, 4)
 
 
 # --- scenario runner --------------------------------------------------------
@@ -259,7 +259,7 @@ def _failing_writes():
     n = 3000  # past the first chunk of rows the trajectory writer formats
     traj = Trajectory((F(0),) * n, (F(0),) * n,
                       (0,) * (n - 1) + (Unprintable(),), (0,) * n,
-                      (F(0),) * n, ("n/a",) * n)
+                      (F(0),) * n, n, n)
     return [
         (write_trajectory_csv, traj),
         (campaign.write_json, {"delta_d": "1/5", "cycle": Unprintable()}),

@@ -409,16 +409,50 @@ def test_cycles_predicts_only_switched_runs(tmp_path, controller, cycle):
     assert list(report) == keys
 
 
+def ramp_scenario(breakpoints):
+    return dict(CYCLE_SCENARIO, disturbance={"kind": "piecewise-linear",
+                                             "breakpoints": breakpoints})
+
+
 @pytest.mark.parametrize("command, payload, message", [
-    ("sweep", dict(GRID, budget=0), "budget must be >= 1"),
+    ("sweep", dict(GRID, budget=0),
+     "key 'budget': expected an integer >= 1, got 0"),
     ("sweep", dict(GRID, init={"box": "2", "count": 0}),
-     "init_count must be >= 1"),
+     "key 'init.count': expected an integer >= 1, got 0"),
     ("table1", {"disturbances": ["1/10"], "horizon": 0},
-     "horizon must be >= 1"),
+     "key 'horizon': expected an integer >= 1, got 0"),
     ("table1", {"disturbances": ["1/10"], "alpha": "1"},
-     "alpha=1 is outside (1, 3); the loop is unstable"),
+     "key 'alpha': alpha=1 is outside (1, 3); the loop is unstable"),
     ("table1", {"disturbances": ["1/10"], "alpha": "5"},
-     "alpha=5 is outside (1, 3); the loop is unstable"),
+     "key 'alpha': alpha=5 is outside (1, 3); the loop is unstable"),
+    ("sweep", dict(GRID, alpha={"lo": "1.3", "hi": "1.4", "count": 0}),
+     "key 'alpha.count': expected an integer >= 1, got 0"),
+    ("sweep", dict(GRID, delta_d={"lo": "0", "hi": "0", "count": -2}),
+     "key 'delta_d.count': expected an integer >= 1, got -2"),
+    ("simulate", dict(CYCLE_SCENARIO, controller="pid"),
+     "key 'controller': unknown controller: 'pid'"),
+    ("simulate", dict(CYCLE_SCENARIO, alpha="3"),
+     "key 'alpha': alpha=3 is outside (1, 3); the loop is unstable"),
+    ("simulate", dict(CYCLE_SCENARIO, horizon=-1),
+     "key 'horizon': expected an integer >= 0, got -1"),
+    # every breakpoint is a [step, value] pair
+    ("simulate", ramp_scenario([[5]]), "key 'disturbance.breakpoints': "
+     "expected a [step, value] pair, got [5]"),
+    ("simulate", ramp_scenario([[5, "1", 7]]), "key 'disturbance.breakpoints': "
+     "expected a [step, value] pair, got [5, '1', 7]"),
+    ("simulate", ramp_scenario([{"k": 5}]), "key 'disturbance.breakpoints': "
+     "expected a [step, value] pair, got {'k': 5}"),
+    ("simulate", ramp_scenario([5]), "key 'disturbance.breakpoints': "
+     "expected a [step, value] pair, got 5"),
+    ("simulate", ramp_scenario([[5, "1"], [5, "2"]]),
+     "key 'disturbance.breakpoints': breakpoint steps must be strictly "
+     "increasing"),
+    ("simulate", ramp_scenario([]), "key 'disturbance.breakpoints': "
+     "piecewise-linear disturbance needs breakpoints"),
+    ("simulate", dict(CYCLE_SCENARIO, disturbance={"kind": "samples",
+                                                   "values": []}),
+     "key 'disturbance.values': samples disturbance needs at least one "
+     "value"),
 ])
 def test_spec_errors_name_the_file(tmp_path, capsys, command, payload,
                                    message):

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantloop.analysis import detect_cycle
@@ -26,7 +26,12 @@ from quantloop.dynamics import (
     write_trajectory_csv,
 )
 from quantloop.numerics import parse_scalar, round_half_away
-from oracles import cycle_oracle, read_trajectory_csv, simulate_shifted
+from oracles import (
+    cycle_oracle,
+    disturbance_value,
+    read_trajectory_csv,
+    simulate_shifted,
+)
 
 # Half-integer quantizer ties are where the original/shifted equivalence
 # genuinely breaks (see test_shift_tie_divergence), so the equivalence
@@ -138,24 +143,58 @@ def test_shift_rounds_the_shifted_control():
 
 def test_constant_disturbance():
     d = Disturbance.constant(F(12, 10))
-    assert d.eval(0) == d.eval(999) == F(6, 5)
+    assert d.column(1000) == (F(6, 5),)
+    assert disturbance_value(d, 0) == disturbance_value(d, 999) == F(6, 5)
     assert d.is_constant
 
 
 def test_ramp_disturbance_interpolates_and_holds():
     d = Disturbance.ramp([(20, F(26, 10)), (40, F(24, 10))])
-    assert d.eval(30) == F(5, 2)          # midpoint crosses the threshold
-    assert d.eval(10) == F(13, 5)         # hold before the first breakpoint
-    assert d.eval(20) == F(13, 5)
-    assert d.eval(40) == F(12, 5)
-    assert d.eval(95) == F(12, 5)         # hold after the last breakpoint
-    assert d.eval(35) == F(26, 10) + (F(24, 10) - F(26, 10)) * F(15, 20)
+    column = d.column(96)
+    assert len(column) == 41              # held from the last breakpoint on
+    assert column[30] == F(5, 2)          # midpoint crosses the threshold
+    assert column[10] == column[20] == F(13, 5)  # hold before the first one
+    assert column[40] == disturbance_value(d, 95) == F(12, 5)
+    assert column[35] == F(26, 10) + (F(24, 10) - F(26, 10)) * F(15, 20)
     assert not d.is_constant
 
 
 def test_samples_disturbance_holds_last():
     d = Disturbance.from_samples([F(1), F(2), F(3)])
-    assert [d.eval(k) for k in range(5)] == [1, 2, 3, 3, 3]
+    assert d.column(5) == (1, 2, 3)
+    assert [disturbance_value(d, k) for k in range(5)] == [1, 2, 3, 3, 3]
+
+
+ramp_values = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.floats(min_value=-6, max_value=6))
+
+
+@st.composite
+def ramps(draw):
+    """Ramps with breakpoints on both sides of step 0, exact or float."""
+    steps = sorted(draw(st.sets(st.integers(-40, 40), min_size=1,
+                                max_size=5)))
+    return Disturbance.ramp([(k, draw(ramp_values)) for k in steps])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ramps(), st.lists(ramp_values, min_size=1, max_size=8).map(
+    Disturbance.from_samples), ramp_values.map(Disturbance.constant)),
+    st.integers(1, 80))
+@example(Disturbance.ramp([(-3, F(1, 2))]), 5)
+@example(Disturbance.ramp([(7, F(1, 2))]), 5)
+@example(Disturbance.ramp([(-9, F(1, 3)), (-2, F(-1, 3))]), 1)
+def test_disturbance_column_matches_its_per_step_values(disturbance, n):
+    # the same values, floats bit for bit, cut at n or at a step from which
+    # the signal holds its last value
+    column = disturbance.column(n)
+    assert 1 <= len(column) <= n
+    assert list(map(repr, column)) == [
+        repr(disturbance_value(disturbance, k)) for k in range(len(column))]
+    if len(column) < n:
+        assert all(disturbance_value(disturbance, k) == column[-1]
+                   for k in range(len(column), n + 40))
 
 
 def test_disturbance_validation():
@@ -168,7 +207,7 @@ def test_disturbance_validation():
     with pytest.raises(ValueError):
         Disturbance(kind="white-noise")
     with pytest.raises(ValueError):
-        Disturbance.constant(F(1)).eval(-1)
+        disturbance_value(Disturbance.constant(F(1)), -1)
 
 
 # --- config validation ------------------------------------------------------
@@ -262,7 +301,8 @@ def test_standard_records_have_no_branch_annotation():
 
 def test_capture_scenario_reaches_minimal_pairs():
     traj = simulate_shifted(F(11, 10), F(4, 10), F(2, 10), F(6, 10), 100)
-    assert set(zip(traj.rho_e[20:], traj.rho_u[20:])) == {(0, 0), (1, -1)}
+    assert {(r.rho_e, r.rho_u) for r in traj.records[20:]} == \
+        {(0, 0), (1, -1)}
 
 
 def test_standard_pi_limit_cycle_commutes():
@@ -279,7 +319,7 @@ def test_time_varying_disturbance_runs_in_original_coordinates():
     config = LoopConfig(alpha=F(11, 8), controller="switched-pi",
                         disturbance=ramp, e0=0, u0=0, horizon=30)
     traj = simulate(config)
-    assert traj.records[10].d == ramp.eval(10)
+    assert traj.records[10].d == disturbance_value(ramp, 10)
     assert len(traj) == 31
 
 
@@ -324,7 +364,7 @@ def test_pi_schemes_coincide_without_quantizers(alpha, dbar, e0, u0):
     for _ in range(30):
         e, u = _law(alpha, _identity, True, (e, u), dbar)
         states.append((e, u))
-    assert list(zip(traj.e, traj.u)) == states
+    assert [(r.e, r.u) for r in traj.records] == states
     assert len(traj) == 31
 
 
@@ -394,7 +434,7 @@ def law_records(config, mode="exact"):
         branch = MODE_NA
         if k and config.controller == "switched-pi":
             branch = MODE_ZERO if round_half_away(e) == 0 else MODE_NONZERO
-        d_k = coerce(config.disturbance.eval(k))
+        d_k = coerce(disturbance_value(config.disturbance, k))
         records.append(TrajectoryRecord(k, e, u, round_half_away(e),
                                         round_half_away(u), d_k, branch))
         e, u = _law(alpha, quantize, config.controller == "switched-pi",
@@ -500,8 +540,9 @@ def test_records_view_matches_law_run(config, mode):
     traj = simulate(config)
     assert traj.mode == mode
     assert traj.records == law_records(config, mode)
+    assert len(traj) == config.horizon + 1
     for column in (traj.e, traj.u, traj.d):
-        assert len(column) == len(traj) == config.horizon + 1
+        assert len(column) == traj.entry + traj.period <= len(traj)
 
 
 @pytest.mark.parametrize("controller", ["switched-pi", "standard-pi"])

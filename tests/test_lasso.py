@@ -28,17 +28,14 @@ from quantloop.dynamics import (
     MODE_ZERO,
     TRAJECTORY_COLUMNS,
     Disturbance,
-    Lasso,
     LoopConfig,
     Trajectory,
-    lasso_shape,
     shift_trajectory,
     simulate,
-    steady_step,
     write_trajectory_csv,
 )
 from quantloop.numerics import format_scalar, rounding_error
-from oracles import cycle_oracle
+from oracles import cycle_oracle, steady_step
 from test_dynamics import lattice_disturbances, law_records
 
 # rationals, the rounding ties Z + 1/2, and disturbances at |delta_d| = 1/2
@@ -63,14 +60,14 @@ def constant_config(alpha, controller, dbar, e0, u0, horizon):
 
 
 def dense_run(traj: Trajectory) -> Trajectory:
-    """The run of ``traj`` stored densely, built from its records."""
+    """The run of ``traj`` stored step by step, built from its records."""
     records = traj.records
     return Trajectory(tuple(r.e for r in records),
                       tuple(r.u for r in records),
                       tuple(r.rho_e for r in records),
                       tuple(r.rho_u for r in records),
-                      tuple(r.d for r in records),
-                      tuple(r.mode for r in records), traj.mode)
+                      tuple(r.d for r in records), len(traj), len(traj),
+                      traj.switched, traj.mode)
 
 
 def csv_bytes(traj: Trajectory, path) -> bytes:
@@ -104,7 +101,7 @@ def lasso_runs(draw):
                         disturbance=disturbance, e0=e0, u0=u0,
                         horizon=longest)
     traj = simulate(config)
-    entry, period = lasso_shape(traj.e, traj.u)
+    entry, period = traj.entry, traj.period
     if period and draw(st.integers(0, 3)):
         # cut the cycle at every offset
         horizon = (entry + period * draw(st.integers(1, 3))
@@ -122,9 +119,10 @@ def test_lasso_matches_its_dense_expansion(tmp_path_factory, config, start,
     traj = simulate(config)
     dense = dense_run(traj)
     assert traj.records == dense.records == law_records(config)
-    for column in (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d,
-                   traj.branch):
-        assert len(column) == config.horizon + 1
+    assert len(traj) == config.horizon + 1
+    assert {len(column) for column in (traj.e, traj.u, traj.rho_e,
+                                       traj.rho_u, traj.d)} == \
+        {traj.entry + traj.period}
 
     work = tmp_path_factory.getbasetemp()
     reference = reference_csv(dense)
@@ -163,9 +161,8 @@ def test_cycle_entered_at_step_zero():
     # state recurs at step 10, but row 0 has no branch and row 10 has one
     config = constant_config(F(11, 8), "switched-pi", F(1, 10), 0, 0, 95)
     traj = simulate(config)
-    assert lasso_shape(traj.e, traj.u) == (0, 10)
-    assert len(traj.e.stored) == 10
-    assert lasso_shape(traj.branch) == (1, 10)
+    assert (traj.entry, traj.period) == (0, 10)
+    assert len(traj.e) == 10
     assert traj.records[0].mode == MODE_NA
     assert traj.records[10].mode == MODE_ZERO
     assert (traj.records[0].e, traj.records[0].u) == \
@@ -176,8 +173,9 @@ def test_cycle_entered_at_step_zero():
 def test_run_without_recurrence_in_the_horizon_stays_dense(tmp_path):
     config = constant_config(F(11, 8), "switched-pi", F(1, 211), 0, 0, 150)
     traj = simulate(config)
-    assert all(isinstance(column, tuple) for column in (
-        traj.e, traj.u, traj.rho_e, traj.rho_u, traj.branch))
+    assert (traj.entry, traj.period) == (151, 0)
+    assert all(len(column) == 151 for column in (
+        traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d))
     assert not detect_cycle(traj).periodic
     assert csv_bytes(traj, tmp_path / "t.csv") == reference_csv(traj)
 
@@ -196,19 +194,19 @@ def test_long_horizon_stores_one_cycle():
     config = constant_config(F(11, 8), "switched-pi", 2 + F(8, 37), F(-7, 3),
                              F(4, 5), horizon)
     traj = simulate(config)
-    assert len(traj) == horizon + 1
-    entry, period = lasso_shape(traj.e, traj.u, traj.rho_e, traj.rho_u,
-                                traj.d, traj.branch)
-    for column in (traj.e, traj.u, traj.rho_e, traj.rho_u):
-        assert isinstance(column, Lasso)
-        assert len(column.stored) <= entry + period
-        assert len(column) == horizon + 1
+    assert len(traj) == horizon + 1 and traj.period
+    for column in (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d):
+        assert len(column) == traj.entry + traj.period
     delta_d = F(8, 37)
     report = detect_cycle(shift_trajectory(traj, config.disturbance.value))
     predicted = predict_cycle(delta_d)
     assert (report.n, report.m) == (predicted.n, predicted.m) == (8, 37)
-    squares = sum(map(operator.mul, itertools.islice(traj.rho_e, horizon),
-                      itertools.islice(traj.rho_e, horizon)))
+
+    def steps():  # rho_e over steps 0..horizon-1
+        cycle = itertools.cycle(traj.rho_e[traj.entry:])
+        return itertools.islice(itertools.chain(traj.rho_e, cycle), horizon)
+
+    squares = sum(map(operator.mul, steps(), steps()))
     assert rms_quantized_error(traj, horizon) == math.sqrt(squares / horizon)
 
 
@@ -221,14 +219,11 @@ def test_settling_ramp_stores_a_lasso():
                                                       (40, F(24, 10))]),
                         e0=0, u0=0, horizon=horizon)
     traj = simulate(config)
-    assert len(traj) == horizon + 1
-    entry, period = lasso_shape(traj.e, traj.u)
-    assert entry >= steady_step(traj.d) == 40
-    for column in (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d,
-                   traj.branch):
-        assert isinstance(column, Lasso)
-        assert len(column.stored) <= 50
-    assert detect_cycle(traj).m == period
+    assert len(traj) == horizon + 1 and traj.period
+    assert traj.entry >= steady_step(traj.d) == 40
+    for column in (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d):
+        assert len(column) == traj.entry + traj.period <= 50
+    assert detect_cycle(traj).m == traj.period
 
 
 def test_deadbeat_unquantized_run_stores_its_fixed_point():
@@ -236,10 +231,9 @@ def test_deadbeat_unquantized_run_stores_its_fixed_point():
     config = constant_config(F(2), "unquantized-pi", F(1, 3), F(1, 5), 0,
                              10 ** 4)
     traj = simulate(config)
-    assert len(traj) == 10 ** 4 + 1
-    for column in (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.branch):
-        assert isinstance(column, Lasso)
-        assert len(column.stored) <= 3
+    assert len(traj) == 10 ** 4 + 1 and traj.period
+    for column in (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d):
+        assert len(column) == traj.entry + traj.period <= 3
     report = detect_cycle(traj)
     assert (report.n, report.m) == (0, 1)
     assert traj.records[-1] == law_records(config)[-1]

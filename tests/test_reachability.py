@@ -116,8 +116,7 @@ def test_capture_classification_is_sound(alpha, delta_d, e0, u0):
                             result.steps_to_entry + 1000)
     allowed = minimal_invariant_pairs(delta_d)
     start = result.steps_to_entry + 1
-    tail = zip(traj.rho_e[start:], traj.rho_u[start:])
-    assert all(pair in allowed for pair in tail)
+    assert all((r.rho_e, r.rho_u) in allowed for r in traj.records[start:])
 
 
 def fraction_classify(alpha, delta_d, e0, u_bar0, budget):
