@@ -236,9 +236,7 @@ class Disturbance:
     def column(self, n: int) -> tuple:
         """The values at steps 0..h, clamped to n - 1, where from step h on
         the signal holds its last value: 0, the last sample or the last
-        breakpoint floored at 0.  An exact ramp segment is walked by adding
-        its constant increment, one with a float end interpolated at each
-        step."""
+        breakpoint floored at 0."""
         if self.kind == "constant":
             return (self.value,)
         if self.kind == "samples":
@@ -251,15 +249,8 @@ class Disturbance:
             # values holds steps 0..len-1; the last breakpoint takes v_last
             steps = range(len(values), min(k1 if k1 < k_last else k1 - 1,
                                            held) + 1)
-            if is_exact(v0) and is_exact(v1):
-                rate = Fraction(v1 - v0, k1 - k0)
-                value = v0 + rate * (steps.start - k0)
-                for _ in steps:
-                    values.append(value)
-                    value += rate
-            else:
-                values += [v0 + (v1 - v0) * Fraction(k - k0, k1 - k0)
-                           for k in steps]
+            values += [v0 + (v1 - v0) * Fraction(k - k0, k1 - k0)
+                       for k in steps]
         values += [v_last] * (held + 1 - len(values))
         return tuple(values)
 
@@ -449,16 +440,19 @@ def shift_trajectory(traj: Trajectory, dbar: Scalar) -> Trajectory:
     """Map a constant-disturbance run into shifted coordinates.
 
     The control input becomes ``u + rho(dbar)`` and the disturbance the
-    rounding error ``d - rho(dbar)``, both computed once per stored step.
+    rounding error ``d - rho(dbar)``: the control once per stored step, the
+    disturbance once per distinct value, so the column's repeats stay one
+    shared object.
     The quantized view of the shifted control is recomputed by rounding
     rather than by offsetting rho(u): the two differ when u sits exactly
     on a half-integer that the shift moves across zero.
     """
     offset = round_half_away(dbar)
     u = tuple(z + offset for z in traj.u)
+    d = {z: z - offset for z in set(traj.d)}
     return dataclasses.replace(
         traj, u=u, rho_u=tuple(map(round_half_away, u)),
-        d=tuple(z - offset for z in traj.d))
+        d=tuple(map(d.__getitem__, traj.d)))
 
 
 @contextlib.contextmanager

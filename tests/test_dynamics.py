@@ -125,6 +125,7 @@ def test_shifted_state_round_trip():
     assert [r.u for r in after] == [r.u + 3 for r in before]
     assert [r.rho_u for r in after] == [round_half_away(r.u + 3) for r in before]
     assert [r.d for r in after] == [F(-3, 10)] * 21
+    assert len(set(map(id, shifted.d))) == 1  # the constant stays one object
     assert [(r.e, r.rho_e, r.mode) for r in after] == \
         [(r.e, r.rho_e, r.mode) for r in before]
     assert shift_trajectory(shifted, -dbar).records == traj.records
