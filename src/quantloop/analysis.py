@@ -93,24 +93,14 @@ class Verdict:
         }
 
 
-def _window(traj: Trajectory, start: int, *columns) -> tuple:
-    """``(steps, views)``: the steps of ``traj`` from ``start`` up to one
-    period past its entry, and each of its ``columns`` over those steps.
-    Every later step repeats one of them; on a run stored step by step the
-    window is every step from ``start``."""
-    steps = range(start, min(len(traj), max(start, traj.entry) + traj.period))
-    # the window's steps are stored steps lo.. then the cycle from its entry
-    lo = traj.index(start) if steps else traj.entry
-    return steps, [(column[lo:] + column[traj.entry:lo])[:len(steps)]
-                   for column in columns]
-
-
-def _repeats(traj: Trajectory, steps) -> tuple:
-    """The window ``steps`` of :func:`_window` and every later step of
-    ``traj`` that repeats one of them, in order."""
-    n, entry, period = len(traj), traj.entry, traj.period
-    return tuple(sorted(k for w in steps for k in (
-        range(w, n, period) if w >= entry else (w,))))
+def _verdict(check: str, traj: Trajectory, flags, start: int,
+             entry_step: Optional[int]) -> Verdict:
+    """The verdict ``check`` on ``traj`` given one flag per stored step:
+    it fails at every step from ``start`` on that repeats a flagged one."""
+    violations = tuple(sorted(k for i, flag in enumerate(flags) if flag
+                              for k in traj.repeats(i) if k >= start))
+    return Verdict(check, "fail" if violations else "pass", entry_step,
+                   violations)
 
 
 def verify_capture(traj: Trajectory, region: EntryRegion) -> Verdict:
@@ -121,17 +111,14 @@ def verify_capture(traj: Trajectory, region: EntryRegion) -> Verdict:
     disturbance.  Returns status ``not-entered`` when the region is never
     reached within the horizon.
     """
-    steps, (es, us) = _window(traj, 0, traj.e, traj.u)
-    entry = next((k for k, e, u in zip(steps, es, us)
+    # a stored step is its own first logical step
+    entry = next((i for i, (e, u) in enumerate(zip(traj.e, traj.u))
                   if in_entry_region(e, u, region)), None)
     if entry is None:
         return Verdict("capture", "not-entered")
     allowed = minimal_invariant_pairs(region.delta_d)
-    steps, views = _window(traj, entry + 1, traj.rho_e, traj.rho_u)
-    violations = _repeats(traj, [k for k, pair in zip(steps, zip(*views))
-                                 if pair not in allowed])
-    status = "pass" if not violations else "fail"
-    return Verdict("capture", status, entry, violations)
+    flags = (pair not in allowed for pair in zip(traj.rho_e, traj.rho_u))
+    return _verdict("capture", traj, flags, entry + 1, entry)
 
 
 def verify_control_lock(
@@ -148,12 +135,8 @@ def verify_control_lock(
         expected = -alpha * rho_e
         return u == expected if exact else abs(u - expected) <= tol
 
-    steps, (us, rho_es) = _window(traj, max(entry_step + 2, 0), traj.u,
-                                  traj.rho_e)
-    violations = _repeats(traj, [k for k, u, rho_e in zip(steps, us, rho_es)
-                                 if not locked(u, rho_e)])
-    status = "pass" if not violations else "fail"
-    return Verdict("control-lock", status, entry_step, violations)
+    flags = (not locked(u, rho_e) for u, rho_e in zip(traj.u, traj.rho_e))
+    return _verdict("control-lock", traj, flags, entry_step + 2, entry_step)
 
 
 def steps_to_switch(delta_d: Scalar, e_start: Scalar) -> int:
@@ -184,11 +167,6 @@ class Interval:
         below = x <= self.hi if self.hi_closed else x < self.hi
         return above and below
 
-    def __str__(self) -> str:
-        left = "[" if self.lo_closed else "("
-        right = "]" if self.hi_closed else ")"
-        return f"{left}{format_scalar(self.lo)}, {format_scalar(self.hi)}{right}"
-
     def to_record(self) -> dict:
         return {"lo": format_scalar(self.lo), "hi": format_scalar(self.hi),
                 "lo_closed": self.lo_closed, "hi_closed": self.hi_closed}
@@ -210,11 +188,8 @@ def cycle_error_band(delta_d: Scalar) -> Interval:
 
 def verify_band(traj: Trajectory, band: Interval, start: int) -> Verdict:
     """Check that every error sample from step ``start`` on lies in ``band``."""
-    steps, (es,) = _window(traj, max(start, 0), traj.e)
-    violations = _repeats(traj, [k for k, e in zip(steps, es)
-                                 if e not in band])
-    status = "pass" if not violations else "fail"
-    return Verdict("band", status, start, violations)
+    flags = (e not in band for e in traj.e)
+    return _verdict("band", traj, flags, start, start)
 
 
 @dataclass(frozen=True)
@@ -276,11 +251,6 @@ def predict_cycle(delta_d: Scalar) -> CycleReport:
                        error_band=band)
 
 
-def _count_switches(traj: Trajectory, start: int, period: int) -> int:
-    return sum(1 for k in range(start, start + period)
-               if traj.rho_e[traj.index(k)] != 0)
-
-
 def detect_cycle(traj: Trajectory) -> CycleReport:
     """The period and entry step of the run's exact state recurrence.
 
@@ -298,7 +268,7 @@ def detect_cycle(traj: Trajectory) -> CycleReport:
         return CycleReport(periodic=False)
     return CycleReport(
         periodic=True,
-        n=_count_switches(traj, traj.entry, traj.period),
+        n=sum(1 for rho_e in traj.rho_e[traj.entry:] if rho_e != 0),
         m=traj.period,
         entry_step=traj.entry,
     )
@@ -337,7 +307,8 @@ def detect_cycle_approx(traj: Trajectory, tol: float = 1e-9) -> CycleReport:
             ):
                 return CycleReport(
                     periodic=True,
-                    n=_count_switches(traj, j, period),
+                    n=sum(1 for i in range(j, k)
+                          if traj.rho_e[traj.index(i)] != 0),
                     m=period,
                     entry_step=j,
                 )

@@ -93,19 +93,15 @@ class RmsRow:
 
 def rms_quantized_error(traj: Trajectory, horizon: int) -> float:
     """RMS of the quantized error over steps 0..horizon-1."""
+    checked_count(horizon)
     if len(traj) < horizon:
         raise ValueError(
             f"trajectory has {len(traj)} records, horizon {horizon} needs "
             f"at least {horizon}")
-    # steps past the stored ones repeat the cycle: whole cycles times the
-    # cycle's sum plus a part cycle, an exact int sum
-    stored = min(horizon, len(traj.rho_e))
-    squares = [rho_e ** 2 for rho_e in traj.rho_e[:stored]]
-    total = sum(squares)
-    if horizon > stored:
-        cycles, rest = divmod(horizon - stored, traj.period)
-        total += (cycles * sum(squares[traj.entry:])
-                  + sum(squares[traj.entry:traj.entry + rest]))
+    # each nonzero stored square counts once per step before the horizon
+    # that repeats it, an exact int sum
+    total = sum(rho_e ** 2 * len(traj.repeats(i, horizon))
+                for i, rho_e in enumerate(traj.rho_e) if rho_e)
     return math.sqrt(total / horizon)
 
 

@@ -51,10 +51,12 @@ is therefore final: step k and every later step repeat steps j..k-1.
 Every exact run, under all three laws, stops there, stores steps 0..k-1
 and keeps the entry j: the run, not each column, owns the shape, and
 :meth:`Trajectory.index` maps each logical step to the stored step it
-repeats, so memory is O(entry + period) whatever the horizon.  A float
-run, or an exact run whose recurrence lies beyond the horizon, stores
-every step (entry s, no period).  Consumers do their per-step work over
-the stored steps and expand to logical steps only where they report them.
+repeats, so memory is O(entry + period) whatever the horizon, and
+:meth:`Trajectory.repeats`, its inverse, gives the logical steps that
+repeat a stored step.  A float run, or an exact run whose recurrence lies
+beyond the horizon, stores every step (entry s, no period).  Consumers do
+their per-step work over the stored steps and ask the run where each
+recurs; no other module maps between stored and logical steps.
 The branch that produced a state follows from ``rho_e`` and the law
 (:func:`branch`) and is not stored; step 0 has none.
 """
@@ -350,6 +352,15 @@ class Trajectory:
         if k < len(self.rho_e):
             return k
         return self.entry + (k - self.entry) % self.period
+
+    def repeats(self, i: int, stop: Optional[int] = None) -> range:
+        """The logical steps before ``stop`` (the run's length by default)
+        that repeat stored step ``i``: ``i`` alone before the entry, every
+        period from ``i`` on the cycle.  The inverse of :meth:`index`."""
+        stop = self.length if stop is None else stop
+        if i < self.entry:
+            return range(i, min(i + 1, stop))
+        return range(i, stop, self.period)
 
     @cached_property
     def records(self) -> tuple:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from quantloop.analysis import (
     EntryRegion,
-    Interval,
     amplitude2_pairs,
     cycle_error_band,
     detect_cycle,
@@ -211,10 +210,6 @@ def test_cycle_error_band_rejects_half():
         cycle_error_band(F(1, 2))
     with pytest.raises(ValueError):
         cycle_error_band(F(-3, 5))
-
-
-def test_interval_str():
-    assert str(Interval(F(-3, 10), F(7, 10), True, False)) == "[-3/10, 7/10)"
 
 
 # --- cycle prediction -------------------------------------------------------

@@ -77,8 +77,11 @@ def test_rms_horizon_too_short():
     config = LoopConfig(alpha=F(11, 8), controller="switched-pi",
                         disturbance=Disturbance.constant(0),
                         e0=0, u0=0, horizon=5)
-    with pytest.raises(ValueError):
-        rms_quantized_error(simulate(config), 10)
+    traj = simulate(config)
+    # past the run, and below one step (no mean over zero steps)
+    for horizon in (10, 0, -3):
+        with pytest.raises(ValueError):
+            rms_quantized_error(traj, horizon)
 
 
 def test_reference_rms_values_single_rows():

@@ -129,8 +129,17 @@ def test_lasso_matches_its_dense_expansion(tmp_path_factory, config, start,
     assert csv_bytes(traj, work / "lasso.csv") == reference
     assert csv_bytes(dense, work / "dense.csv") == reference
 
+    # repeats inverts index, and the repeats of the stored steps partition
+    # the run's steps and every prefix of them
+    stored = range(len(traj.rho_e))
+    for i in stored:
+        assert all(traj.index(k) == i for k in traj.repeats(i))
+    assert sorted(k for i in stored for k in traj.repeats(i)) == \
+        list(range(len(traj)))
+
     horizons = {1, len(traj), data.draw(st.integers(1, len(traj)))}
     for horizon in horizons:
+        assert sum(len(traj.repeats(i, horizon)) for i in stored) == horizon
         assert rms_quantized_error(traj, horizon) == \
             rms_quantized_error(dense, horizon)
 
