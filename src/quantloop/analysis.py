@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import Trajectory, in_capture_range
+from .dynamics import Trajectory, capture_gain
 from .numerics import Scalar, format_scalar, is_exact, sign
 
 _HALF = Fraction(1, 2)
@@ -41,9 +41,7 @@ class EntryRegion:
     delta_d: Scalar
 
     def __post_init__(self):
-        if not in_capture_range(self.alpha):
-            raise ValueError(f"alpha={self.alpha} outside (1, 3/2); "
-                             f"capture region undefined")
+        capture_gain(self.alpha)
 
 
 def in_entry_region(e: Scalar, u_bar: Scalar, region: EntryRegion) -> bool:
@@ -130,6 +128,7 @@ def verify_control_lock(
     """Check that from two steps after capture the residual control equals
     ``-alpha * rho(e)`` (exactly in exact mode, within ``tol`` in float)."""
     exact = traj.mode == "exact"
+    alpha = alpha if exact else float(alpha)
 
     def locked(u: Scalar, rho_e: int) -> bool:
         expected = -alpha * rho_e

@@ -37,10 +37,10 @@ from .dynamics import (
     LoopConfig,
     Trajectory,
     atomic_open,
+    capture_gain,
     checked_controller,
     checked_count,
     checked_mode,
-    in_capture_range,
     shift_trajectory,
     simulate,
     stable_gain,
@@ -55,7 +55,7 @@ from .numerics import (
     parse_scalar,
     rounding_error,
 )
-from .reachability import GridSpec, checked_gain
+from .reachability import GridSpec
 
 #: Disturbance magnitudes of the reference comparison table.  All exact
 #: rationals except the deliberately irrational last entry.
@@ -301,7 +301,7 @@ def load_grid_spec(path: Optional[str] = None) -> GridSpec:
     field = config_fields(raw, str(path), (
         "alpha.lo", "alpha.hi", "alpha.count", "delta_d.lo", "delta_d.hi",
         "delta_d.count", "init.box", "init.count", "budget"))
-    for axis, parse in (("alpha", lambda v: checked_gain(parse_scalar(v))),
+    for axis, parse in (("alpha", lambda v: capture_gain(parse_scalar(v))),
                         ("delta_d",
                          lambda v: checked_residual(parse_scalar(v)))):
         if axis in raw:
@@ -347,9 +347,10 @@ def checked_analyzable(config: LoopConfig, source="scenario") -> LoopConfig:
     if config.controller != "switched-pi":
         raise ValueError(f"{source}: key 'controller': the capture analysis "
                          f"needs 'switched-pi', got {config.controller!r}")
-    if not in_capture_range(config.alpha):
-        raise ValueError(f"{source}: key 'alpha': the capture analysis needs "
-                         f"a gain in (1, 3/2), got {config.alpha}")
+    try:
+        capture_gain(config.alpha)
+    except ValueError as exc:
+        raise ValueError(f"{source}: key 'alpha': {exc}") from None
     return config
 
 

@@ -187,81 +187,67 @@ def in_capture_range(alpha: Scalar) -> bool:
     return 1 < alpha < Fraction(3, 2)
 
 
+def capture_gain(alpha: Scalar) -> Scalar:
+    """``alpha`` if it lies in (1, 3/2) (see :func:`in_capture_range`)."""
+    if not in_capture_range(alpha):
+        raise ValueError(f"the capture analysis needs a gain in (1, 3/2), "
+                         f"got {alpha}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class Disturbance:
-    """Disturbance signal on the control input.
-
-    ``constant`` holds one value forever.  ``piecewise-linear`` holds the
-    first breakpoint value before the first breakpoint, interpolates
-    linearly between breakpoints, and holds the last value afterwards.
-    ``samples`` is an explicit per-step list, holding its last value.
-    """
+    """Disturbance signal on the control input: ``(step, value)``
+    breakpoints with strictly increasing steps.  It holds the first value
+    before the first breakpoint, takes each breakpoint's value at its step,
+    interpolates linearly in between and holds the last value after.  A
+    ``constant`` is one breakpoint at step 0 and ``samples`` one per step;
+    ``kind`` only names the shape, as the config does."""
 
     kind: str
-    value: Optional[Scalar] = None
-    breakpoints: tuple = ()
-    samples: tuple = ()
+    breakpoints: tuple
 
     def __post_init__(self):
-        if self.kind == "constant":
-            if self.value is None:
-                raise ValueError("constant disturbance needs a value")
-        elif self.kind == "piecewise-linear":
-            if not self.breakpoints:
-                raise ValueError("piecewise-linear disturbance needs breakpoints")
-            steps = [k for k, _ in self.breakpoints]
-            if any(b <= a for a, b in zip(steps, steps[1:])):
-                raise ValueError("breakpoint steps must be strictly increasing")
-        elif self.kind == "samples":
-            if not self.samples:
-                raise ValueError("samples disturbance needs at least one value")
-        else:
-            raise ValueError(f"unknown disturbance kind: {self.kind!r}")
+        if not self.breakpoints:
+            raise ValueError(f"{self.kind} disturbance needs at least one "
+                             f"value")
+        steps = [k for k, _ in self.breakpoints]
+        if any(b <= a for a, b in zip(steps, steps[1:])):
+            raise ValueError("breakpoint steps must be strictly increasing")
 
     @classmethod
     def constant(cls, value: Scalar) -> "Disturbance":
-        return cls(kind="constant", value=value)
+        return cls("constant", ((0, value),))
 
     @classmethod
     def ramp(cls, breakpoints: Sequence) -> "Disturbance":
-        return cls(kind="piecewise-linear",
-                   breakpoints=tuple((int(k), v) for k, v in breakpoints))
+        return cls("piecewise-linear",
+                   tuple((int(k), v) for k, v in breakpoints))
 
     @classmethod
     def from_samples(cls, values: Sequence[Scalar]) -> "Disturbance":
-        return cls(kind="samples", samples=tuple(values))
+        return cls("samples", tuple(enumerate(values)))
 
     @property
     def is_constant(self) -> bool:
         return self.kind == "constant"
 
     def column(self, n: int) -> tuple:
-        """The values at steps 0..h, clamped to n - 1, where from step h on
-        the signal holds its last value: 0, the last sample or the last
-        breakpoint floored at 0."""
-        if self.kind == "constant":
-            return (self.value,)
-        if self.kind == "samples":
-            return self.samples[:n]
+        """The values at steps 0..h, clamped to n - 1, where h is the last
+        breakpoint's step floored at 0: from step h on the signal holds its
+        last value."""
         points = self.breakpoints
         (k_first, v_first), (k_last, v_last) = points[0], points[-1]
         held = min(max(k_last, 0), n - 1)
         values = [v_first] * (min(k_first, held) + 1)
         for (k0, v0), (k1, v1) in zip(points, points[1:]):
-            # values holds steps 0..len-1; the last breakpoint takes v_last
-            steps = range(len(values), min(k1 if k1 < k_last else k1 - 1,
-                                           held) + 1)
+            # values holds steps 0..len-1, up to k0 once k0 >= 0
             values += [v0 + (v1 - v0) * Fraction(k - k0, k1 - k0)
-                       for k in steps]
+                       for k in range(len(values), min(k1, held + 1))]
+            if 0 <= k1 <= held:
+                values.append(v1)
         values += [v_last] * (held + 1 - len(values))
         return tuple(values)
-
-    def scalars(self) -> list:
-        if self.kind == "constant":
-            return [self.value]
-        if self.kind == "samples":
-            return list(self.samples)
-        return [v for _, v in self.breakpoints]
 
 
 @dataclass(frozen=True)
@@ -293,12 +279,10 @@ class LoopConfig:
         A config declared exact but containing any float input is promoted
         to float for the whole run.
         """
-        if self.mode == "float":
-            return "float"
-        inputs = [self.alpha, self.e0, self.u0, *self.disturbance.scalars()]
-        if any(not is_exact(z) for z in inputs):
-            return "float"
-        return "exact"
+        inputs = [self.alpha, self.e0, self.u0,
+                  *(v for _, v in self.disturbance.breakpoints)]
+        exact = self.mode == "exact" and all(map(is_exact, inputs))
+        return "exact" if exact else "float"
 
 
 @dataclass(frozen=True)

@@ -19,19 +19,20 @@ tallies of its mirror; an asymmetric axis has every cell classified.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .analysis import amplitude2_pairs, minimal_invariant_pairs
+from .analysis import amplitude2_pairs, checked_residual, minimal_invariant_pairs
 from .dynamics import (
     _lattice_step,
     _rho_scaled,
     _scaled,
+    capture_gain,
     checked_count,
-    in_capture_range,
     write_csv,
 )
 from .numerics import Scalar, format_scalar, sign
@@ -138,8 +139,7 @@ def classify_trajectory(
     a, d, den = a * scale, d * scale, den * scale
     e, u = _scaled(e0, den), _scaled(u_bar0, den)
     state = e, u, _rho_scaled(e, den), _rho_scaled(u, den)
-    seen: dict = {}
-    pairs: list = []
+    seen: dict = {}  # state -> step, in step order
     for k in range(budget + 1):
         e, u, rho_e, rho_u = state
         # -1/2 < e < 1/2, -1/2 < u_bar < 1/2, 1 <= alpha - s u_bar < 3/2
@@ -148,33 +148,29 @@ def classify_trajectory(
             return AttractorClass(TAG_THEOREM1, minimal, k)
         j = seen.setdefault(state, k)
         if j != k:
-            return _classify_cycle(delta_d, frozenset(pairs[j:k]), j)
-        pairs.append((rho_e, rho_u))
+            # seen's keys from the j-th on are the states of steps j..k-1
+            pairs = frozenset(x[2:] for x in itertools.islice(seen, j, None))
+            return _classify_cycle(delta_d, minimal, pairs, j)
         state = _lattice_step(a, den, True, state, d)
-    return AttractorClass(TAG_UNRESOLVED, frozenset(pairs[-8:]), None)
-
-
-def checked_gain(alpha: Scalar) -> Scalar:
-    """``alpha`` if it lies in (1, 3/2), the gains classification covers."""
-    if not in_capture_range(alpha):
-        raise ValueError(f"classification requires a gain in (1, 3/2), "
-                         f"got {alpha}")
-    return alpha
+    last = frozenset(x[2:] for x in list(seen)[-8:])
+    return AttractorClass(TAG_UNRESOLVED, last, None)
 
 
 @functools.lru_cache(maxsize=16)
 def _exact_cell(alpha, delta_d) -> tuple:
     """``(den alpha, den delta_d, den, sign(delta_d), delta_d, minimal set)``
     of one cell, computed once for all its initial states (a sweep runs
-    them in a row); an out-of-range gain raises, so it is never cached."""
-    alpha, delta_d = Fraction(checked_gain(alpha)), Fraction(delta_d)
+    them in a row); a gain or residual out of range raises, so it is never
+    cached."""
+    alpha = Fraction(capture_gain(alpha))
+    delta_d = Fraction(checked_residual(delta_d))
     den = math.lcm(alpha.denominator, delta_d.denominator)
     return (_scaled(alpha, den), _scaled(delta_d, den), den, sign(delta_d),
             delta_d, minimal_invariant_pairs(delta_d))
 
 
-def _classify_cycle(delta_d, cycle_pairs, entry) -> AttractorClass:
-    if cycle_pairs <= minimal_invariant_pairs(delta_d):
+def _classify_cycle(delta_d, minimal, cycle_pairs, entry) -> AttractorClass:
+    if cycle_pairs <= minimal:
         return AttractorClass(TAG_THEOREM1, cycle_pairs, entry)
     amp2 = amplitude2_pairs(delta_d)
     if amp2 is not None and cycle_pairs == amp2:

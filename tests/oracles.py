@@ -45,22 +45,17 @@ def simulate_shifted(alpha, delta_d, e0, u_bar0, horizon, mode="exact"):
 
 def disturbance_value(disturbance: Disturbance, k: int) -> Scalar:
     """The value of ``disturbance`` at step ``k >= 0``, found by scanning
-    its breakpoints or samples."""
+    its breakpoints: interpolated strictly between two of them, else the
+    value of the last breakpoint at or before ``k`` (the first one's before
+    it)."""
     if k < 0:
         raise ValueError("step index must be non-negative")
-    if disturbance.kind == "constant":
-        return disturbance.value
-    if disturbance.kind == "samples":
-        return disturbance.samples[min(k, len(disturbance.samples) - 1)]
     points = disturbance.breakpoints
-    if k <= points[0][0]:
-        return points[0][1]
-    if k >= points[-1][0]:
-        return points[-1][1]
     for (k0, v0), (k1, v1) in zip(points, points[1:]):
-        if k0 <= k <= k1:
+        if k0 < k < k1:
             return v0 + (v1 - v0) * Fraction(k - k0, k1 - k0)
-    raise AssertionError("unreachable")
+    return next((v for step, v in reversed(points) if step <= k),
+                points[0][1])
 
 
 def parse_csv_scalar(text: str, mode: str) -> Scalar:

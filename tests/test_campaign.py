@@ -143,7 +143,7 @@ def test_load_scenario_decimal_strings_stay_exact(tmp_path):
     path = write_json(tmp_path / "scenario.json", payload)
     config = load_scenario(path)
     # JSON floats are re-parsed from their text, not from binary doubles
-    assert config.disturbance.value == F(6, 5)
+    assert config.disturbance.breakpoints == ((0, F(6, 5)),)
 
 
 def test_load_scenario_mode_override(tmp_path):

@@ -337,7 +337,7 @@ def test_sweep_gain_outside_the_capture_range_names_the_key(
     path.write_text(json.dumps(payload))
     assert main(["sweep", "-c", str(path), "-o", str(tmp_path / "out"),
                  "--jobs", "2"]) == 1
-    assert f"error: {path}: key {key!r}: classification requires a gain " \
+    assert f"error: {path}: key {key!r}: the capture analysis needs a gain " \
         "in (1, 3/2)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -448,7 +448,7 @@ def ramp_scenario(breakpoints):
      "key 'disturbance.breakpoints': breakpoint steps must be strictly "
      "increasing"),
     ("simulate", ramp_scenario([]), "key 'disturbance.breakpoints': "
-     "piecewise-linear disturbance needs breakpoints"),
+     "piecewise-linear disturbance needs at least one value"),
     ("simulate", dict(CYCLE_SCENARIO, disturbance={"kind": "samples",
                                                    "values": []}),
      "key 'disturbance.values': samples disturbance needs at least one "

@@ -160,6 +160,20 @@ def test_ramp_disturbance_interpolates_and_holds():
     assert not d.is_constant
 
 
+def test_ramp_takes_each_breakpoint_value_at_its_step(tmp_path):
+    # interpolating up to an interior breakpoint gave 1e16 + (0.3 - 1e16),
+    # which cancels to 0.0; the breakpoint's own value is 0.3
+    d = Disturbance.ramp([(3, 1e16), (5, 0.3), (9, 2.6)])
+    assert d.column(12)[3::2] == (1e16, 0.3, disturbance_value(d, 7), 2.6)
+    assert disturbance_value(d, 5) == 0.3
+    traj = simulate(LoopConfig(F(11, 8), "standard-pi", d, 0, 0, 12,
+                               mode="float"))
+    assert traj.d[5] == 0.3
+    write_trajectory_csv(traj, tmp_path / "traj.csv")
+    row = (tmp_path / "traj.csv").read_text().splitlines()[1 + 5]
+    assert row.split(",")[5] == "0.3"
+
+
 def test_samples_disturbance_holds_last():
     d = Disturbance.from_samples([F(1), F(2), F(3)])
     assert d.column(5) == (1, 2, 3)
@@ -186,6 +200,7 @@ def ramps(draw):
 @example(Disturbance.ramp([(-3, F(1, 2))]), 5)
 @example(Disturbance.ramp([(7, F(1, 2))]), 5)
 @example(Disturbance.ramp([(-9, F(1, 3)), (-2, F(-1, 3))]), 1)
+@example(Disturbance.ramp([(-2, 1.0), (0, -0.0), (3, 1.0)]), 5)
 def test_disturbance_column_matches_its_per_step_values(disturbance, n):
     # the same values, floats bit for bit, cut at n or at a step from which
     # the signal holds its last value
@@ -205,8 +220,6 @@ def test_disturbance_validation():
         Disturbance.ramp([])
     with pytest.raises(ValueError):
         Disturbance.from_samples([])
-    with pytest.raises(ValueError):
-        Disturbance(kind="white-noise")
     with pytest.raises(ValueError):
         disturbance_value(Disturbance.constant(F(1)), -1)
 

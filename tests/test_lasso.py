@@ -146,7 +146,7 @@ def test_lasso_matches_its_dense_expansion(tmp_path_factory, config, start,
     assert detect_cycle(traj) == cycle_oracle(dense)
     if not config.disturbance.is_constant:
         return
-    dbar = config.disturbance.value
+    [(_, dbar)] = config.disturbance.breakpoints
     shifted = shift_trajectory(traj, dbar)
     dense_shifted = shift_trajectory(dense, dbar)
     assert shifted.records == dense_shifted.records
@@ -207,7 +207,8 @@ def test_long_horizon_stores_one_cycle():
     for column in (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d):
         assert len(column) == traj.entry + traj.period
     delta_d = F(8, 37)
-    report = detect_cycle(shift_trajectory(traj, config.disturbance.value))
+    [(_, dbar)] = config.disturbance.breakpoints
+    report = detect_cycle(shift_trajectory(traj, dbar))
     predicted = predict_cycle(delta_d)
     assert (report.n, report.m) == (predicted.n, predicted.m) == (8, 37)
 

@@ -13,7 +13,7 @@ from quantloop.analysis import (
     in_entry_region,
     minimal_invariant_pairs,
 )
-from quantloop.dynamics import _law
+from quantloop.dynamics import _law, capture_gain
 from quantloop.numerics import round_half_away
 from quantloop.reachability import (
     _FULL_SCALE_STEPS,
@@ -78,6 +78,16 @@ def test_classify_amplitude2_boundary_sets():
     assert result.witness_pairs == {(-1, 2), (1, -1)}
 
 
+def test_cycle_inside_the_minimal_set_is_theorem1():
+    # the cell's minimal set, or any part of it, tags a cycle theorem1-set
+    minimal = minimal_invariant_pairs(F(1, 10))
+    for pairs in (minimal, frozenset({(0, 0)})):
+        assert _classify_cycle(F(1, 10), minimal, pairs, 3) == \
+            AttractorClass(TAG_THEOREM1, pairs, 3)
+    assert _classify_cycle(F(1, 10), minimal, frozenset({(0, 0), (-1, 1)}),
+                           3).tag == TAG_ALT_UNIT
+
+
 def test_classify_budget_exhaustion_is_unresolved():
     result = classify_trajectory(F(13, 10), F(3, 10), F(10), F(10), 2)
     assert result.tag == TAG_UNRESOLVED
@@ -100,6 +110,34 @@ def test_classify_zero_residual_half_integer_lattice():
 def test_classify_rejects_out_of_range_gain():
     with pytest.raises(ValueError):
         classify_trajectory(F(8, 5), F(1, 10), 0, 0, 100)
+
+
+@pytest.mark.parametrize("alpha", [1, F(3, 2), F(8, 5), 2])
+def test_every_capture_gain_check_says_the_same(alpha):
+    # the classifier, the capture region and the gain check share one rule
+    message = f"the capture analysis needs a gain in (1, 3/2), got {alpha}"
+    for check in (capture_gain, lambda a: EntryRegion(a, F(1, 10)),
+                  lambda a: classify_trajectory(a, F(1, 10), 0, 0, 100)):
+        with pytest.raises(ValueError) as exc:
+            check(alpha)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("delta_d", [F(2), F(-2), F(1, 2) + F(1, 10 ** 9),
+                                     -0.75])
+def test_classify_rejects_a_residual_above_one_half(delta_d):
+    # a rounding error lies in [-1/2, 1/2]; the cell is not cached either
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"\|delta_d\| <= 1/2"):
+            classify_trajectory(F(11, 8), delta_d, 0, 0, 100)
+
+
+def test_sweep_rejects_a_residual_range_above_one_half():
+    spec = GridSpec(alpha_lo=F(11, 8), alpha_hi=F(11, 8), alpha_count=1,
+                    delta_d_lo=-2, delta_d_hi=2, delta_d_count=5,
+                    init_box=1, init_count=3, budget=100)
+    with pytest.raises(ValueError, match=r"\|delta_d\| <= 1/2, got 1$"):
+        sweep(spec)
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,7 +170,8 @@ def fraction_classify(alpha, delta_d, e0, u_bar0, budget):
                                   minimal_invariant_pairs(delta_d), k)
         j = seen.get((e, u))
         if j is not None:
-            return _classify_cycle(delta_d, frozenset(pairs[j:k]), j)
+            return _classify_cycle(delta_d, minimal_invariant_pairs(delta_d),
+                                   frozenset(pairs[j:k]), j)
         seen[(e, u)] = k
         pairs.append((round_half_away(e), round_half_away(u)))
         if k < budget:
