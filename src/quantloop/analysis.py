@@ -23,24 +23,23 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .dynamics import Trajectory, capture_gain
+from .dynamics import Trajectory, capture_gain, validated
 from .numerics import Scalar, format_scalar, is_exact, sign
 
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class EntryRegion:
+@validated
+class EntryRegion(NamedTuple):
     """Capture region of the shifted switched loop for one (alpha, delta_d)."""
 
     alpha: Scalar
     delta_d: Scalar
 
-    def __post_init__(self):
+    def _check(self):
         capture_gain(self.alpha)
 
 
@@ -73,8 +72,7 @@ def amplitude2_pairs(delta_d: Scalar) -> Optional[frozenset]:
     return None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a trajectory check."""
 
     check: str
@@ -152,8 +150,7 @@ def steps_to_switch(delta_d: Scalar, e_start: Scalar) -> int:
     return math.ceil((_HALF * sign(delta_d) - e_start) / delta_d)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """Interval with individually open/closed endpoints."""
 
     lo: Scalar
@@ -191,8 +188,7 @@ def verify_band(traj: Trajectory, band: Interval, start: int) -> Verdict:
     return _verdict("band", traj, flags, start, start)
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     """Detected or predicted periodicity of a run.
 
     ``n`` counts the switch steps per period (steps taken on the nonzero

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .analysis import (
     EntryRegion,
@@ -44,6 +43,7 @@ from .dynamics import (
     shift_trajectory,
     simulate,
     stable_gain,
+    validated,
     write_csv,
     write_trajectory_csv,
 )
@@ -68,21 +68,20 @@ TABLE1_CSV_COLUMNS = ("disturbance", "rms_standard", "rms_switched",
                       "improvement")
 
 
-@dataclass(frozen=True)
-class CampaignSpec:
+@validated
+class CampaignSpec(NamedTuple):
     """Comparison campaign: disturbance magnitudes, gain and horizon."""
 
     disturbances: tuple = TABLE1_DISTURBANCES
     alpha: Scalar = Fraction(11, 8)
     horizon: int = 1000
 
-    def __post_init__(self):
+    def _check(self):
         stable_gain(self.alpha)
         checked_count(self.horizon)
 
 
-@dataclass(frozen=True)
-class RmsRow:
+class RmsRow(NamedTuple):
     """One table row: scores of both controllers for one |dbar|."""
 
     disturbance: Scalar

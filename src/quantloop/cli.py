@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from typing import Optional
 
 from . import campaign, reachability
@@ -131,13 +132,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (OSError, ValueError, TypeError, KeyError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    args = build_parser().parse_args(argv)
+
+    def show(message, category, *_):
+        # one line that names the config, not the line of quantloop that
+        # warned; under ``-W error`` a warning raises and is never shown
+        print(": ".join(filter(None, ("warning", args.config,
+                                      category.__name__, str(message)))),
+              file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            return args.func(args)
+        except (OSError, ValueError, TypeError, KeyError,
+                ArithmeticError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -65,17 +65,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import io
 import itertools
 import math
 import os
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, wraps
+from typing import NamedTuple, Optional
 
 from .numerics import (
     Scalar,
@@ -195,8 +193,22 @@ def capture_gain(alpha: Scalar) -> Scalar:
     return alpha
 
 
-@dataclass(frozen=True)
-class Disturbance:
+def validated(record: type) -> type:
+    """The named tuple class ``record`` as a subclass whose constructor runs
+    ``record._check``, so bad input fails when a record is built (and when
+    one is unpickled); ``_replace`` skips the check."""
+    @wraps(record.__new__)
+    def __new__(cls, *args, **kwargs):
+        self = record.__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+    return type(record.__name__, (record,), {
+        "__slots__": (), "__new__": __new__, "__doc__": record.__doc__,
+        "__module__": record.__module__, "__qualname__": record.__qualname__})
+
+
+@validated
+class Disturbance(NamedTuple):
     """Disturbance signal on the control input: ``(step, value)``
     breakpoints with strictly increasing steps.  It holds the first value
     before the first breakpoint, takes each breakpoint's value at its step,
@@ -207,7 +219,7 @@ class Disturbance:
     kind: str
     breakpoints: tuple
 
-    def __post_init__(self):
+    def _check(self):
         if not self.breakpoints:
             raise ValueError(f"{self.kind} disturbance needs at least one "
                              f"value")
@@ -250,8 +262,8 @@ class Disturbance:
         return tuple(values)
 
 
-@dataclass(frozen=True)
-class LoopConfig:
+@validated
+class LoopConfig(NamedTuple):
     """Full description of one simulation run."""
 
     alpha: Scalar
@@ -262,7 +274,7 @@ class LoopConfig:
     horizon: int
     mode: str = "exact"
 
-    def __post_init__(self):
+    def _check(self):
         checked_controller(self.controller)
         checked_mode(self.mode)
         checked_count(self.horizon, 0)
@@ -285,8 +297,7 @@ class LoopConfig:
         return "exact" if exact else "float"
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """One time step: state, its quantized views, the disturbance applied
     at this step, and the controller branch that produced the state."""
 
@@ -307,22 +318,27 @@ def branch(rho_e: int, switched: bool) -> str:
     return MODE_ZERO if rho_e == 0 else MODE_NONZERO
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """A run of ``length`` steps: columns of the stored steps 0..s-1, each
     later step repeating stored step ``entry + (k - entry) % period`` with
     period s - entry (0 when every step is stored), the law's ``switched``
-    flag for the branches, and a per-step ``records`` view."""
+    flag for the branches, and a per-step ``records`` view.  Immutable and
+    compared by field; not a named tuple, whose ``len`` would be 9."""
 
-    e: tuple
-    u: tuple
-    rho_e: tuple
-    rho_u: tuple
-    d: tuple
-    entry: int
-    length: int
-    switched: bool = False
-    mode: str = "exact"
+    _fields = tuple("e u rho_e rho_u d entry length switched mode".split())
+
+    def __init__(self, e: tuple, u: tuple, rho_e: tuple, rho_u: tuple,
+                 d: tuple, entry: int, length: int, switched: bool = False,
+                 mode: str = "exact"):
+        vars(self).update(zip(self._fields, (e, u, rho_e, rho_u, d, entry,
+                                             length, switched, mode)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Trajectory.{name}")
+
+    def __eq__(self, other):
+        return type(other) is Trajectory and all(
+            getattr(self, f) == getattr(other, f) for f in self._fields)
 
     @property
     def period(self) -> int:
@@ -445,9 +461,9 @@ def shift_trajectory(traj: Trajectory, dbar: Scalar) -> Trajectory:
     offset = round_half_away(dbar)
     u = tuple(z + offset for z in traj.u)
     d = {z: z - offset for z in set(traj.d)}
-    return dataclasses.replace(
-        traj, u=u, rho_u=tuple(map(round_half_away, u)),
-        d=tuple(map(d.__getitem__, traj.d)))
+    return Trajectory(traj.e, u, traj.rho_e, tuple(map(round_half_away, u)),
+                      tuple(map(d.__getitem__, traj.d)), traj.entry,
+                      traj.length, traj.switched, traj.mode)
 
 
 @contextlib.contextmanager

@@ -22,9 +22,8 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .analysis import amplitude2_pairs, checked_residual, minimal_invariant_pairs
 from .dynamics import (
@@ -33,6 +32,7 @@ from .dynamics import (
     _scaled,
     capture_gain,
     checked_count,
+    validated,
     write_csv,
 )
 from .numerics import Scalar, format_scalar, sign
@@ -52,8 +52,8 @@ REGION_CSV_COLUMNS = ("alpha", "delta_d", "in_region")
 _FULL_SCALE_STEPS = 10 ** 10
 
 
-@dataclass(frozen=True)
-class GridSpec:
+@validated
+class GridSpec(NamedTuple):
     """Sweep description: parameter grid, initial-state grid, step budget.
 
     Defaults are the desk-scale study (50 x 101 parameter cells, 21x21
@@ -71,7 +71,7 @@ class GridSpec:
     init_count: int = 21
     budget: int = 10_000
 
-    def __post_init__(self):
+    def _check(self):
         for count in (self.alpha_count, self.delta_d_count, self.init_count,
                       self.budget):
             checked_count(count)
@@ -101,8 +101,7 @@ def grid_values(lo: Scalar, hi: Scalar, count: int) -> list:
     return [lo + (hi - lo) * Fraction(i, count - 1) for i in range(count)]
 
 
-@dataclass(frozen=True)
-class AttractorClass:
+class AttractorClass(NamedTuple):
     """Classification of one trajectory.
 
     ``witness_pairs`` is the quantized-pair set of the terminal cycle (for
@@ -181,8 +180,7 @@ def _classify_cycle(delta_d, minimal, cycle_pairs, entry) -> AttractorClass:
     return AttractorClass(TAG_UNRESOLVED, cycle_pairs, entry)
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     """Classification tally over all sampled initial conditions of one cell."""
 
     alpha: Scalar
@@ -247,7 +245,7 @@ def sweep(spec: GridSpec, jobs: int = 1) -> tuple:
     if mirrored:
         done = {(c.alpha, c.delta_d): c for c in cells}
         cells = [done[a, dd] if dd >= 0
-                 else replace(done[a, -dd], delta_d=dd)
+                 else done[a, -dd]._replace(delta_d=dd)
                  for a in alphas for dd in delta_ds]
     return tuple(cells)
 

@@ -507,17 +507,44 @@ def test_experiment_configs_run(tmp_path, config):
         assert (out / name).is_file()
 
 
-def test_cli_import_loads_no_multiprocessing():
-    # only a sweep with --jobs > 1 needs a pool, so the import is deferred
+def run_fresh(*args):
+    """``python *args`` in a fresh interpreter that imports this ``src``,
+    with no warning filters set."""
     import quantloop
     src = str(Path(quantloop.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, quantloop.cli; "
-         "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_loads_its_layers_and_no_heavy_stdlib():
+    # the records are named tuples, so nothing imports dataclasses and the
+    # inspect it pulls in; only a sweep with --jobs > 1 needs a pool.  The
+    # layers load up front: the benchmark's tracer wraps loaded modules.
+    out = run_fresh("-c", "import sys, quantloop.cli; print(*sys.modules)")
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "multiprocessing"}
+    assert {"quantloop.dynamics", "quantloop.analysis",
+            "quantloop.reachability", "quantloop.campaign"} <= loaded
+
+
+def test_cli_warning_names_the_config(tmp_path):
+    # gain 11/10 lies outside (5/4, 3/2), so simulate warns
+    config = write_scenario(tmp_path, CYCLE_SCENARIO)
+    out = run_fresh("-m", "quantloop.cli", "simulate", "-c", str(config),
+                    "-o", str(tmp_path / "out"))
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.startswith(f"warning: {config}: TuningWarning: ")
+    assert out.stderr.count("\n") == 1
+    assert "campaign.py" not in out.stderr
+    # a warning turned into an error still fails the command
+    out = run_fresh("-W", "error", "-m", "quantloop.cli", "simulate",
+                    "-c", str(config), "-o", str(tmp_path / "strict"))
+    assert out.returncode != 0
+    assert "TuningWarning" in out.stderr
 
 
 def test_jobs_accepts_every_cpu_count(monkeypatch):

@@ -550,7 +550,7 @@ def test_trajectory_csv_rejects_foreign_header(tmp_path):
 @given(lattice_configs(controllers=CONTROLLERS),
        st.sampled_from(["exact", "float"]))
 def test_records_view_matches_law_run(config, mode):
-    config = LoopConfig(**{**vars(config), "mode": mode})
+    config = LoopConfig(**{**config._asdict(), "mode": mode})
     traj = simulate(config)
     assert traj.mode == mode
     assert traj.records == law_records(config, mode)

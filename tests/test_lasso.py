@@ -109,7 +109,7 @@ def lasso_runs(draw):
     else:
         # may end before the state recurs or the disturbance settles
         horizon = draw(st.integers(0, entry + period if period else longest))
-    return LoopConfig(**{**vars(config), "horizon": horizon})
+    return LoopConfig(**{**config._asdict(), "horizon": horizon})
 
 
 @settings(max_examples=300, deadline=None)
