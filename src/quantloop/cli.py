@@ -35,8 +35,8 @@ def _add_scenario_args(sub, name, help_text):
 
 
 def _jobs(text: str) -> int:
-    """``--jobs``: a worker count from 1 to the number of CPUs."""
-    jobs, limit = int(text), os.cpu_count() or 1
+    """``--jobs``: a worker count from 1 to the CPU count (1 without fork)."""
+    jobs, limit = int(text), hasattr(os, "fork") and os.cpu_count() or 1
     if not 1 <= jobs <= limit:
         raise argparse.ArgumentTypeError(
             f"expected a worker count from 1 to {limit}, got {jobs}")
@@ -134,10 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
 
-    def show(message, category, *_):
+    def show(message, category, *_, kind="warning"):
         # one line that names the config, not the line of quantloop that
-        # warned; under ``-W error`` a warning raises and is never shown
-        print(": ".join(filter(None, ("warning", args.config,
+        # warned; under ``-W error`` a warning raises and ends as an error
+        print(": ".join(filter(None, (kind, args.config,
                                       category.__name__, str(message)))),
               file=sys.stderr)
 
@@ -145,6 +145,9 @@ def main(argv: Optional[list] = None) -> int:
         warnings.showwarning = show
         try:
             return args.func(args)
+        except Warning as exc:
+            show(exc, type(exc), kind="error")
+            return 1
         except (OSError, ValueError, TypeError, KeyError,
                 ArithmeticError) as exc:
             print(f"error: {exc}", file=sys.stderr)

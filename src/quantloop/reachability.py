@@ -8,8 +8,8 @@ point its terminal cycle of quantized pairs is known.  Grid coordinates
 are sampled as exact rationals so the classification itself is exact,
 including the delicate |delta_d| = 1/2 boundary.
 
-Cells are independent work items; the sweep optionally fans them out over
-a process pool and aggregates deterministically in grid order.  The loop is
+Cells are independent work items; the calling process and forked workers
+classify interleaved strides of them, reassembled in grid order.  The loop is
 odd in (e, u_bar, delta_d), so on a delta_d axis that is its own negation
 (lo == -hi, over an initial-state grid that is too) only the cells with
 delta_d >= 0 are classified and each cell with delta_d < 0 takes the
@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import warnings
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -192,19 +193,6 @@ class CellResult(NamedTuple):
     n_unresolved: int
 
 
-#: ``(spec, initial states)`` of the sweep a pool worker serves, sent once.
-_worker_sweep: tuple = ()
-
-
-def _set_worker_sweep(spec: GridSpec, inits: list) -> None:
-    global _worker_sweep
-    _worker_sweep = spec, inits
-
-
-def _evaluate_worker_cell(cell) -> CellResult:
-    return _evaluate_cell(*_worker_sweep, *cell)
-
-
 def _evaluate_cell(spec: GridSpec, inits: list, alpha, delta_d) -> CellResult:
     counts = {TAG_THEOREM1: 0, TAG_ALT_UNIT: 0, TAG_AMPLITUDE2: 0,
               TAG_UNRESOLVED: 0}  # in the order of CellResult's tallies
@@ -214,11 +202,49 @@ def _evaluate_cell(spec: GridSpec, inits: list, alpha, delta_d) -> CellResult:
     return CellResult(alpha, delta_d, len(inits), *counts.values())
 
 
+def _fork_map(fn, work: list, jobs: int) -> list:
+    """``[fn(x) for x in work]`` on ``jobs`` processes: this one maps
+    ``work[0::jobs]``, and forked children pipe back the other strides (or
+    what they raised) as pickles.  No child outlives the call."""
+    results = list(work)
+    children = []  # (pid, stride index, read end of its pipe)
+    try:
+        for i in range(1, min(jobs, len(work))):
+            import pickle, signal  # only a fork needs them; lean CLI start-up
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # leaves by os._exit: no exit handler, no flush
+                try:
+                    try:
+                        payload = True, [fn(x) for x in work[i::jobs]]
+                    except BaseException as exc:
+                        payload = False, exc
+                    with open(w, "wb") as pipe:
+                        pickle.dump(payload, pipe)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, i, open(r, "rb")))
+        results[0::jobs] = [fn(x) for x in work[0::jobs]]
+        for _, i, pipe in children:
+            ok, value = pickle.load(pipe)  # EOFError if the child was killed
+            if not ok:
+                raise value
+            results[i::jobs] = value
+    finally:
+        for pid, _, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
 def sweep(spec: GridSpec, jobs: int = 1) -> tuple:
     """Run the full grid sweep; one :class:`CellResult` per cell.
 
-    Deterministic for a given spec regardless of ``jobs``: cells are
-    independent and results are aggregated in grid order (alpha-major).
+    Deterministic for a given spec regardless of ``jobs``: results come in
+    grid order (alpha-major).  Workers take cells by stride, spreading the
+    slow low-gain rows; ``jobs`` > 1 forks, so call it from one thread.
     """
     if spec.total_steps_bound() > _FULL_SCALE_STEPS:
         warnings.warn(
@@ -232,16 +258,7 @@ def sweep(spec: GridSpec, jobs: int = 1) -> tuple:
                 and inits[::-1] == [(-e0, -u0) for e0, u0 in inits])
     work = [(a, dd) for a in alphas for dd in delta_ds
             if dd >= 0 or not mirrored]
-    if jobs > 1:
-        import multiprocessing  # only a pool needs it; keeps CLI start-up lean
-        # A few chunks per worker balance the uneven cells (low-gain rows
-        # take several times longer) without a task per cell.
-        chunksize = max(1, len(work) // (4 * jobs))
-        with multiprocessing.Pool(jobs, _set_worker_sweep,
-                                  (spec, inits)) as pool:
-            cells = pool.map(_evaluate_worker_cell, work, chunksize)
-    else:
-        cells = [_evaluate_cell(spec, inits, a, dd) for a, dd in work]
+    cells = _fork_map(lambda c: _evaluate_cell(spec, inits, *c), work, jobs)
     if mirrored:
         done = {(c.alpha, c.delta_d): c for c in cells}
         cells = [done[a, dd] if dd >= 0

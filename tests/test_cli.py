@@ -2,7 +2,6 @@
 
 import csv
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -321,8 +320,8 @@ def test_scenario_bad_mode_names_the_key(tmp_path, capsys):
         capsys.readouterr().err
 
 
-def no_pool(*args, **kwargs):
-    raise AssertionError("a worker pool was started")
+def no_fork():
+    raise AssertionError("a sweep worker was forked")
 
 
 @pytest.mark.parametrize("lo, hi, key", [("1.5", "1.6", "alpha.lo"),
@@ -330,8 +329,8 @@ def no_pool(*args, **kwargs):
                                          ("1", "1.4", "alpha.lo")])
 def test_sweep_gain_outside_the_capture_range_names_the_key(
         tmp_path, capsys, monkeypatch, lo, hi, key):
-    # rejected while loading, before a pool could start
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    # rejected while loading, before a worker could be forked
+    monkeypatch.setattr(os, "fork", no_fork)
     payload = dict(GRID, alpha={"lo": lo, "hi": hi, "count": 2})
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(payload))
@@ -347,8 +346,8 @@ def test_sweep_gain_outside_the_capture_range_names_the_key(
                                          ("-1/2", "float:0.6", "delta_d.hi")])
 def test_sweep_residual_outside_its_range_names_the_key(
         tmp_path, capsys, monkeypatch, lo, hi, key):
-    # a rounding error lies in [-1/2, 1/2]; rejected before a pool starts
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    # a rounding error lies in [-1/2, 1/2]; rejected before any fork
+    monkeypatch.setattr(os, "fork", no_fork)
     payload = dict(GRID, delta_d={"lo": lo, "hi": hi, "count": 3})
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(payload))
@@ -480,8 +479,8 @@ def test_cycles_and_analyze_share_the_cycle_records(tmp_path):
                                   "two"])
 def test_jobs_outside_the_cpu_range_is_a_usage_error(tmp_path, capsys,
                                                      monkeypatch, jobs):
-    # rejected while parsing, so no pool (and no process) is ever started
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    # rejected while parsing, so no worker (and no process) is ever forked
+    monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "-o", str(tmp_path / "out"), "--jobs", jobs])
     assert exc.value.code == 2
@@ -519,16 +518,30 @@ def run_fresh(*args):
                           capture_output=True, text=True)
 
 
-def test_cli_import_loads_its_layers_and_no_heavy_stdlib():
+def test_cli_import_loads_its_layers_and_no_heavy_stdlib(tmp_path):
     # the records are named tuples, so nothing imports dataclasses and the
-    # inspect it pulls in; only a sweep with --jobs > 1 needs a pool.  The
-    # layers load up front: the benchmark's tracer wraps loaded modules.
+    # inspect it pulls in; only a sweep with --jobs > 1 forks, and only it
+    # needs pickle.  The layers load up front: the benchmark's tracer
+    # wraps loaded modules.
     out = run_fresh("-c", "import sys, quantloop.cli; print(*sys.modules)")
     assert out.returncode == 0, out.stderr
     loaded = set(out.stdout.split())
-    assert not loaded & {"dataclasses", "inspect", "multiprocessing"}
+    assert not loaded & {"dataclasses", "inspect", "multiprocessing",
+                         "pickle"}
     assert {"quantloop.dynamics", "quantloop.analysis",
             "quantloop.reachability", "quantloop.campaign"} <= loaded
+    # a parallel sweep forks its workers itself, with no process pool
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(GRID))
+    out = run_fresh("-c", "import os, sys; os.cpu_count = lambda: 2; "
+                    "from quantloop.cli import main; "
+                    f"main(['sweep', '-c', {str(grid)!r}, '-o', "
+                    f"{str(tmp_path / 'out')!r}, '--jobs', '2']); "
+                    "print('modules:', *sys.modules)")
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.splitlines()[-1].split()[1:])
+    assert "pickle" in loaded and "multiprocessing" not in loaded
+    assert (tmp_path / "out" / "region.csv").is_file()
 
 
 def test_cli_warning_names_the_config(tmp_path):
@@ -540,11 +553,13 @@ def test_cli_warning_names_the_config(tmp_path):
     assert out.stderr.startswith(f"warning: {config}: TuningWarning: ")
     assert out.stderr.count("\n") == 1
     assert "campaign.py" not in out.stderr
-    # a warning turned into an error still fails the command
+    # a warning turned into an error fails the command with one line
     out = run_fresh("-W", "error", "-m", "quantloop.cli", "simulate",
                     "-c", str(config), "-o", str(tmp_path / "strict"))
-    assert out.returncode != 0
-    assert "TuningWarning" in out.stderr
+    assert out.returncode == 1
+    assert out.stderr.startswith(f"error: {config}: TuningWarning: ")
+    assert out.stderr.count("\n") == 1
+    assert not (tmp_path / "strict").exists()
 
 
 def test_jobs_accepts_every_cpu_count(monkeypatch):
@@ -556,3 +571,14 @@ def test_jobs_accepts_every_cpu_count(monkeypatch):
         assert args.jobs == jobs
     with pytest.raises(SystemExit):
         parser.parse_args(["sweep", "-o", "out", "--jobs", "3"])
+
+
+def test_jobs_without_fork_takes_only_one_worker(monkeypatch):
+    from quantloop.cli import build_parser
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    parser = build_parser()
+    assert parser.parse_args(["sweep", "-o", "out", "--jobs", "1"]).jobs == 1
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["sweep", "-o", "out", "--jobs", "2"])
+    assert exc.value.code == 2

@@ -1,6 +1,8 @@
 """Attractor classification and grid sweep tests."""
 
 import csv
+import os
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -408,15 +410,96 @@ def test_full_scale_warning_names_its_threshold():
     assert cells[0].n_theorem1 == 1
 
 
-def test_parallel_sweep_keeps_grid_order_across_chunks():
-    # 6 x 5 cells, of which the 6 x 3 with delta_d >= 0 are classified, map
-    # on 2 workers in chunks of 2 cells
+def test_parallel_sweep_keeps_grid_order_across_strides():
+    # 6 x 5 cells, of which the 6 x 3 with delta_d >= 0 are classified; on
+    # 2 workers the caller takes cells 0, 2, ..., 16 and a child 1, ..., 17
     spec = small_spec(alpha_count=6, delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2),
                       delta_d_count=5, init_count=2, budget=500)
     serial = sweep(spec, jobs=1)
     assert [(c.alpha, c.delta_d) for c in serial] == [
         (a, dd) for a in spec.alphas() for dd in spec.delta_ds()]
     assert sweep(spec, jobs=2) == serial
+
+
+@pytest.mark.parametrize("overrides", [
+    # mirrored: 3 x 3 of the 3 x 5 cells classified, 9 cells on 3 strides
+    dict(alpha_count=3, delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2),
+         delta_d_count=5, init_box=1, init_count=5, budget=500),
+    # asymmetric: all 2 x 4 cells, strides of 3, 3 and 2
+    dict(delta_d_lo=F(-1, 2), delta_d_hi=F(1, 4), delta_d_count=4)])
+def test_sweep_on_three_workers_matches_one(overrides):
+    spec = small_spec(**overrides)
+    assert sweep(spec, jobs=3) == sweep(spec, jobs=1)
+
+
+def forks_counted(monkeypatch):
+    """Patch ``os.fork`` to list the pid of every child it starts."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left(pids):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_sweep_forks_no_idle_worker(monkeypatch):
+    # 2 classified cells: one worker forks nothing, five fork one child
+    spec = small_spec(alpha_count=1, delta_d_lo=F(-1, 4), delta_d_hi=F(1, 4),
+                      delta_d_count=3)
+    pids = forks_counted(monkeypatch)
+    serial = sweep(spec, jobs=1)
+    assert pids == []
+    assert sweep(spec, jobs=5) == serial
+    assert len(pids) == 1
+    assert_no_child_left(pids)
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    caller, classify = os.getpid(), reachability.classify_trajectory
+
+    def child_fails(alpha, *args):
+        if os.getpid() != caller:
+            raise LookupError(f"no tag for gain {alpha}")
+        return classify(alpha, *args)
+
+    monkeypatch.setattr(reachability, "classify_trajectory", child_fails)
+    pids = forks_counted(monkeypatch)
+    with pytest.raises(LookupError, match="^no tag for gain 13/10$"):
+        sweep(small_spec(alpha_count=1, delta_d_lo=0), jobs=2)
+    assert len(pids) == 1
+    assert_no_child_left(pids)
+
+
+@pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
+def test_failing_caller_kills_and_reaps_its_workers(monkeypatch, error):
+    # the children would classify for a minute; the caller's own first
+    # cell fails (or is interrupted) at once
+    caller = os.getpid()
+
+    def caller_fails(*args):
+        if os.getpid() == caller:
+            raise error("caller share failed")
+        time.sleep(60)
+
+    monkeypatch.setattr(reachability, "classify_trajectory", caller_fails)
+    pids = forks_counted(monkeypatch)
+    t0 = time.monotonic()
+    with pytest.raises(error, match="caller share failed"):
+        sweep(small_spec(alpha_count=2, delta_d_lo=0), jobs=3)
+    assert time.monotonic() - t0 < 30
+    assert len(pids) == 2
+    assert_no_child_left(pids)
 
 
 def test_grid_spec_validation():

@@ -67,7 +67,8 @@ def test_records_are_immutable(name):
 
 @pytest.mark.parametrize("name", ["GridSpec", "CellResult"])
 def test_pool_records_survive_a_pickle_round_trip(name):
-    # a parallel sweep sends the spec to its workers and the cells back
+    # a forked sweep worker pipes its cells back as a pickle, and a
+    # caller may ship the spec the same way
     record = RECORDS[name]()
     copy = pickle.loads(pickle.dumps(record))
     assert copy == record
