@@ -38,8 +38,9 @@ state as the int pair (E, U) = (D e, D u): rho is one floor division,
 is (rho(u) + rho(e)) D and state equality is int equality.  ``Fraction``
 appears only at the boundary, one per lattice point visited.  Float runs
 and the unquantized law (alpha e leaves the lattice) step with the generic
-laws, the kernel's test oracle.  One loop in :func:`simulate` runs either
-step function.
+law on plain values.  Both step functions carry the state with its views
+(e, u, rho(e), rho(u)), rounding each new value once, and one loop in
+:func:`simulate` runs either and reads the ``rho`` columns off the states.
 
 A :class:`Trajectory` stores a run as the per-step columns ``e``, ``u``,
 ``rho_e``, ``rho_u`` and ``d``, tuples of one stored length s, with the
@@ -99,23 +100,22 @@ class ModePromotionWarning(UserWarning):
     """An exact-mode run contained float inputs and was promoted to float."""
 
 
-def _identity(z: Scalar) -> Scalar:
-    return z
-
-
-def _law(alpha, quantize, switched, state, d):
-    """One step of the generic laws from ``state = (e, u)``: the standard
-    law, or with ``switched`` the switched law's reset on steps whose new
-    quantized error is zero.  Returns the next ``(e, u)``."""
-    e, u = state
-    e1 = e + quantize(u) + d
-    if switched and quantize(e1) == 0:
-        u1 = quantize(u) + quantize(e)
+def _law(alpha, quantized, switched, state, d):
+    """One step of the generic laws from ``state = (e, u, rho_e, rho_u)``:
+    the standard law on the views (on the values without ``quantized``), or
+    with ``switched`` the reset on steps whose new quantized error is zero."""
+    e, u, q_e, q_u = state
+    if not quantized:
+        q_e, q_u = e, u
+    e1 = e + q_u + d
+    rho_e1 = round_half_away(e1)
+    if switched and rho_e1 == 0:
+        u1 = q_u + q_e
         if isinstance(u, float):
             u1 = float(u1)  # the sum of quantized values is an int
     else:
-        u1 = u + quantize(e) - alpha * quantize(e1)
-    return e1, u1
+        u1 = u + q_e - alpha * (rho_e1 if quantized else e1)
+    return e1, u1, rho_e1, round_half_away(u1)
 
 
 def _rho_scaled(x: int, den: int) -> int:
@@ -409,16 +409,16 @@ def simulate(config: LoopConfig) -> Trajectory:
         den = math.lcm(*(z.denominator for z in (alpha, e, u, *d)))
         e, u = _scaled(e, den), _scaled(u, den)
         # both step functions take (alpha, q, switched, state, d), where q
-        # is the kernel's den or the generic law's quantizer
+        # is the kernel's den or the generic law's quantized flag
         step, alpha, q = _lattice_step, _scaled(alpha, den), den
         state = e, u, _rho_scaled(e, den), _rho_scaled(u, den)
         inputs = [_scaled(z, den) for z in d]
     else:
-        step, q = _law, round_half_away if quantized else _identity
-        state, inputs = (e, u), d
+        step, q, inputs = _law, quantized, d
+        state = e, u, round_half_away(e), round_half_away(u)
 
-    # A lattice state carries its quantized views, which (e, u) determine,
-    # so the whole state is the recurrence key.
+    # A state carries its quantized views, which (e, u) determine, so the
+    # whole state is the recurrence key.
     steady = len(d) - 1 if mode == "exact" else n
     while 0 < steady < n and d[steady - 1] == d[-1]:
         steady -= 1
@@ -439,8 +439,6 @@ def simulate(config: LoopConfig) -> Trajectory:
     if lattice:
         value = {x: Fraction(x, den) for x in {*e, *u}}.__getitem__
         e, u = tuple(map(value, e)), tuple(map(value, u))
-    else:
-        rho = tuple(map(round_half_away, e)), tuple(map(round_half_away, u))
     s = len(states)
     d = d[:s] + d[-1:] * (s - len(d))
     return Trajectory(e, u, *rho, d, s if entry is None else entry, n,
@@ -467,15 +465,15 @@ def shift_trajectory(traj: Trajectory, dbar: Scalar) -> Trajectory:
 
 
 @contextlib.contextmanager
-def atomic_open(path, **kwargs):
-    """Open a temporary file beside ``path`` for writing (``kwargs`` as for
-    :func:`open`).  It replaces ``path`` when the block ends and is removed
-    if the block raises, so ``path`` is never left half written."""
+def atomic_open(path, mode="w", **kwargs):
+    """Open a temporary file beside ``path`` for writing, as :func:`open`
+    does.  It replaces ``path`` when the block ends and is removed if the
+    block raises, so ``path`` is never left half written."""
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", **kwargs) as fh:
+        with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -492,42 +490,55 @@ def write_csv(path, header: Sequence, rows) -> None:
         writer.writerows(rows)
 
 
-#: Rows of a dense trajectory formatted per write.
+#: Rows per written block: stored steps, or whole periods of the cycle.
 _CSV_CHUNK = 1024
+
+
+def _row_template(text: str) -> bytes:
+    """The CSV rows ``text``, each ending in a line break and holding no
+    other, as a ``%`` template that puts ``%d,`` (the row's ``k``) before
+    each; a ``%`` in ``text`` is doubled so it is written literally."""
+    body = text.replace("%", "%%")[:-2].replace("\r\n", "\r\n%d,")
+    return ("%d," + body + "\r\n").encode()
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with the canonical column order.
 
-    Row 0, which has no branch, is written on its own.  The text after
-    ``k`` of every later row is formatted once per stored step (a chunk at
-    a time) and written again for every step that repeats it, one period
-    at a time.  No field holds a line break, so the CSV rows of a chunk
-    split at line ends.
+    Row 0, which has no branch, is written on its own, and the later rows
+    in blocks of about :data:`_CSV_CHUNK`: each a :func:`_row_template`
+    filled with its steps' ``k``, formatted once per chunk of stored steps
+    and once for all blocks of whole periods (the last takes its first
+    rows).  No field holds a line break, so CSV rows split there.
     """
-    n, stored = len(traj), len(traj.rho_e)
+    n, stored, period = len(traj), len(traj.rho_e), traj.period
 
-    def tails(lo: int, hi: int) -> list:
+    def csv_text(rows) -> str:
         buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        return buf.getvalue()
+
+    def block(lo: int, hi: int) -> bytes:
         rho_e = traj.rho_e[lo:hi]
-        csv.writer(buf).writerows(zip(
+        return _row_template(csv_text(zip(
             map(format_scalar, traj.e[lo:hi]),
             map(format_scalar, traj.u[lo:hi]), rho_e, traj.rho_u[lo:hi],
             map(format_scalar, traj.d[lo:hi]),
-            [branch(r, traj.switched) for r in rho_e]))
-        return buf.getvalue().split("\r\n")[:-1]
+            [branch(r, traj.switched) for r in rho_e])))
 
-    def rows(k: int, lines: list) -> str:
-        return "".join(map("{},{}\r\n".format, itertools.count(k), lines))
-
-    with atomic_open(path, newline="") as fh:
-        csv.writer(fh).writerows((TRAJECTORY_COLUMNS, (
+    with atomic_open(path, "wb") as fh:
+        fh.write(csv_text((TRAJECTORY_COLUMNS, (
             0, format_scalar(traj.e[0]), format_scalar(traj.u[0]),
             traj.rho_e[0], traj.rho_u[0], format_scalar(traj.d[0]),
-            MODE_NA)))
+            MODE_NA))).encode())
         for lo in range(1, stored, _CSV_CHUNK):
-            fh.write(rows(lo, tails(lo, min(lo + _CSV_CHUNK, stored))))
+            hi = min(lo + _CSV_CHUNK, stored)
+            fh.write(block(lo, hi) % tuple(range(lo, hi)))
         if stored < n:
-            cycle = tails(traj.entry, stored)
-            for lo in range(stored, n, traj.period):
-                fh.write(rows(lo, cycle[:n - lo]))
+            reps = max(1, _CSV_CHUNK // period)
+            cycle, size = block(traj.entry, stored) * reps, reps * period
+            for lo in range(stored, n, size):
+                if n - lo < size:  # the template's first n - lo rows
+                    cycle = b"\r\n".join(
+                        cycle.split(b"\r\n", n - lo)[:n - lo]) + b"\r\n"
+                fh.write(cycle % tuple(range(lo, min(lo + size, n))))

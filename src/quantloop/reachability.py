@@ -142,8 +142,8 @@ def classify_trajectory(
     seen: dict = {}  # state -> step, in step order
     for k in range(budget + 1):
         e, u, rho_e, rho_u = state
-        # -1/2 < e < 1/2, -1/2 < u_bar < 1/2, 1 <= alpha - s u_bar < 3/2
-        if (-den < 2 * e < den and -den < 2 * u < den
+        # rho(e) = rho(u_bar) = 0, and 1 <= alpha - s u_bar < 3/2
+        if (rho_e == 0 == rho_u
                 and den <= a - s * u and 2 * (a - s * u) < 3 * den):
             return AttractorClass(TAG_THEOREM1, minimal, k)
         j = seen.setdefault(state, k)
@@ -226,8 +226,12 @@ def _fork_map(fn, work: list, jobs: int) -> list:
             os.close(w)
             children.append((pid, i, open(r, "rb")))
         results[0::jobs] = [fn(x) for x in work[0::jobs]]
-        for _, i, pipe in children:
-            ok, value = pickle.load(pipe)  # EOFError if the child was killed
+        for pid, i, pipe in children:
+            try:
+                ok, value = pickle.load(pipe)
+            except EOFError:  # killed before it answered
+                raise ChildProcessError(f"sweep worker {pid} (stride {i}) "
+                                        f"ended without a result") from None
             if not ok:
                 raise value
             results[i::jobs] = value

@@ -1,5 +1,9 @@
 """Test-side oracles: helpers only the tests use, kept out of the package.
 
+* :func:`generic_law` steps the laws on ``(e, u)`` with a ``quantize``
+  function (:func:`round_half_away`, or :func:`identity` for the
+  unquantized law), the step-by-step reference of the simulator's step
+  functions;
 * :func:`simulate_shifted` runs the switched loop in shifted coordinates;
 * :func:`disturbance_value` evaluates a disturbance at one step, the
   per-step reference of :meth:`Disturbance.column`;
@@ -28,6 +32,25 @@ from quantloop.dynamics import (
     simulate,
 )
 from quantloop.numerics import Scalar
+
+
+def identity(z: Scalar) -> Scalar:
+    return z
+
+
+def generic_law(alpha, quantize, switched, state, d):
+    """One step of the generic laws from ``state = (e, u)``: the standard
+    law, or with ``switched`` the switched law's reset on steps whose new
+    quantized error is zero.  Returns the next ``(e, u)``."""
+    e, u = state
+    e1 = e + quantize(u) + d
+    if switched and quantize(e1) == 0:
+        u1 = quantize(u) + quantize(e)
+        if isinstance(u, float):
+            u1 = float(u1)  # the sum of quantized values is an int
+    else:
+        u1 = u + quantize(e) - alpha * quantize(e1)
+    return e1, u1
 
 
 def simulate_shifted(alpha, delta_d, e0, u_bar0, horizon, mode="exact"):

@@ -28,8 +28,6 @@ from quantloop.campaign import CampaignSpec, run_table1
 from quantloop.dynamics import (
     Disturbance,
     LoopConfig,
-    _identity,
-    _law,
     shift_trajectory,
     simulate,
 )
@@ -42,7 +40,7 @@ from quantloop.reachability import (
     grid_values,
     sweep,
 )
-from oracles import simulate_shifted
+from oracles import generic_law, identity, simulate_shifted
 
 JOBS = 2  # sweep parallelism used by the reachability criterion
 
@@ -321,7 +319,7 @@ def test_scheme_coincidence_and_deadbeat():
         standard = simulate(config)
         e, u = F(e0), F(u0)
         for r in standard.records[1:]:
-            e, u = _law(F(alpha), _identity, True, (e, u), F(dbar))
+            e, u = generic_law(F(alpha), identity, True, (e, u), F(dbar))
             assert (e, u) == (r.e, r.u)
 
     for _ in range(200):

@@ -1,5 +1,6 @@
 """Stepper, disturbance, simulator, and serialization tests."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -17,9 +18,8 @@ from quantloop.dynamics import (
     ModePromotionWarning,
     TrajectoryRecord,
     TuningWarning,
-    _identity,
-    _rho_scaled,
     _law,
+    _rho_scaled,
     in_capture_range,
     shift_trajectory,
     simulate,
@@ -29,6 +29,8 @@ from quantloop.numerics import parse_scalar, round_half_away
 from oracles import (
     cycle_oracle,
     disturbance_value,
+    generic_law,
+    identity,
     read_trajectory_csv,
     simulate_shifted,
 )
@@ -376,7 +378,7 @@ def test_pi_schemes_coincide_without_quantizers(alpha, dbar, e0, u0):
     e, u = e0, u0
     states = [(e, u)]
     for _ in range(30):
-        e, u = _law(alpha, _identity, True, (e, u), dbar)
+        e, u = generic_law(alpha, identity, True, (e, u), dbar)
         states.append((e, u))
     assert [(r.e, r.u) for r in traj.records] == states
     assert len(traj) == 31
@@ -440,7 +442,7 @@ def law_records(config, mode="exact"):
     """Record-by-record run of the generic laws in ``mode``: the oracle of
     the lattice kernel, the columnar trajectory and its per-step view."""
     coerce = float if mode == "float" else F
-    quantize = _identity if config.controller == "unquantized-pi" else round_half_away
+    quantize = identity if config.controller == "unquantized-pi" else round_half_away
     alpha = coerce(config.alpha)
     e, u = coerce(config.e0), coerce(config.u0)
     records = []
@@ -451,8 +453,8 @@ def law_records(config, mode="exact"):
         d_k = coerce(disturbance_value(config.disturbance, k))
         records.append(TrajectoryRecord(k, e, u, round_half_away(e),
                                         round_half_away(u), d_k, branch))
-        e, u = _law(alpha, quantize, config.controller == "switched-pi",
-                    (e, u), d_k)
+        e, u = generic_law(alpha, quantize,
+                           config.controller == "switched-pi", (e, u), d_k)
     return tuple(records)
 
 
@@ -496,6 +498,55 @@ def test_kernel_tie_cases_pinned():
         constant_config(F(5, 4), "standard-pi", F(-3, 2), F(-1, 2), F(1, 2), 30),
     ):
         assert simulate(config).records == law_records(config)
+
+
+# Values at and next to the rounding ties, signed zeros, and magnitudes
+# near 2^52, where a float's ulp goes from 1/2 to 1.
+law_floats = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.integers(-20, 19).map(lambda n: n + 0.5),
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.49999999999999994,
+                     -0.49999999999999994]),
+    st.builds(lambda m, sign: sign * m, st.floats(2.0 ** 51, 2.0 ** 53),
+              st.sampled_from([1, -1])),
+)
+law_fractions = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    tie_fractions,
+    st.builds(lambda n, sign: sign * (2 ** 52 + n + F(1, 2)),
+              st.integers(-3, 3), st.sampled_from([1, -1])),
+)
+law_gains = st.one_of(
+    st.fractions(min_value=F(41, 40), max_value=F(119, 40),
+                 max_denominator=40),
+    st.sampled_from([F(5, 4), F(11, 8), F(3, 2), F(2)]))
+# (alpha, e, u, d), all float or all exact, as simulate coerces them
+law_cases = st.one_of(
+    st.tuples(law_gains.map(float), law_floats, law_floats, law_floats),
+    st.tuples(law_gains, law_fractions, law_fractions, law_fractions))
+
+
+def exactly(z):
+    """``z`` with its type and, for a float, the sign of a zero."""
+    return type(z), z, math.copysign(1, z) if isinstance(z, float) else 0
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(CONTROLLERS), law_cases)
+@example("switched-pi", (1.375, 0.25, 0.25, -0.25))  # a reset at e1 = 0.0
+def test_law_with_views_matches_two_value_law(controller, case):
+    alpha, e, u, d = case
+    quantized = controller != "unquantized-pi"
+    switched = controller == "switched-pi"
+    e1, u1, rho_e1, rho_u1 = _law(
+        alpha, quantized, switched,
+        (e, u, round_half_away(e), round_half_away(u)), d)
+    expected = generic_law(alpha, round_half_away if quantized else identity,
+                           switched, (e, u), d)
+    assert list(map(exactly, (e1, u1))) == list(map(exactly, expected))
+    assert (rho_e1, rho_u1) == (round_half_away(e1), round_half_away(u1))
+    if isinstance(e, float):
+        assert type(e1) is type(u1) is float
 
 
 def test_float_reset_keeps_float_u(tmp_path):

@@ -9,6 +9,7 @@ import math
 import operator
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,8 @@ from quantloop.dynamics import (
     Disturbance,
     LoopConfig,
     Trajectory,
+    _CSV_CHUNK,
+    _row_template,
     shift_trajectory,
     simulate,
     write_trajectory_csv,
@@ -195,6 +198,56 @@ def test_dense_csv_longer_than_a_write_chunk(tmp_path):
                         u0=0, horizon=2500, mode="float")
     traj = simulate(config)
     assert csv_bytes(traj, tmp_path / "t.csv") == reference_csv(traj)
+
+
+@pytest.mark.parametrize("config, shape", [
+    # entry 2, period 37, written in blocks of 27 periods (999 steps): the
+    # steps after the stored ones are 3 whole periods, 122 steps that end
+    # 11 into a period, a block and one step short of another, 3 whole
+    # blocks, and 4 blocks and 966 steps
+    *(
+        (constant_config(F(11, 8), "switched-pi", F(82, 37), F(-7, 3),
+                         F(4, 5), horizon), (2, 37))
+        for horizon in (149, 160, 2035, 3035, 5000)),
+    # a fixed point from step 5, also over blocks, and the deadbeat one
+    (constant_config(F(11, 8), "switched-pi", 0, 3, 0, 60), (5, 1)),
+    (constant_config(F(11, 8), "switched-pi", 0, 3, 0, 3000), (5, 1)),
+    (constant_config(F(2), "unquantized-pi", F(1, 3), 3, 0, 60), (2, 1)),
+    # a cycle entered at step 0, and a run of row 0 alone
+    (constant_config(F(11, 8), "switched-pi", F(1, 10), 0, 0, 95), (0, 10)),
+    (constant_config(F(11, 8), "switched-pi", F(1, 10), 0, 0, 0), (1, 0)),
+])
+def test_lasso_csv_matches_rows_written_one_by_one(tmp_path, config, shape):
+    traj = simulate(config)
+    assert (traj.entry, traj.period) == shape
+    assert csv_bytes(traj, tmp_path / "t.csv") == reference_csv(traj)
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_dense_csv_at_a_chunk_boundary(tmp_path, extra):
+    # rows 1..s-1 after row 0: 2 chunks less one row, 2 chunks, 2 and one
+    config = LoopConfig(alpha=F(11, 8), controller="switched-pi",
+                        disturbance=Disturbance.constant(F(1, 10)), e0=F(1, 3),
+                        u0=0, horizon=2 * _CSV_CHUNK - 1 + extra, mode="float")
+    traj = simulate(config)
+    assert len(traj.rho_e) == 2 * _CSV_CHUNK + extra
+    assert csv_bytes(traj, tmp_path / "t.csv") == reference_csv(traj)
+
+
+def test_float_csv_keeps_negative_zero(tmp_path):
+    config = LoopConfig(alpha=1.375, controller="standard-pi",
+                        disturbance=Disturbance.constant(-0.0), e0=-0.0,
+                        u0=-0.0, horizon=40, mode="float")
+    traj = simulate(config)
+    data = csv_bytes(traj, tmp_path / "t.csv")
+    assert data == reference_csv(traj)
+    assert data.splitlines()[1] == b"0,-0.0,-0.0,0,0,-0.0,n/a"
+    assert data.splitlines()[-1].endswith(b",-0.0,n/a")
+
+
+def test_row_template_writes_a_percent_sign_literally():
+    template = _row_template("a%d,1\r\nb%%,2\r\n")
+    assert template % (7, 8) == b"7,a%d,1\r\n8,b%%,2\r\n"
 
 
 def test_long_horizon_stores_one_cycle():

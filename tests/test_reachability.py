@@ -1,7 +1,9 @@
 """Attractor classification and grid sweep tests."""
 
 import csv
+import json
 import os
+import signal
 import time
 from fractions import Fraction as F
 
@@ -15,7 +17,8 @@ from quantloop.analysis import (
     in_entry_region,
     minimal_invariant_pairs,
 )
-from quantloop.dynamics import _law, capture_gain
+from quantloop.cli import main
+from quantloop.dynamics import capture_gain
 from quantloop.numerics import round_half_away
 from quantloop.reachability import (
     _FULL_SCALE_STEPS,
@@ -34,7 +37,7 @@ from quantloop.reachability import (
     write_grid_csv,
     write_region_csv,
 )
-from oracles import simulate_shifted
+from oracles import generic_law, simulate_shifted
 
 
 def test_grid_values_exact_spacing():
@@ -177,7 +180,8 @@ def fraction_classify(alpha, delta_d, e0, u_bar0, budget):
         seen[(e, u)] = k
         pairs.append((round_half_away(e), round_half_away(u)))
         if k < budget:
-            e, u = _law(alpha, round_half_away, True, (e, u), delta_d)
+            e, u = generic_law(alpha, round_half_away, True, (e, u),
+                               delta_d)
     return AttractorClass(TAG_UNRESOLVED, frozenset(pairs[-8:]), None)
 
 
@@ -224,6 +228,19 @@ def test_lattice_classification_pinned_ties():
     for case in cases:
         assert classify_trajectory(*case, 10_000) == \
             fraction_classify(*case, 10_000)
+
+
+@pytest.mark.parametrize("alpha", [F(101, 100), F(11, 10), F(21, 16),
+                                   F(11, 8), F(29, 20), F(149, 100)])
+def test_classification_from_the_tie_inits(alpha):
+    # the capture test reads rho(e) = rho(u_bar) = 0 off the state, and
+    # half-away rounding puts the ties +-1/2 outside it
+    half = F(1, 2)
+    for delta_d in (0, half, -half):
+        for e0 in (0, half, -half):
+            for u0 in (0, half, -half):
+                case = alpha, delta_d, e0, u0, 2_000
+                assert classify_trajectory(*case) == fraction_classify(*case)
 
 
 def test_out_of_range_gain_raises_on_every_call():
@@ -498,6 +515,37 @@ def test_failing_caller_kills_and_reaps_its_workers(monkeypatch, error):
     with pytest.raises(error, match="caller share failed"):
         sweep(small_spec(alpha_count=2, delta_d_lo=0), jobs=3)
     assert time.monotonic() - t0 < 30
+    assert len(pids) == 2
+    assert_no_child_left(pids)
+
+
+def test_killed_worker_ends_the_sweep_with_one_error_line(
+        monkeypatch, tmp_path, capsys):
+    caller, classify = os.getpid(), reachability.classify_trajectory
+
+    def child_killed(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return classify(*args)
+
+    monkeypatch.setattr(reachability, "classify_trajectory", child_killed)
+    pids = forks_counted(monkeypatch)
+    with pytest.raises(ChildProcessError) as raised:
+        sweep(small_spec(alpha_count=1, delta_d_lo=0), jobs=2)
+    assert str(raised.value) == \
+        f"sweep worker {pids[0]} (stride 1) ended without a result"
+    assert_no_child_left(pids)
+
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "alpha": {"lo": "13/10", "hi": "13/10", "count": 1},
+        "delta_d": {"lo": "0", "hi": "1/4", "count": 3},
+        "init": {"box": "2", "count": 3}, "budget": 2000}))
+    capsys.readouterr()
+    assert main(["sweep", "-c", str(grid), "-o", str(tmp_path / "out"),
+                 "--jobs", "2"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: sweep worker {pids[1]} (stride 1) ended without a result\n"
     assert len(pids) == 2
     assert_no_child_left(pids)
 
