@@ -81,12 +81,7 @@ class Verdict(NamedTuple):
     violations: tuple = ()
 
     def to_record(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "entry_step": self.entry_step,
-            "violations": list(self.violations),
-        }
+        return {**self._asdict(), "violations": list(self.violations)}
 
 
 def _verdict(check: str, traj: Trajectory, flags, start: int,
@@ -203,13 +198,8 @@ class CycleReport(NamedTuple):
     error_band: Optional[Interval] = None
 
     def to_record(self) -> dict:
-        return {
-            "periodic": self.periodic,
-            "n": self.n,
-            "m": self.m,
-            "entry_step": self.entry_step,
-            "error_band": self.error_band.to_record() if self.error_band else None,
-        }
+        return {**self._asdict(), "error_band":
+                self.error_band.to_record() if self.error_band else None}
 
 
 def checked_residual(delta_d: Scalar) -> Scalar:

@@ -177,8 +177,7 @@ def output_dir(path) -> Path:
 def write_json(data: dict, path) -> Path:
     """Write a JSON report, indented and newline-terminated; returns path."""
     with atomic_open(path) as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write((json.dumps(data, indent=2) + "\n").encode())
     return path
 
 
@@ -294,21 +293,29 @@ def scenario_from_dict(raw: dict, mode_override: Optional[str] = None,
         mode=mode_override or mode)
 
 
+def checked_exact(z: Scalar) -> Scalar:
+    """``z`` if it is exact, as every value of a sweep grid must be."""
+    if not is_exact(z):
+        raise ValueError(f"a sweep has no float mode, got the float {z!r}")
+    return z
+
+
 def load_grid_spec(path: Optional[str] = None) -> GridSpec:
     """Load a sweep grid from JSON; absent keys, or no file, keep defaults."""
     raw, kwargs = (read_json(path) if path else {}), {}
     field = config_fields(raw, str(path), (
         "alpha.lo", "alpha.hi", "alpha.count", "delta_d.lo", "delta_d.hi",
         "delta_d.count", "init.box", "init.count", "budget"))
-    for axis, parse in (("alpha", lambda v: capture_gain(parse_scalar(v))),
-                        ("delta_d",
-                         lambda v: checked_residual(parse_scalar(v)))):
+    for axis, check in (("alpha", capture_gain),
+                        ("delta_d", checked_residual)):
+        parse = lambda v: checked_exact(check(parse_scalar(v)))
         if axis in raw:
             kwargs[f"{axis}_lo"] = field(f"{axis}.lo", parse)
             kwargs[f"{axis}_hi"] = field(f"{axis}.hi", parse)
             kwargs[f"{axis}_count"] = field(f"{axis}.count", parse_count)
     if "init" in raw:
-        kwargs["init_box"] = field("init.box")
+        kwargs["init_box"] = field("init.box",
+                                   lambda v: checked_exact(parse_scalar(v)))
         kwargs["init_count"] = field("init.count", parse_count)
     if "budget" in raw:
         kwargs["budget"] = field("budget", parse_count)

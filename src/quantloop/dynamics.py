@@ -60,13 +60,15 @@ their per-step work over the stored steps and ask the run where each
 recurs; no other module maps between stored and logical steps.
 The branch that produced a state follows from ``rho_e`` and the law
 (:func:`branch`) and is not stored; step 0 has none.
+
+Every output is encoded text written through :func:`atomic_open`; CSV
+fields are joined by commas unquoted, since none holds a comma, a quote,
+a ``%`` or a line break.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
-import io
 import itertools
 import math
 import os
@@ -465,15 +467,15 @@ def shift_trajectory(traj: Trajectory, dbar: Scalar) -> Trajectory:
 
 
 @contextlib.contextmanager
-def atomic_open(path, mode="w", **kwargs):
-    """Open a temporary file beside ``path`` for writing, as :func:`open`
-    does.  It replaces ``path`` when the block ends and is removed if the
-    block raises, so ``path`` is never left half written."""
+def atomic_open(path):
+    """Open a temporary file beside ``path`` for writing bytes.  It replaces
+    ``path`` when the block ends and is removed if the block raises, so
+    ``path`` is never left half written."""
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -483,54 +485,44 @@ def atomic_open(path, mode="w", **kwargs):
 
 
 def write_csv(path, header: Sequence, rows) -> None:
-    """Write a CSV of a ``header`` row and ``rows`` atomically to ``path``."""
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write a CSV of a ``header`` row and ``rows`` atomically to ``path``:
+    each row its fields' ``str``, joined by commas and ended by CRLF."""
+    with atomic_open(path) as fh:
+        fh.write("".join(",".join(map(str, row)) + "\r\n"
+                         for row in (header, *rows)).encode())
 
 
 #: Rows per written block: stored steps, or whole periods of the cycle.
 _CSV_CHUNK = 1024
 
-
-def _row_template(text: str) -> bytes:
-    """The CSV rows ``text``, each ending in a line break and holding no
-    other, as a ``%`` template that puts ``%d,`` (the row's ``k``) before
-    each; a ``%`` in ``text`` is doubled so it is written literally."""
-    body = text.replace("%", "%%")[:-2].replace("\r\n", "\r\n%d,")
-    return ("%d," + body + "\r\n").encode()
+#: One trajectory row; the ``%d`` takes its ``k`` when its block is filled.
+_ROW = "%d,{},{},{},{},{},{}\r\n".format
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with the canonical column order.
 
-    Row 0, which has no branch, is written on its own, and the later rows
-    in blocks of about :data:`_CSV_CHUNK`: each a :func:`_row_template`
-    filled with its steps' ``k``, formatted once per chunk of stored steps
-    and once for all blocks of whole periods (the last takes its first
-    rows).  No field holds a line break, so CSV rows split there.
+    Every row is one :data:`_ROW`; the rows after row 0, which has no
+    branch, are written in blocks of about :data:`_CSV_CHUNK`, each a
+    ``%`` template filled with its steps' ``k``: formatted once per chunk
+    of stored steps and once for all blocks of whole periods (the last
+    takes its first rows).
     """
     n, stored, period = len(traj), len(traj.rho_e), traj.period
 
-    def csv_text(rows) -> str:
-        buf = io.StringIO()
-        csv.writer(buf).writerows(rows)
-        return buf.getvalue()
-
     def block(lo: int, hi: int) -> bytes:
         rho_e = traj.rho_e[lo:hi]
-        return _row_template(csv_text(zip(
-            map(format_scalar, traj.e[lo:hi]),
+        return "".join(map(
+            _ROW, map(format_scalar, traj.e[lo:hi]),
             map(format_scalar, traj.u[lo:hi]), rho_e, traj.rho_u[lo:hi],
             map(format_scalar, traj.d[lo:hi]),
-            [branch(r, traj.switched) for r in rho_e])))
+            [branch(r, traj.switched) for r in rho_e])).encode()
 
-    with atomic_open(path, "wb") as fh:
-        fh.write(csv_text((TRAJECTORY_COLUMNS, (
-            0, format_scalar(traj.e[0]), format_scalar(traj.u[0]),
+    with atomic_open(path) as fh:
+        fh.write((",".join(TRAJECTORY_COLUMNS) + "\r\n" + _ROW(
+            format_scalar(traj.e[0]), format_scalar(traj.u[0]),
             traj.rho_e[0], traj.rho_u[0], format_scalar(traj.d[0]),
-            MODE_NA))).encode())
+            MODE_NA) % 0).encode())
         for lo in range(1, stored, _CSV_CHUNK):
             hi = min(lo + _CSV_CHUNK, stored)
             fh.write(block(lo, hi) % tuple(range(lo, hi)))

@@ -103,7 +103,7 @@ def format_scalar(z: Scalar) -> str:
     """
     if isinstance(z, float):
         return repr(z)
-    f = Fraction(z)
+    f = z if isinstance(z, Fraction) else Fraction(z)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

@@ -47,18 +47,12 @@ GRID_CSV_COLUMNS = ("alpha", "delta_d", "n_inits", "n_theorem1", "n_alt",
                     "n_amp2", "n_unresolved")
 REGION_CSV_COLUMNS = ("alpha", "delta_d", "in_region")
 
-#: Above this bound on total simulation steps a sweep gets a slowness
-#: warning.  The bound assumes every trajectory exhausts its budget, which
-#: desk-scale sweeps never do, so the threshold sits well above them.
-_FULL_SCALE_STEPS = 10 ** 10
-
-
 @validated
 class GridSpec(NamedTuple):
     """Sweep description: parameter grid, initial-state grid, step budget.
 
     Defaults are the desk-scale study (50 x 101 parameter cells, 21x21
-    initial conditions, 10^4 steps per trajectory).  Full-scale values are
+    initial conditions, 10^4 steps per trajectory).  Larger grids are
     accepted but warned about, since the run time grows accordingly.
     """
 
@@ -250,10 +244,11 @@ def sweep(spec: GridSpec, jobs: int = 1) -> tuple:
     grid order (alpha-major).  Workers take cells by stride, spreading the
     slow low-gain rows; ``jobs`` > 1 forks, so call it from one thread.
     """
-    if spec.total_steps_bound() > _FULL_SCALE_STEPS:
+    desk_scale = GridSpec().total_steps_bound()
+    if spec.total_steps_bound() > desk_scale:
         warnings.warn(
-            f"sweep upper bound exceeds {_FULL_SCALE_STEPS:,} simulation "
-            "steps; expect a very long run", stacklevel=2)
+            f"sweep upper bound exceeds the default grid's {desk_scale:,} "
+            "simulation steps; expect a very long run", stacklevel=2)
     alphas, delta_ds, inits = spec.alphas(), spec.delta_ds(), spec.inits()
     # Half-away rounding is odd, so cell (alpha, -dd) from (-e0, -u0) gets
     # the tag of (alpha, dd) from (e0, u0).  Where both grids are their own

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quantloop import campaign
 from quantloop.campaign import (
+    TABLE1_CSV_COLUMNS,
     CampaignSpec,
     RmsRow,
     analyze_trajectory,
@@ -29,7 +30,10 @@ from quantloop.dynamics import (
     simulate,
     write_trajectory_csv,
 )
+from quantloop.numerics import SQRT2_MINUS_1, format_scalar
 from quantloop.reachability import (
+    GRID_CSV_COLUMNS,
+    REGION_CSV_COLUMNS,
     CellResult,
     write_grid_csv,
     write_region_csv,
@@ -123,6 +127,33 @@ def test_table1_csv_and_text_output(tmp_path):
     assert all("." in r["rms_standard"] for r in parsed)
     text = format_table1(rows)
     assert "1/10" in text and "switched" in text.splitlines()[0]
+
+
+def test_table_csvs_read_back_to_the_fields_written(tmp_path):
+    # the writers quote nothing, so csv's reader must see every field as
+    # written: exact scalars, floats, ints and %.3f strings
+    cells = [CellResult(F(1001, 1000), F(-1, 2), 441, 400, 20, 1, 20),
+             CellResult(F(13, 10), F(0), 9, 9, 0, 0, 0),
+             CellResult(F(3, 2) - F(1, 10 ** 30), F(1, 3), 1, 1, 0, 0, 0)]
+    rows = [RmsRow(F(1, 100), 0.0905, 0.1, 0.0), RmsRow(-0.0, 1.5, 2.25, -1.0),
+            RmsRow(SQRT2_MINUS_1, 1e-300, 12345.6785, 0.5)]
+    expected = {
+        write_grid_csv: (cells, [list(GRID_CSV_COLUMNS)] + [
+            [format_scalar(c.alpha), format_scalar(c.delta_d),
+             *map(str, c[2:])] for c in cells]),
+        write_region_csv: (cells, [list(REGION_CSV_COLUMNS)] + [
+            [format_scalar(c.alpha), format_scalar(c.delta_d), flag]
+            for c, flag in zip(cells, "011")]),
+        write_table1_csv: (rows, [list(TABLE1_CSV_COLUMNS)] + [
+            [format_scalar(r.disturbance), *(f"{x:.3f}" for x in r[1:])]
+            for r in rows]),
+    }
+    for writer, (data, fields) in expected.items():
+        path = tmp_path / f"{writer.__name__}.csv"
+        writer(data, path)
+        assert path.read_bytes().count(b"\r\n") == len(fields)
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == fields
 
 
 # --- scenario configs -------------------------------------------------------

@@ -244,6 +244,29 @@ def test_grid_non_integer_names_the_key(tmp_path, capsys, path, value):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("alpha", "lo"), "float:1.3"),
+    (("alpha", "hi"), "float:1.4"),
+    (("delta_d", "lo"), "float:-0.25"),
+    (("delta_d", "hi"), "sqrt2-1"),
+    (("init", "box"), "float:2.5"),
+    (("init", "box"), "sqrt2-1"),
+])
+def test_grid_float_literal_names_the_key(tmp_path, capsys, monkeypatch,
+                                          path, value):
+    # a sweep samples exact rationals: a float would print as a binary
+    # fraction in grid.csv; rejected while loading, before any fork
+    monkeypatch.setattr(os, "fork", no_fork)
+    payload = json.loads(json.dumps(GRID))
+    payload[path[0]][path[1]] = value
+    assert run_with_config(tmp_path, "sweep", payload) == 1
+    err = capsys.readouterr().err
+    assert f"key {'.'.join(path)!r}: a sweep has no float mode, got the " \
+        f"float {parse_scalar(value)!r}" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_campaign_non_integer_horizon_names_the_key(tmp_path, capsys):
     payload = {"disturbances": ["1/10"], "horizon": 12.5}
     assert run_with_config(tmp_path, "table1", payload) == 1
@@ -526,7 +549,7 @@ def test_cli_import_loads_its_layers_and_no_heavy_stdlib(tmp_path):
     out = run_fresh("-c", "import sys, quantloop.cli; print(*sys.modules)")
     assert out.returncode == 0, out.stderr
     loaded = set(out.stdout.split())
-    assert not loaded & {"dataclasses", "inspect", "multiprocessing",
+    assert not loaded & {"csv", "dataclasses", "inspect", "multiprocessing",
                          "pickle"}
     assert {"quantloop.dynamics", "quantloop.analysis",
             "quantloop.reachability", "quantloop.campaign"} <= loaded

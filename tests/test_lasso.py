@@ -32,7 +32,6 @@ from quantloop.dynamics import (
     LoopConfig,
     Trajectory,
     _CSV_CHUNK,
-    _row_template,
     shift_trajectory,
     simulate,
     write_trajectory_csv,
@@ -243,11 +242,6 @@ def test_float_csv_keeps_negative_zero(tmp_path):
     assert data == reference_csv(traj)
     assert data.splitlines()[1] == b"0,-0.0,-0.0,0,0,-0.0,n/a"
     assert data.splitlines()[-1].endswith(b",-0.0,n/a")
-
-
-def test_row_template_writes_a_percent_sign_literally():
-    template = _row_template("a%d,1\r\nb%%,2\r\n")
-    assert template % (7, 8) == b"7,a%d,1\r\n8,b%%,2\r\n"
 
 
 def test_long_horizon_stores_one_cycle():

@@ -207,6 +207,26 @@ def test_format_scalar(value, text):
     assert format_scalar(value) == text
 
 
+@given(st.one_of(
+    st.builds(F, st.integers(-10**60, 10**60), st.integers(1, 10**60)),
+    st.builds(lambda n: F(2 * n + 1, 2), st.integers(-10**20, 10**20)),
+    st.integers(-10**60, 10**60),
+    st.floats(allow_nan=False, allow_infinity=False)))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072009e-308)
+@example(1e300)
+@example(-1e300)
+@example(-2.5)
+@example(0.49999999999999994)
+@example(F(-1, 2))
+def test_format_scalar_needs_no_csv_quoting(z):
+    # the writers join fields with commas and fill row templates with %,
+    # relying on no field holding a comma, a quote, a % or a line break
+    assert not set(format_scalar(z)) & set(',"%\r\n')
+
+
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
 def test_exact_round_trip_lowest_terms(n, m):
     f = F(n, m)

@@ -5,6 +5,7 @@ import json
 import os
 import signal
 import time
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -21,12 +22,12 @@ from quantloop.cli import main
 from quantloop.dynamics import capture_gain
 from quantloop.numerics import round_half_away
 from quantloop.reachability import (
-    _FULL_SCALE_STEPS,
     TAG_ALT_UNIT,
     TAG_AMPLITUDE2,
     TAG_THEOREM1,
     TAG_UNRESOLVED,
     AttractorClass,
+    CellResult,
     GridSpec,
     _classify_cycle,
     _evaluate_cell,
@@ -407,24 +408,40 @@ def test_half_boundary_cell_is_not_fully_captured():
 def test_full_scale_spec_warns():
     with pytest.warns(UserWarning):
         sweep(GridSpec(alpha_count=1, delta_d_count=1, init_count=1,
-                       budget=2 * 10 ** 10,
+                       budget=3 * 10 ** 10,
                        alpha_lo=F(13, 10), alpha_hi=F(13, 10),
                        delta_d_lo=F(1, 4), delta_d_hi=F(1, 4),
                        init_box=0))
 
 
 def test_full_scale_warning_names_its_threshold():
-    assert _FULL_SCALE_STEPS == 10 ** 10
+    # the threshold is the default grid's own bound
+    desk_scale = GridSpec().total_steps_bound()
+    assert desk_scale == 50 * 101 * 21 ** 2 * 10_000
     # one cell, one initial state: the budget alone passes the threshold,
     # and the state starts inside the capture region, so it is never spent
     spec = GridSpec(alpha_lo=F(13, 10), alpha_hi=F(13, 10), alpha_count=1,
                     delta_d_lo=F(1, 4), delta_d_hi=F(1, 4), delta_d_count=1,
-                    init_box=0, init_count=1, budget=_FULL_SCALE_STEPS + 1)
-    assert spec.total_steps_bound() > _FULL_SCALE_STEPS
-    with pytest.warns(UserWarning,
-                      match="exceeds 10,000,000,000 simulation steps"):
+                    init_box=0, init_count=1, budget=desk_scale + 1)
+    assert spec.total_steps_bound() > desk_scale
+    with pytest.warns(UserWarning, match="exceeds the default grid's "
+                      "22,270,500,000 simulation steps"):
         cells = sweep(spec)
     assert cells[0].n_theorem1 == 1
+
+
+def test_default_grid_sweeps_without_a_warning(monkeypatch):
+    # the documented default sweep stays quiet under -W error; the cells
+    # are tallied without classifying the real grid
+    def tally(spec, inits, alpha, delta_d):
+        return CellResult(alpha, delta_d, len(inits), len(inits), 0, 0, 0)
+
+    monkeypatch.setattr(reachability, "_evaluate_cell", tally)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = sweep(GridSpec())
+    assert len(cells) == 50 * 101
+    assert len(attraction_region(cells)) == 50 * 101
 
 
 def test_parallel_sweep_keeps_grid_order_across_strides():
