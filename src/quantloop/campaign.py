@@ -55,7 +55,7 @@ from .numerics import (
     parse_scalar,
     rounding_error,
 )
-from .reachability import GridSpec
+from .reachability import GridSpec, checked_exact
 
 #: Disturbance magnitudes of the reference comparison table.  All exact
 #: rationals except the deliberately irrational last entry.
@@ -293,19 +293,14 @@ def scenario_from_dict(raw: dict, mode_override: Optional[str] = None,
         mode=mode_override or mode)
 
 
-def checked_exact(z: Scalar) -> Scalar:
-    """``z`` if it is exact, as every value of a sweep grid must be."""
-    if not is_exact(z):
-        raise ValueError(f"a sweep has no float mode, got the float {z!r}")
-    return z
-
-
 def load_grid_spec(path: Optional[str] = None) -> GridSpec:
     """Load a sweep grid from JSON; absent keys, or no file, keep defaults."""
     raw, kwargs = (read_json(path) if path else {}), {}
     field = config_fields(raw, str(path), (
         "alpha.lo", "alpha.hi", "alpha.count", "delta_d.lo", "delta_d.hi",
         "delta_d.count", "init.box", "init.count", "budget"))
+    # GridSpec rejects a float bound too, but only by its field name; the
+    # loader checks each key first so the error names the file and key path
     for axis, check in (("alpha", capture_gain),
                         ("delta_d", checked_residual)):
         parse = lambda v: checked_exact(check(parse_scalar(v)))

@@ -13,7 +13,10 @@ classify interleaved strides of them, reassembled in grid order.  The loop is
 odd in (e, u_bar, delta_d), so on a delta_d axis that is its own negation
 (lo == -hi, over an initial-state grid that is too) only the cells with
 delta_d >= 0 are classified and each cell with delta_d < 0 takes the
-tallies of its mirror; an asymmetric axis has every cell classified.
+tallies of its mirror; an asymmetric axis has every cell classified.  A
+delta_d = 0 cell is its own mirror: on a symmetric initial-state grid it
+pairs its initial states, classifying one of each pair (e0, u0),
+(-e0, -u0), counted twice, and the centre.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .dynamics import (
     validated,
     write_csv,
 )
-from .numerics import Scalar, format_scalar, sign
+from .numerics import Scalar, format_scalar, is_exact, sign
 
 TAG_THEOREM1 = "theorem1-set"
 TAG_ALT_UNIT = "alt-unit-set"
@@ -70,6 +73,12 @@ class GridSpec(NamedTuple):
         for count in (self.alpha_count, self.delta_d_count, self.init_count,
                       self.budget):
             checked_count(count)
+        for name in ("alpha_lo", "alpha_hi", "delta_d_lo", "delta_d_hi",
+                     "init_box"):
+            try:
+                checked_exact(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"GridSpec.{name}: {exc}") from None
 
     def alphas(self) -> list:
         return grid_values(self.alpha_lo, self.alpha_hi, self.alpha_count)
@@ -84,6 +93,13 @@ class GridSpec(NamedTuple):
     def total_steps_bound(self) -> int:
         return (self.alpha_count * self.delta_d_count
                 * self.init_count ** 2 * self.budget)
+
+
+def checked_exact(z: Scalar) -> Scalar:
+    """``z`` if it is exact, as every value of a sweep grid must be."""
+    if not is_exact(z):
+        raise ValueError(f"a sweep has no float mode, got the float {z!r}")
+    return z
 
 
 def grid_values(lo: Scalar, hi: Scalar, count: int) -> list:
@@ -125,13 +141,14 @@ def classify_trajectory(
     version, so excursions outside the initial box return on their own.
     Int, Fraction and float arguments are all taken at their exact value.
     """
-    a, d, den, s, delta_d, minimal = _exact_cell(alpha, delta_d)
-    e0 = e0 if type(e0) is Fraction else Fraction(e0)
-    u_bar0 = u_bar0 if type(u_bar0) is Fraction else Fraction(u_bar0)
+    a, d, den, s, minimal, amp2 = _exact_cell(*alpha.as_integer_ratio(),
+                                              *delta_d.as_integer_ratio())
+    e_num, e_den = e0.as_integer_ratio()
+    u_num, u_den = u_bar0.as_integer_ratio()
     # The cell's lattice (1/den)Z, refined to hold the initial state too.
-    scale = math.lcm(den, e0.denominator, u_bar0.denominator) // den
+    scale = math.lcm(den, e_den, u_den) // den
     a, d, den = a * scale, d * scale, den * scale
-    e, u = _scaled(e0, den), _scaled(u_bar0, den)
+    e, u = e_num * (den // e_den), u_num * (den // u_den)
     state = e, u, _rho_scaled(e, den), _rho_scaled(u, den)
     seen: dict = {}  # state -> step, in step order
     for k in range(budget + 1):
@@ -144,30 +161,33 @@ def classify_trajectory(
         if j != k:
             # seen's keys from the j-th on are the states of steps j..k-1
             pairs = frozenset(x[2:] for x in itertools.islice(seen, j, None))
-            return _classify_cycle(delta_d, minimal, pairs, j)
+            return _classify_cycle(minimal, amp2, pairs, j)
         state = _lattice_step(a, den, True, state, d)
     last = frozenset(x[2:] for x in list(seen)[-8:])
     return AttractorClass(TAG_UNRESOLVED, last, None)
 
 
 @functools.lru_cache(maxsize=16)
-def _exact_cell(alpha, delta_d) -> tuple:
-    """``(den alpha, den delta_d, den, sign(delta_d), delta_d, minimal set)``
-    of one cell, computed once for all its initial states (a sweep runs
-    them in a row); a gain or residual out of range raises, so it is never
-    cached."""
-    alpha = Fraction(capture_gain(alpha))
-    delta_d = Fraction(checked_residual(delta_d))
-    den = math.lcm(alpha.denominator, delta_d.denominator)
-    return (_scaled(alpha, den), _scaled(delta_d, den), den, sign(delta_d),
-            delta_d, minimal_invariant_pairs(delta_d))
+def _exact_cell(alpha_num, alpha_den, delta_num, delta_den) -> tuple:
+    """``(den alpha, den delta_d, den, sign(delta_d), minimal set,
+    amplitude-2 set)`` of the cell alpha = alpha_num / alpha_den, delta_d =
+    delta_num / delta_den, both in lowest terms.  Computed once for all its
+    initial states (a sweep runs them in a row) and keyed by the ints,
+    which hash far faster than two ``Fraction``s; a gain or residual out of
+    range raises, so it is never cached."""
+    alpha = capture_gain(Fraction(alpha_num, alpha_den))
+    delta_d = checked_residual(Fraction(delta_num, delta_den))
+    den = math.lcm(alpha_den, delta_den)
+    return (_scaled(alpha, den), _scaled(delta_d, den), den, sign(delta_num),
+            minimal_invariant_pairs(delta_d), amplitude2_pairs(delta_d))
 
 
-def _classify_cycle(delta_d, minimal, cycle_pairs, entry) -> AttractorClass:
+def _classify_cycle(minimal, amp2, cycle_pairs, entry) -> AttractorClass:
+    """The tag of a terminal cycle, given the cell's minimal set and its
+    amplitude-2 set (None off |delta_d| = 1/2)."""
     if cycle_pairs <= minimal:
         return AttractorClass(TAG_THEOREM1, cycle_pairs, entry)
-    amp2 = amplitude2_pairs(delta_d)
-    if amp2 is not None and cycle_pairs == amp2:
+    if cycle_pairs == amp2:
         return AttractorClass(TAG_AMPLITUDE2, cycle_pairs, entry)
     rho_es = [p[0] for p in cycle_pairs]
     if max(rho_es) - min(rho_es) <= 1:
@@ -188,12 +208,14 @@ class CellResult(NamedTuple):
 
 
 def _evaluate_cell(spec: GridSpec, inits: list, alpha, delta_d) -> CellResult:
+    """Tally ``inits``, ``(e0, u0, weight)`` triples: each state is
+    classified once and counts for ``weight`` initial states."""
     counts = {TAG_THEOREM1: 0, TAG_ALT_UNIT: 0, TAG_AMPLITUDE2: 0,
               TAG_UNRESOLVED: 0}  # in the order of CellResult's tallies
-    for e0, u0 in inits:
+    for e0, u0, weight in inits:
         result = classify_trajectory(alpha, delta_d, e0, u0, spec.budget)
-        counts[result.tag] += 1
-    return CellResult(alpha, delta_d, len(inits), *counts.values())
+        counts[result.tag] += weight
+    return CellResult(alpha, delta_d, sum(counts.values()), *counts.values())
 
 
 def _fork_map(fn, work: list, jobs: int) -> list:
@@ -251,13 +273,21 @@ def sweep(spec: GridSpec, jobs: int = 1) -> tuple:
             "simulation steps; expect a very long run", stacklevel=2)
     alphas, delta_ds, inits = spec.alphas(), spec.delta_ds(), spec.inits()
     # Half-away rounding is odd, so cell (alpha, -dd) from (-e0, -u0) gets
-    # the tag of (alpha, dd) from (e0, u0).  Where both grids are their own
-    # negation, only the cells with dd >= 0 are classified.
-    mirrored = (delta_ds[::-1] == [-dd for dd in delta_ds]
-                and inits[::-1] == [(-e0, -u0) for e0, u0 in inits])
+    # the tag of (alpha, dd) from (e0, u0).  Where the inits are their own
+    # negation (inits[-1 - i] mirrors inits[i]), the cell dd = 0 is its own
+    # mirror: it classifies the first half of the inits, each counted
+    # twice, and the centre.  Where the dd axis is its own negation too,
+    # only the cells with dd >= 0 are classified.
+    symmetric = inits[::-1] == [(-e0, -u0) for e0, u0 in inits]
+    mirrored = symmetric and delta_ds[::-1] == [-dd for dd in delta_ds]
+    every = [(e0, u0, 1) for e0, u0 in inits]
+    half = len(inits) // 2 if symmetric else 0
+    paired = ([(e0, u0, 2) for e0, u0 in inits[:half]]
+              + every[half:len(inits) - half])
     work = [(a, dd) for a in alphas for dd in delta_ds
             if dd >= 0 or not mirrored]
-    cells = _fork_map(lambda c: _evaluate_cell(spec, inits, *c), work, jobs)
+    cells = _fork_map(lambda c: _evaluate_cell(
+        spec, paired if c[1] == 0 else every, *c), work, jobs)
     if mirrored:
         done = {(c.alpha, c.delta_d): c for c in cells}
         cells = [done[a, dd] if dd >= 0

@@ -479,8 +479,24 @@ def test_scaled_rounding_sends_exact_ties_away_from_zero(n, half, sign):
     assert _rho_scaled(x, den) == sign * (n + 1) == round_half_away(F(x, den))
 
 
+BIG = 10 ** 12
+
+
 @settings(max_examples=300, deadline=None)
 @given(lattice_configs())
+# a step lands e1 or u1 exactly on +-(m + 1/2), where the kernel's rounding
+# goes away from zero, on lattices of den 4, 2^40 and about 10^12
+@example(constant_config(F(BIG + 3, BIG), "switched-pi", F(-7, 2), 0, 0,
+                         6))                                 # e1 = -7/2
+@example(constant_config(F(2 ** 40 + 1, 2 ** 40), "standard-pi",
+                         F(5, 2) - F(1, 2 ** 40), F(1, 2 ** 40), 0,
+                         6))                                 # e1 = 5/2
+@example(constant_config(F(3, 2) + F(1, BIG), "switched-pi", F(1), 0,
+                         F(1, BIG), 6))                      # u1 = -3/2
+@example(constant_config(F(3, 2) + F(1, BIG), "standard-pi", F(-1), 0,
+                         F(-1, BIG), 6))                     # u1 = 3/2
+@example(constant_config(F(5, 4), "standard-pi", F(-2), 0, 0, 6))  # 5/2
+@example(constant_config(F(5, 4), "switched-pi", F(2), 0, 0, 6))  # -5/2
 def test_lattice_kernel_matches_fraction_law(config):
     traj = simulate(config)
     assert traj.mode == "exact"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from quantloop import reachability
 from quantloop.analysis import (
     EntryRegion,
+    amplitude2_pairs,
     in_entry_region,
     minimal_invariant_pairs,
 )
@@ -30,7 +31,6 @@ from quantloop.reachability import (
     CellResult,
     GridSpec,
     _classify_cycle,
-    _evaluate_cell,
     attraction_region,
     classify_trajectory,
     grid_values,
@@ -88,9 +88,9 @@ def test_cycle_inside_the_minimal_set_is_theorem1():
     # the cell's minimal set, or any part of it, tags a cycle theorem1-set
     minimal = minimal_invariant_pairs(F(1, 10))
     for pairs in (minimal, frozenset({(0, 0)})):
-        assert _classify_cycle(F(1, 10), minimal, pairs, 3) == \
+        assert _classify_cycle(minimal, None, pairs, 3) == \
             AttractorClass(TAG_THEOREM1, pairs, 3)
-    assert _classify_cycle(F(1, 10), minimal, frozenset({(0, 0), (-1, 1)}),
+    assert _classify_cycle(minimal, None, frozenset({(0, 0), (-1, 1)}),
                            3).tag == TAG_ALT_UNIT
 
 
@@ -176,7 +176,8 @@ def fraction_classify(alpha, delta_d, e0, u_bar0, budget):
                                   minimal_invariant_pairs(delta_d), k)
         j = seen.get((e, u))
         if j is not None:
-            return _classify_cycle(delta_d, minimal_invariant_pairs(delta_d),
+            return _classify_cycle(minimal_invariant_pairs(delta_d),
+                                   amplitude2_pairs(delta_d),
                                    frozenset(pairs[j:k]), j)
         seen[(e, u)] = k
         pairs.append((round_half_away(e), round_half_away(u)))
@@ -321,10 +322,16 @@ def test_sweep_is_order_and_parallelism_independent():
 
 
 def every_cell(spec):
-    """The sweep's cells, each classified on its own."""
-    inits = spec.inits()
-    return tuple(_evaluate_cell(spec, inits, a, dd)
-                 for a in spec.alphas() for dd in spec.delta_ds())
+    """The sweep's cells, each classifying every initial state itself."""
+    tags = (TAG_THEOREM1, TAG_ALT_UNIT, TAG_AMPLITUDE2, TAG_UNRESOLVED)
+    cells = []
+    for a in spec.alphas():
+        for dd in spec.delta_ds():
+            found = [classify_trajectory(a, dd, e0, u0, spec.budget).tag
+                     for e0, u0 in spec.inits()]
+            cells.append(CellResult(a, dd, len(found),
+                                    *map(found.count, tags)))
+    return tuple(cells)
 
 
 def test_mirrored_sweep_matches_every_cell_classified():
@@ -339,18 +346,21 @@ def test_mirrored_sweep_matches_every_cell_classified():
 
 
 @pytest.mark.parametrize("overrides, classified", [
+    # (delta_d, inits classified) of each classified cell, in order; the
+    # delta_d = 0 cell of a symmetric init grid classifies the first 5 of
+    # its 9 inits (4 pairs and the centre)
     # symmetric grids: only delta_d >= 0
     (dict(delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2), delta_d_count=5),
-     [0, F(1, 4), F(1, 2)]),
+     [(0, 5), (F(1, 4), 9), (F(1, 2), 9)]),
     (dict(delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2), delta_d_count=4),
-     [F(1, 6), F(1, 2)]),
+     [(F(1, 6), 9), (F(1, 2), 9)]),
     # asymmetric delta_d axis: every cell
     (dict(delta_d_lo=F(-1, 2), delta_d_hi=F(1, 4), delta_d_count=4),
-     [F(-1, 2), F(-1, 4), 0, F(1, 4)]),
+     [(F(-1, 2), 9), (F(-1, 4), 9), (0, 5), (F(1, 4), 9)]),
     # one initial state (-1, -1) is not its own mirror: every cell
     (dict(delta_d_lo=F(-1, 4), delta_d_hi=F(1, 4), delta_d_count=3,
           init_box=1, init_count=1),
-     [F(-1, 4), 0, F(1, 4)]),
+     [(F(-1, 4), 1), (0, 1), (F(1, 4), 1)]),
 ])
 def test_sweep_classifies_each_cell_it_cannot_mirror(monkeypatch, overrides,
                                                      classified):
@@ -358,15 +368,36 @@ def test_sweep_classifies_each_cell_it_cannot_mirror(monkeypatch, overrides,
     expected = every_cell(spec)
     calls = []
 
-    def counted(alpha, delta_d, *args):
-        calls.append((alpha, delta_d))
-        return classify_trajectory(alpha, delta_d, *args)
+    def counted(alpha, delta_d, e0, u0, budget):
+        calls.append((alpha, delta_d, e0, u0))
+        return classify_trajectory(alpha, delta_d, e0, u0, budget)
 
     # sweep calls the module global once per init, which tracing relies on
     monkeypatch.setattr(reachability, "classify_trajectory", counted)
     assert sweep(spec) == expected
-    assert calls == [(a, dd) for a in spec.alphas() for dd in classified
-                     for _ in spec.inits()]
+    assert calls == [(a, dd, e0, u0) for a in spec.alphas()
+                     for dd, n in classified for e0, u0 in spec.inits()[:n]]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("init_box, init_count, budget", [
+    # odd count, step 1/2: ties +-1/2, +-3/2 and the centre; the inits with
+    # e0 on a tie end on the period-2 bounce
+    (2, 9, 500),
+    (F(3, 2), 4, 500),  # even count, step 1: every init a tie, no centre
+    (F(5, 4), 6, 4),    # even count, step 1/2: the budget binds for some
+])
+@pytest.mark.parametrize("delta_d_hi", [F(1, 2), F(1, 4)])
+def test_paired_zero_residual_cell_matches_every_init_classified(
+        jobs, init_box, init_count, budget, delta_d_hi):
+    # the delta_d = 0 cells count each classified init for its mirror too,
+    # on a mirrored grid and on an asymmetric axis
+    spec = small_spec(alpha_lo=F(21, 20), alpha_hi=F(13, 10), alpha_count=2,
+                      delta_d_lo=F(-1, 2), delta_d_hi=delta_d_hi,
+                      delta_d_count=5 if delta_d_hi == F(1, 2) else 4,
+                      init_box=init_box, init_count=init_count, budget=budget)
+    assert 0 in spec.delta_ds()
+    assert sweep(spec, jobs=jobs) == every_cell(spec)
 
 
 def test_attraction_region_mask():
@@ -434,7 +465,8 @@ def test_default_grid_sweeps_without_a_warning(monkeypatch):
     # the documented default sweep stays quiet under -W error; the cells
     # are tallied without classifying the real grid
     def tally(spec, inits, alpha, delta_d):
-        return CellResult(alpha, delta_d, len(inits), len(inits), 0, 0, 0)
+        n = sum(weight for _, _, weight in inits)
+        return CellResult(alpha, delta_d, n, n, 0, 0, 0)
 
     monkeypatch.setattr(reachability, "_evaluate_cell", tally)
     with warnings.catch_warnings():
@@ -572,6 +604,17 @@ def test_grid_spec_validation():
         GridSpec(alpha_count=0)
     with pytest.raises(ValueError):
         GridSpec(budget=0)
+
+
+@pytest.mark.parametrize("field", ["alpha_lo", "alpha_hi", "delta_d_lo",
+                                   "delta_d_hi", "init_box"])
+def test_grid_spec_rejects_a_float_bound(field):
+    # a float would be sampled at its binary value: 1.3 as
+    # 5854679515581645/4503599627370496
+    with pytest.raises(ValueError, match=rf"^GridSpec\.{field}: a sweep has "
+                       r"no float mode, got the float 1\.3$"):
+        GridSpec(**{field: 1.3})
+    assert getattr(GridSpec(**{field: F(13, 10)}), field) == F(13, 10)
 
 
 def test_grid_csv_exports(tmp_path):
