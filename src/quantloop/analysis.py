@@ -131,20 +131,6 @@ def verify_control_lock(
     return _verdict("control-lock", traj, flags, entry_step + 2, entry_step)
 
 
-def steps_to_switch(delta_d: Scalar, e_start: Scalar) -> int:
-    """Number of pure-drift steps from ``e_start`` until the quantized
-    error first leaves zero: ceil((sign(delta_d)/2 - e_start) / delta_d).
-
-    Exact for exact inputs.  Undefined for zero residual (the error then
-    never leaves zero).
-    """
-    if delta_d == 0:
-        raise ValueError("zero residual disturbance never triggers a switch")
-    if not -_HALF < e_start < _HALF:
-        raise ValueError("e_start must lie strictly inside (-1/2, 1/2)")
-    return math.ceil((_HALF * sign(delta_d) - e_start) / delta_d)
-
-
 class Interval(NamedTuple):
     """Interval with individually open/closed endpoints."""
 

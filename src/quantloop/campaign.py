@@ -22,7 +22,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .analysis import (
     EntryRegion,
-    checked_residual,
     cycle_error_band,
     detect_cycle,
     detect_cycle_approx,
@@ -37,9 +36,8 @@ from .dynamics import (
     Trajectory,
     atomic_open,
     capture_gain,
-    checked_controller,
+    check_rules,
     checked_count,
-    checked_mode,
     shift_trajectory,
     simulate,
     stable_gain,
@@ -55,7 +53,7 @@ from .numerics import (
     parse_scalar,
     rounding_error,
 )
-from .reachability import GridSpec, checked_exact
+from .reachability import GridSpec
 
 #: Disturbance magnitudes of the reference comparison table.  All exact
 #: rationals except the deliberately irrational last entry.
@@ -76,9 +74,8 @@ class CampaignSpec(NamedTuple):
     alpha: Scalar = Fraction(11, 8)
     horizon: int = 1000
 
-    def _check(self):
-        stable_gain(self.alpha)
-        checked_count(self.horizon)
+    _rules = {"alpha": stable_gain, "horizon": checked_count}
+    _check = check_rules
 
 
 class RmsRow(NamedTuple):
@@ -197,11 +194,11 @@ def _unknown_key(raw: dict, keys, prefix: str = "") -> Optional[str]:
     return None
 
 
-def config_fields(raw: dict, source: str, keys):
+def config_fields(raw: dict, source: str, record: type, keys: dict):
     """``field(path, parse=parse_scalar)``: ``parse`` of the value at the
-    dotted key ``path`` of a JSON config, with errors that name the source
-    and the key path.  A key outside the dotted ``keys``, at any depth, is
-    an error."""
+    dotted key ``path`` of a JSON config, then the rule, if any, of the
+    ``record`` field that ``keys`` maps it to; errors name the source and
+    the key path.  A key outside ``keys``, at any depth, is an error."""
     def field(path: str, parse=parse_scalar):
         value = raw
         for key in path.split("."):
@@ -209,7 +206,8 @@ def config_fields(raw: dict, source: str, keys):
                 raise ValueError(f"{source}: missing key {path!r}")
             value = value[key]
         try:
-            return parse(value)
+            value, rule = parse(value), record._rules.get(keys[path])
+            return rule(value) if rule else value
         except (ValueError, TypeError) as exc:
             raise ValueError(f"{source}: key {path!r}: {exc}") from None
     unknown = _unknown_key(raw, keys)
@@ -226,11 +224,6 @@ def parse_int(value) -> int:
         return int(value)
     except ValueError:
         raise ValueError(f"expected an integer, got {value!r}") from None
-
-
-def parse_count(value) -> int:
-    """A count config value: an integer that is at least 1."""
-    return checked_count(parse_int(value))
 
 
 def parse_list(values, parse=parse_scalar) -> list:
@@ -275,58 +268,51 @@ def scenario_from_dict(raw: dict, mode_override: Optional[str] = None,
     # a known kind allows its own payload key, any other kind fails below
     payloads = ([_DISTURBANCES[kind]] if isinstance(kind, str)
                 and kind in _DISTURBANCES else _DISTURBANCES.values())
-    field = config_fields(raw, source, (
-        "alpha", "controller", "e0", "u0", "horizon", "mode",
-        "disturbance.kind", *(f"disturbance.{key}" for key, *_ in payloads)))
+    field = config_fields(raw, source, LoopConfig, {
+        "alpha": "alpha", "controller": "controller", "e0": "e0", "u0": "u0",
+        "horizon": "horizon", "mode": "mode", "disturbance.kind": "disturbance",
+        **{f"disturbance.{key}": "disturbance" for key, *_ in payloads}})
     kind = field("disturbance.kind", str)
     if kind not in _DISTURBANCES:
         raise ValueError(f"{source}: unknown disturbance kind {kind!r}")
     key, parse, make = _DISTURBANCES[kind]
     dist = field(f"disturbance.{key}", lambda value: make(parse(value)))
 
-    mode = field("mode", checked_mode) if "mode" in raw else "exact"
+    mode = field("mode", str) if "mode" in raw else "exact"
     return LoopConfig(
-        alpha=field("alpha", lambda v: stable_gain(parse_scalar(v))),
-        controller=field("controller", checked_controller), disturbance=dist,
-        e0=field("e0"), u0=field("u0"),
-        horizon=field("horizon", lambda v: checked_count(parse_int(v), 0)),
-        mode=mode_override or mode)
+        alpha=field("alpha"), controller=field("controller", str),
+        disturbance=dist, e0=field("e0"), u0=field("u0"),
+        horizon=field("horizon", parse_int), mode=mode_override or mode)
+
+
+#: The GridSpec field of each key of a grid config.
+_GRID_KEYS = {"alpha.lo": "alpha_lo", "alpha.hi": "alpha_hi",
+              "alpha.count": "alpha_count", "delta_d.lo": "delta_d_lo",
+              "delta_d.hi": "delta_d_hi", "delta_d.count": "delta_d_count",
+              "init.box": "init_box", "init.count": "init_count",
+              "budget": "budget"}
 
 
 def load_grid_spec(path: Optional[str] = None) -> GridSpec:
-    """Load a sweep grid from JSON; absent keys, or no file, keep defaults."""
-    raw, kwargs = (read_json(path) if path else {}), {}
-    field = config_fields(raw, str(path), (
-        "alpha.lo", "alpha.hi", "alpha.count", "delta_d.lo", "delta_d.hi",
-        "delta_d.count", "init.box", "init.count", "budget"))
-    # GridSpec rejects a float bound too, but only by its field name; the
-    # loader checks each key first so the error names the file and key path
-    for axis, check in (("alpha", capture_gain),
-                        ("delta_d", checked_residual)):
-        parse = lambda v: checked_exact(check(parse_scalar(v)))
-        if axis in raw:
-            kwargs[f"{axis}_lo"] = field(f"{axis}.lo", parse)
-            kwargs[f"{axis}_hi"] = field(f"{axis}.hi", parse)
-            kwargs[f"{axis}_count"] = field(f"{axis}.count", parse_count)
-    if "init" in raw:
-        kwargs["init_box"] = field("init.box",
-                                   lambda v: checked_exact(parse_scalar(v)))
-        kwargs["init_count"] = field("init.count", parse_count)
-    if "budget" in raw:
-        kwargs["budget"] = field("budget", parse_count)
-    return GridSpec(**kwargs)
+    """Load a sweep grid from JSON; an absent block keeps its defaults."""
+    raw = read_json(path) if path else {}
+    field = config_fields(raw, str(path), GridSpec, _GRID_KEYS)
+    return GridSpec(**{
+        name: field(key, parse_int if name.endswith(("count", "budget"))
+                    else parse_scalar)
+        for key, name in _GRID_KEYS.items() if key.split(".")[0] in raw})
 
 
-#: The parser of each key of a campaign config.
+#: The parser of each key of a campaign config, named as its field.
 _CAMPAIGN_KEYS = {"disturbances": lambda v: tuple(parse_list(v)),
-                  "alpha": lambda v: stable_gain(parse_scalar(v)),
-                  "horizon": parse_count}
+                  "alpha": parse_scalar, "horizon": parse_int}
 
 
 def load_campaign_spec(path: Optional[str] = None) -> CampaignSpec:
     """Load a campaign from JSON; absent keys, or no file, keep defaults."""
     raw = read_json(path) if path else {}
-    field = config_fields(raw, str(path), _CAMPAIGN_KEYS)
+    field = config_fields(raw, str(path), CampaignSpec,
+                          {key: key for key in _CAMPAIGN_KEYS})
     return CampaignSpec(**{key: field(key, _CAMPAIGN_KEYS[key])
                            for key in raw})
 

@@ -195,6 +195,15 @@ def capture_gain(alpha: Scalar) -> Scalar:
     return alpha
 
 
+def check_rules(record) -> None:
+    """Check each field named in ``record._rules`` by its rule, in order."""
+    for name, rule in record._rules.items():
+        try:
+            rule(getattr(record, name))
+        except ValueError as exc:
+            raise ValueError(f"{type(record).__name__}.{name}: {exc}") from None
+
+
 def validated(record: type) -> type:
     """The named tuple class ``record`` as a subclass whose constructor runs
     ``record._check``, so bad input fails when a record is built (and when
@@ -276,15 +285,15 @@ class LoopConfig(NamedTuple):
     horizon: int
     mode: str = "exact"
 
-    def _check(self):
-        checked_controller(self.controller)
-        checked_mode(self.mode)
-        checked_count(self.horizon, 0)
-        stable_gain(self.alpha)
+    _rules = {"alpha": stable_gain, "controller": checked_controller,
+              "horizon": lambda h: checked_count(h, 0), "mode": checked_mode}
+    _check = check_rules
 
     @property
     def alpha_in_attractive_range(self) -> bool:
-        """Gain range for which the minimal set is a global attractor."""
+        """Gain range (5/4, 3/2) for which the minimal set is a global
+        attractor, provided also |delta_d| < 1/2: at |delta_d| = 1/2 some
+        initial states settle on the alt-unit cycle instead."""
         return Fraction(5, 4) < self.alpha < Fraction(3, 2)
 
     def resolved_mode(self) -> str:

@@ -35,6 +35,7 @@ from .dynamics import (
     _rho_scaled,
     _scaled,
     capture_gain,
+    check_rules,
     checked_count,
     validated,
     write_csv,
@@ -49,6 +50,19 @@ TAG_UNRESOLVED = "unresolved"
 GRID_CSV_COLUMNS = ("alpha", "delta_d", "n_inits", "n_theorem1", "n_alt",
                     "n_amp2", "n_unresolved")
 REGION_CSV_COLUMNS = ("alpha", "delta_d", "in_region")
+
+
+def checked_exact(z: Scalar) -> Scalar:
+    """``z`` if it is exact, as every value of a sweep grid must be."""
+    if not is_exact(z):
+        raise ValueError(f"a sweep has no float mode, got the float {z!r}")
+    return z
+
+
+def _exact(check):
+    """The rule ``check`` (a range), then :func:`checked_exact`."""
+    return lambda z: checked_exact(check(z))
+
 
 @validated
 class GridSpec(NamedTuple):
@@ -69,16 +83,13 @@ class GridSpec(NamedTuple):
     init_count: int = 21
     budget: int = 10_000
 
-    def _check(self):
-        for count in (self.alpha_count, self.delta_d_count, self.init_count,
-                      self.budget):
-            checked_count(count)
-        for name in ("alpha_lo", "alpha_hi", "delta_d_lo", "delta_d_hi",
-                     "init_box"):
-            try:
-                checked_exact(getattr(self, name))
-            except ValueError as exc:
-                raise ValueError(f"GridSpec.{name}: {exc}") from None
+    _rules = {"alpha_lo": _exact(capture_gain),
+              "alpha_hi": _exact(capture_gain), "alpha_count": checked_count,
+              "delta_d_lo": _exact(checked_residual),
+              "delta_d_hi": _exact(checked_residual),
+              "delta_d_count": checked_count, "init_box": checked_exact,
+              "init_count": checked_count, "budget": checked_count}
+    _check = check_rules
 
     def alphas(self) -> list:
         return grid_values(self.alpha_lo, self.alpha_hi, self.alpha_count)
@@ -93,13 +104,6 @@ class GridSpec(NamedTuple):
     def total_steps_bound(self) -> int:
         return (self.alpha_count * self.delta_d_count
                 * self.init_count ** 2 * self.budget)
-
-
-def checked_exact(z: Scalar) -> Scalar:
-    """``z`` if it is exact, as every value of a sweep grid must be."""
-    if not is_exact(z):
-        raise ValueError(f"a sweep has no float mode, got the float {z!r}")
-    return z
 
 
 def grid_values(lo: Scalar, hi: Scalar, count: int) -> list:

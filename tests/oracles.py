@@ -14,6 +14,9 @@
 * :func:`cycle_oracle` finds a run's first state recurrence by hashing its
   logical steps in order, the report :func:`detect_cycle` reads off the
   run's entry and period;
+* :func:`steps_to_switch` counts the pure-drift steps until the
+  quantized error leaves zero, the closed form the switched law's
+  drift-and-reset cycle is checked against;
 * :func:`int_part` and :func:`frac_part` split a scalar at zero, as the
   rounding identities of ``test_numerics`` state them.
 """
@@ -31,7 +34,7 @@ from quantloop.dynamics import (
     Trajectory,
     simulate,
 )
-from quantloop.numerics import Scalar
+from quantloop.numerics import Scalar, sign
 
 
 def identity(z: Scalar) -> Scalar:
@@ -133,6 +136,21 @@ def cycle_oracle(traj: Trajectory) -> CycleReport:
                 periodic=True, n=sum(r.rho_e != 0 for r in records[j:k]),
                 m=k - j, entry_step=j)
     return CycleReport(periodic=False)
+
+
+def steps_to_switch(delta_d: Scalar, e_start: Scalar) -> int:
+    """Number of pure-drift steps from ``e_start`` until the quantized
+    error first leaves zero: ceil((sign(delta_d)/2 - e_start) / delta_d).
+
+    Exact for exact inputs.  Undefined for zero residual (the error then
+    never leaves zero).
+    """
+    half = Fraction(1, 2)
+    if delta_d == 0:
+        raise ValueError("zero residual disturbance never triggers a switch")
+    if not -half < e_start < half:
+        raise ValueError("e_start must lie strictly inside (-1/2, 1/2)")
+    return math.ceil((half * sign(delta_d) - e_start) / delta_d)
 
 
 def int_part(z: Scalar) -> int:

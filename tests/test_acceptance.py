@@ -19,7 +19,6 @@ from quantloop.analysis import (
     detect_cycle,
     detect_cycle_approx,
     predict_cycle,
-    steps_to_switch,
     verify_band,
     verify_capture,
     verify_control_lock,
@@ -40,7 +39,7 @@ from quantloop.reachability import (
     grid_values,
     sweep,
 )
-from oracles import generic_law, identity, simulate_shifted
+from oracles import generic_law, identity, simulate_shifted, steps_to_switch
 
 JOBS = 2  # sweep parallelism used by the reachability criterion
 

@@ -16,7 +16,6 @@ from quantloop.analysis import (
     in_entry_region,
     minimal_invariant_pairs,
     predict_cycle,
-    steps_to_switch,
     verify_band,
     verify_capture,
     verify_control_lock,
@@ -29,7 +28,7 @@ from quantloop.dynamics import (
     simulate,
 )
 from quantloop.numerics import rounding_error, sign
-from oracles import simulate_shifted
+from oracles import simulate_shifted, steps_to_switch
 
 
 @st.composite

@@ -512,10 +512,11 @@ def test_jobs_outside_the_cpu_range_is_a_usage_error(tmp_path, capsys,
 
 
 #: The committed experiments: each file, by its name's prefix, is a
-#: ``sweep`` grid or a ``simulate`` scenario.
+#: ``sweep`` grid, a ``simulate`` scenario or an ``analyze`` scenario.
 EXPERIMENTS = sorted((Path(__file__).parents[1] / "experiments").glob("*"))
 EXPERIMENT_KINDS = {"sweep": ("sweep", ("grid.csv", "region.csv")),
-                    "ramp": ("simulate", ("trajectory.csv",))}
+                    "ramp": ("simulate", ("trajectory.csv",)),
+                    "constant": ("analyze", ("trajectory.csv", "report.json"))}
 
 
 @pytest.mark.parametrize("config", EXPERIMENTS, ids=lambda path: path.name)

@@ -139,11 +139,13 @@ def test_classify_rejects_a_residual_above_one_half(delta_d):
 
 
 def test_sweep_rejects_a_residual_range_above_one_half():
-    spec = GridSpec(alpha_lo=F(11, 8), alpha_hi=F(11, 8), alpha_count=1,
-                    delta_d_lo=-2, delta_d_hi=2, delta_d_count=5,
-                    init_box=1, init_count=3, budget=100)
-    with pytest.raises(ValueError, match=r"\|delta_d\| <= 1/2, got 1$"):
-        sweep(spec)
+    # the spec fails when built, naming its first bad field, before any
+    # cell is classified
+    with pytest.raises(ValueError, match=r"^GridSpec\.delta_d_lo: .*"
+                       r"\|delta_d\| <= 1/2, got -2$"):
+        GridSpec(alpha_lo=F(11, 8), alpha_hi=F(11, 8), alpha_count=1,
+                 delta_d_lo=-2, delta_d_hi=2, delta_d_count=5,
+                 init_box=1, init_count=3, budget=100)
 
 
 @settings(max_examples=40, deadline=None)
@@ -610,11 +612,14 @@ def test_grid_spec_validation():
                                    "delta_d_hi", "init_box"])
 def test_grid_spec_rejects_a_float_bound(field):
     # a float would be sampled at its binary value: 1.3 as
-    # 5854679515581645/4503599627370496
-    with pytest.raises(ValueError, match=rf"^GridSpec\.{field}: a sweep has "
-                       r"no float mode, got the float 1\.3$"):
-        GridSpec(**{field: 1.3})
-    assert getattr(GridSpec(**{field: F(13, 10)}), field) == F(13, 10)
+    # 5854679515581645/4503599627370496; a residual bound lies in
+    # [-1/2, 1/2], so it takes 3/10
+    exact = F(3, 10) if field.startswith("delta_d") else F(13, 10)
+    with pytest.raises(ValueError) as exc:
+        GridSpec(**{field: float(exact)})
+    assert str(exc.value) == (f"GridSpec.{field}: a sweep has no float "
+                              f"mode, got the float {float(exact)}")
+    assert getattr(GridSpec(**{field: exact}), field) == exact
 
 
 def test_grid_csv_exports(tmp_path):

@@ -1,5 +1,7 @@
 """The package's records: immutable, validated when built, picklable."""
 
+import json
+import os
 import pickle
 from fractions import Fraction as F
 
@@ -7,6 +9,7 @@ import pytest
 
 from quantloop.analysis import CycleReport, EntryRegion, Interval, Verdict
 from quantloop.campaign import CampaignSpec, RmsRow
+from quantloop.cli import main
 from quantloop.dynamics import (
     Disturbance,
     LoopConfig,
@@ -73,3 +76,78 @@ def test_pool_records_survive_a_pickle_round_trip(name):
     copy = pickle.loads(pickle.dumps(record))
     assert copy == record
     assert type(copy) is type(record)
+
+
+#: Each loaded record: the command that loads it and a valid config.
+LOADED = {
+    LoopConfig: ("simulate", {
+        "alpha": "11/8", "controller": "switched-pi",
+        "disturbance": {"kind": "constant", "value": "1/10"},
+        "e0": "0", "u0": "0", "horizon": 20, "mode": "exact"}),
+    GridSpec: ("sweep", {
+        "alpha": {"lo": "13/10", "hi": "7/5", "count": 2},
+        "delta_d": {"lo": "-1/4", "hi": "1/4", "count": 3},
+        "init": {"box": "2", "count": 3}, "budget": 100}),
+    CampaignSpec: ("table1", {"disturbances": ["1/10"], "alpha": "11/8",
+                              "horizon": 20}),
+}
+
+
+def as_json(value):
+    """``value`` as a config file writes it."""
+    if isinstance(value, F):
+        return str(value)
+    return f"float:{value!r}" if isinstance(value, float) else value
+
+
+#: Each ruled field of a loaded record: its key path and a bad value.
+RULED = [
+    (LoopConfig, "alpha", "alpha", F(3)),
+    (LoopConfig, "controller", "controller", "pid"),
+    (LoopConfig, "horizon", "horizon", -1),
+    (LoopConfig, "mode", "mode", "symbolic"),
+    (GridSpec, "alpha_lo", "alpha.lo", F(3, 2)),
+    (GridSpec, "alpha_hi", "alpha.hi", 1.45),
+    (GridSpec, "alpha_count", "alpha.count", 0),
+    (GridSpec, "delta_d_lo", "delta_d.lo", -2),
+    (GridSpec, "delta_d_hi", "delta_d.hi", 0.25),
+    (GridSpec, "delta_d_count", "delta_d.count", 0),
+    (GridSpec, "init_box", "init.box", 2.5),
+    (GridSpec, "init_count", "init.count", 0),
+    (GridSpec, "budget", "budget", 0),
+    (CampaignSpec, "alpha", "alpha", F(5)),
+    (CampaignSpec, "horizon", "horizon", 0),
+]
+
+
+@pytest.mark.parametrize("record, field, key, bad", RULED, ids=[
+    f"{record.__name__}.{field}" for record, field, *_ in RULED])
+def test_each_rule_has_one_home(tmp_path, capsys, monkeypatch, record, field,
+                                key, bad):
+    # a bad value fails with one rule text whether the record is built in
+    # code or loaded from a file, where the error names the key path; a
+    # sweep fails before any worker is forked
+    def no_fork():
+        raise AssertionError("a sweep worker was forked")
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    make = config if record is LoopConfig else record
+    with pytest.raises(ValueError) as exc:
+        make(**{field: bad})
+    prefix = f"{record.__name__}.{field}: "
+    assert str(exc.value).startswith(prefix)
+    text = str(exc.value)[len(prefix):]
+
+    command, payload = LOADED[record]
+    payload = json.loads(json.dumps(payload))
+    *blocks, last = key.split(".")
+    block = payload
+    for name in blocks:
+        block = block[name]
+    block[last] = as_json(bad)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, "-c", str(path), "-o", str(tmp_path / "out"),
+                 *(["--jobs", "2"] if command == "sweep" else [])]) == 1
+    assert capsys.readouterr().err == f"error: {path}: key {key!r}: {text}\n"
+    assert not (tmp_path / "out").exists()
