@@ -14,9 +14,11 @@ hard error since it would falsify the reported table.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -38,6 +40,7 @@ from .dynamics import (
     capture_gain,
     check_rules,
     checked_count,
+    one_of,
     shift_trajectory,
     simulate,
     stable_gain,
@@ -217,13 +220,17 @@ def config_fields(raw: dict, source: str, record: type, keys: dict):
 
 
 def parse_int(value) -> int:
-    """An integer config value: a JSON integer or a string of one."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {value!r}") from None
+    """An integer config value: a JSON integer or a string of one.  A scalar
+    literal with a fractional part is read as that scalar, so its error
+    reads as a record built in code reads; other text is shown as written."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            with contextlib.suppress(ValueError):
+                scalar = parse_scalar(value)
+                value = scalar if scalar % 1 else value  # "1000.0" stays text
+    return checked_count(value, -math.inf)  # a field's rule bounds it
 
 
 def parse_list(values, parse=parse_scalar) -> list:
@@ -317,97 +324,90 @@ def load_campaign_spec(path: Optional[str] = None) -> CampaignSpec:
                            for key in raw})
 
 
-def checked_constant(config: LoopConfig, source="scenario") -> LoopConfig:
-    """``config`` if its disturbance is constant, as the cycle and capture
-    analyses need; the error names the source and the key."""
-    if not config.disturbance.is_constant:
-        raise ValueError(f"{source}: key 'disturbance.kind': the analysis "
-                         f"needs a constant disturbance, got "
-                         f"{config.disturbance.kind!r}")
+#: The analyses' preconditions in check order: the rule of the value at a
+#: key path of a scenario config, and the commands that check it.
+PRECONDITIONS = {
+    "disturbance.kind": (
+        one_of(("constant",),
+               "the analysis needs a constant disturbance, got {!r}"),
+        ("cycles", "analyze")),
+    "controller": (
+        one_of(("switched-pi",),
+               "the capture analysis needs 'switched-pi', got {!r}"),
+        ("analyze",)),
+    "alpha": (capture_gain, ("analyze",)),
+}
+
+
+def checked_analyzable(config: LoopConfig, command: str = "analyze",
+                       source="scenario") -> LoopConfig:
+    """``config`` if it meets the preconditions of the scenario command
+    ``command``; an error names the source and the key path."""
+    for path, (rule, commands) in PRECONDITIONS.items():
+        if command in commands:
+            try:
+                rule(attrgetter(path)(config))
+            except ValueError as exc:
+                raise ValueError(f"{source}: key {path!r}: {exc}") from None
     return config
 
 
-def checked_analyzable(config: LoopConfig, source="scenario") -> LoopConfig:
-    """``config`` if the switched loop's capture analysis covers it: a
-    constant disturbance, the switched-pi law and a gain in (1, 3/2)."""
-    checked_constant(config, source)
-    if config.controller != "switched-pi":
-        raise ValueError(f"{source}: key 'controller': the capture analysis "
-                         f"needs 'switched-pi', got {config.controller!r}")
-    try:
-        capture_gain(config.alpha)
-    except ValueError as exc:
-        raise ValueError(f"{source}: key 'alpha': {exc}") from None
-    return config
-
-
-def shifted_run(traj: Trajectory) -> tuple:
-    """``(delta_d, shifted)``: the residual disturbance of a constant-
-    disturbance run and the run in shifted coordinates."""
+def _report(traj: Trajectory, config: LoopConfig, command: str) -> dict:
+    """The ``analyze`` or ``cycles`` report of a run of ``config``, which
+    meets that command's preconditions, in shifted coordinates: ``delta_d``
+    and the cycle, detected and, for an exact switched-pi run, predicted;
+    ``analyze`` adds the capture, control-lock and error-band verdicts."""
     dbar = traj.d[0]  # already coerced to the run's mode
-    return rounding_error(dbar), shift_trajectory(traj, dbar)
+    delta_d, shifted = rounding_error(dbar), shift_trajectory(traj, dbar)
+    report: dict = {"delta_d": format_scalar(delta_d)}
+    if command == "analyze":
+        capture = verify_capture(shifted, EntryRegion(config.alpha, delta_d))
+        report["capture"] = capture.to_record()
+        if capture.status != "not-entered":
+            report["control-lock"] = verify_control_lock(
+                shifted, config.alpha, capture.entry_step).to_record()
 
+    exact = shifted.mode == "exact"
+    cycle = detect_cycle(shifted) if exact else detect_cycle_approx(shifted)
+    report["cycle"] = cycle.to_record()
+    if exact and config.controller == "switched-pi":
+        predicted = predict_cycle(delta_d)
+        report["predicted-cycle"] = predicted.to_record()
+        # the same periodicity, switch count and period
+        report["cycle-agreement"] = cycle[:3] == predicted[:3]
 
-def cycle_report(shifted: Trajectory, delta_d: Scalar,
-                 config: LoopConfig) -> dict:
-    """The ``cycle`` record of a shifted run of ``config``; for an exact
-    switched-pi run, the only law the prediction covers, also the
-    ``predicted-cycle`` record and ``cycle-agreement``."""
-    if shifted.mode != "exact":
-        return {"cycle": detect_cycle_approx(shifted).to_record()}
-    detected = detect_cycle(shifted)
-    if config.controller != "switched-pi":
-        return {"cycle": detected.to_record()}
-    predicted = predict_cycle(delta_d)
-    agreement = (detected.periodic == predicted.periodic
-                 and (not detected.periodic
-                      or (detected.n, detected.m) == (predicted.n, predicted.m)))
-    return {"cycle": detected.to_record(),
-            "predicted-cycle": predicted.to_record(),
-            "cycle-agreement": agreement}
-
-
-def analyze_trajectory(traj: Trajectory, config: LoopConfig) -> dict:
-    """Shift a constant-disturbance run and attach the full analysis:
-    capture verdict, control-lock verdict, cycle report (detected and,
-    in exact mode, predicted), and the error-band check."""
-    checked_analyzable(config)
-    delta_d, shifted = shifted_run(traj)
-
-    region = EntryRegion(config.alpha, delta_d)
-    capture = verify_capture(shifted, region)
-    report: dict = {"delta_d": format_scalar(delta_d),
-                    "capture": capture.to_record()}
-
-    if capture.status != "not-entered":
-        lock = verify_control_lock(shifted, config.alpha, capture.entry_step)
-        report["control-lock"] = lock.to_record()
-
-    report.update(cycle_report(shifted, delta_d, config))
-    cycle = report["cycle"]
-    if cycle["periodic"] and abs(delta_d) < Fraction(1, 2):
+    if command == "analyze" and cycle.periodic \
+            and abs(delta_d) < Fraction(1, 2):
         band = cycle_error_band(delta_d)
-        band_verdict = verify_band(shifted, band, cycle["entry_step"])
-        report["band"] = band_verdict.to_record()
-        report["band"]["interval"] = band.to_record()
+        verdict = verify_band(shifted, band, cycle.entry_step)
+        report["band"] = {**verdict.to_record(), "interval": band.to_record()}
     return report
 
 
-def run_scenario(config_path, out_dir, with_analysis: bool = False,
-                 mode_override: Optional[str] = None) -> dict:
-    """Simulate a scenario config and write its outputs.
+def analyze_trajectory(traj: Trajectory, config: LoopConfig) -> dict:
+    """The ``analyze`` report of a run of ``config`` (see :func:`_report`);
+    a config outside the capture analysis is rejected."""
+    return _report(traj, checked_analyzable(config), "analyze")
 
-    Always writes ``trajectory.csv``; with analysis enabled also writes
-    ``report.json``.  Returns the mapping of artifact names to paths.
-    """
-    config = load_scenario(config_path, mode_override)
-    if with_analysis:
-        checked_analyzable(config, config_path)
+
+def run_scenario(config_path, out_dir, command: str = "simulate",
+                 mode_override: Optional[str] = None) -> dict:
+    """Run a scenario config for ``command`` and write its outputs, named
+    in the returned map of paths: ``trajectory.csv`` for ``simulate``, also
+    ``report.json`` for ``analyze``, or ``cycles.json`` for ``cycles``.  A
+    config the command's preconditions reject writes nothing."""
+    config = checked_analyzable(load_scenario(config_path, mode_override),
+                                command, config_path)
     traj = simulate(config)
     out_dir = output_dir(out_dir)
-    outputs = {"trajectory": out_dir / "trajectory.csv"}
-    write_trajectory_csv(traj, outputs["trajectory"])
-    if with_analysis:
+    outputs = {}
+    if command != "cycles":
+        outputs["trajectory"] = out_dir / "trajectory.csv"
+        write_trajectory_csv(traj, outputs["trajectory"])
+    if command == "analyze":  # by the name bench/tracer.py times
         outputs["report"] = write_json(analyze_trajectory(traj, config),
                                        out_dir / "report.json")
+    elif command == "cycles":
+        outputs["cycles"] = write_json(_report(traj, config, command),
+                                       out_dir / "cycles.json")
     return outputs

@@ -21,8 +21,6 @@ import warnings
 from typing import Optional
 
 from . import campaign, reachability
-from .dynamics import simulate
-from .numerics import format_scalar
 
 
 def _add_scenario_args(sub, name, help_text):
@@ -31,7 +29,7 @@ def _add_scenario_args(sub, name, help_text):
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.add_argument("--mode", choices=("exact", "float"),
                    help="override the config's arithmetic mode")
-    return p
+    p.set_defaults(func=_cmd_scenario)
 
 
 def _jobs(text: str) -> int:
@@ -43,32 +41,20 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _cmd_run(args) -> int:
-    """``simulate`` and ``analyze``: run a scenario, write its outputs."""
-    outputs = campaign.run_scenario(args.config, args.out,
-                                    with_analysis=args.command == "analyze",
-                                    mode_override=args.mode)
+def _cmd_scenario(args) -> int:
+    """``simulate``, ``analyze`` and ``cycles``: run a scenario, write its
+    outputs; ``cycles`` also prints the cycle it found."""
+    outputs = campaign.run_scenario(args.config, args.out, args.command,
+                                    args.mode)
+    if "cycles" in outputs:
+        cycle = campaign.read_json(outputs["cycles"])["cycle"]
+        if cycle["periodic"]:
+            print(f"periodic: n={cycle['n']} switches per period, "
+                  f"m={cycle['m']} steps, entry step {cycle['entry_step']}")
+        else:
+            print("no recurrence detected within the horizon")
     for path in outputs.values():
         print(f"wrote {path}")
-    return 0
-
-
-def _cmd_cycles(args) -> int:
-    config = campaign.checked_constant(
-        campaign.load_scenario(args.config, args.mode), args.config)
-    delta_d, shifted = campaign.shifted_run(simulate(config))
-    report = {"delta_d": format_scalar(delta_d),
-              **campaign.cycle_report(shifted, delta_d, config)}
-
-    path = campaign.write_json(report,
-                               campaign.output_dir(args.out) / "cycles.json")
-    cycle = report["cycle"]
-    if cycle["periodic"]:
-        print(f"periodic: n={cycle['n']} switches per period, "
-              f"m={cycle['m']} steps, entry step {cycle['entry_step']}")
-    else:
-        print("no recurrence detected within the horizon")
-    print(f"wrote {path}")
     return 0
 
 
@@ -103,16 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "input and output signals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_scenario_args(sub, "simulate", "run a scenario, write its trajectory")
-    p.set_defaults(func=_cmd_run)
-
-    p = _add_scenario_args(sub, "analyze",
-                           "run a scenario, write trajectory and analysis report")
-    p.set_defaults(func=_cmd_run)
-
-    p = _add_scenario_args(sub, "cycles",
-                           "detect and predict the limit cycle of a scenario")
-    p.set_defaults(func=_cmd_cycles)
+    _add_scenario_args(sub, "simulate", "run a scenario, write its trajectory")
+    _add_scenario_args(sub, "analyze",
+                       "run a scenario, write trajectory and analysis report")
+    _add_scenario_args(sub, "cycles",
+                       "detect and predict the limit cycle of a scenario")
 
     p = sub.add_parser("sweep", help="classify attractors over a parameter grid")
     p.add_argument("-c", "--config", help="grid JSON file (defaults to the "

@@ -152,25 +152,23 @@ def _lattice_step(alpha, den, switched, state, d):
     return e1, u1, rho_e1, _rho_scaled(u1, den)
 
 
-def checked_controller(controller: str) -> str:
-    """``controller`` if it names one of the three laws."""
-    if controller not in CONTROLLERS:
-        raise ValueError(f"unknown controller: {controller!r}")
-    return controller
+def one_of(choices, message: str):
+    """The rule that takes a value in ``choices``; any other fails with
+    ``message`` formatted with it."""
+    def rule(value):
+        if value not in choices:
+            raise ValueError(message.format(value))
+        return value
+    return rule
 
 
 def checked_count(count: int, least: int = 1) -> int:
-    """``count`` if it is at least ``least``."""
+    """``count`` if it is an int, not a bool, of at least ``least``."""
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ValueError(f"expected an integer, got {count}")
     if count < least:
         raise ValueError(f"expected an integer >= {least}, got {count}")
     return count
-
-
-def checked_mode(mode: str) -> str:
-    """``mode`` if it names an arithmetic mode (exact or float)."""
-    if mode not in ("exact", "float"):
-        raise ValueError(f"unknown arithmetic mode: {mode!r}")
-    return mode
 
 
 def stable_gain(alpha: Scalar) -> Scalar:
@@ -285,8 +283,11 @@ class LoopConfig(NamedTuple):
     horizon: int
     mode: str = "exact"
 
-    _rules = {"alpha": stable_gain, "controller": checked_controller,
-              "horizon": lambda h: checked_count(h, 0), "mode": checked_mode}
+    _rules = {"alpha": stable_gain,
+              "controller": one_of(CONTROLLERS, "unknown controller: {!r}"),
+              "horizon": lambda h: checked_count(h, 0),
+              "mode": one_of(("exact", "float"),
+                             "unknown arithmetic mode: {!r}")}
     _check = check_rules
 
     @property

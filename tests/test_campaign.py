@@ -259,7 +259,7 @@ def test_run_scenario_with_analysis(tmp_path):
         "e0": "0.2", "u0": "0.6", "horizon": 100,
     }
     path = write_json(tmp_path / "scenario.json", scenario)
-    outputs = run_scenario(path, tmp_path / "out", with_analysis=True)
+    outputs = run_scenario(path, tmp_path / "out", "analyze")
     report = json.loads(outputs["report"].read_text())
     assert report["delta_d"] == "2/5"
     assert report["capture"]["status"] == "pass"
@@ -269,6 +269,18 @@ def test_run_scenario_with_analysis(tmp_path):
     assert report["cycle-agreement"] is True
     assert report["band"]["status"] == "pass"
     assert report["band"]["interval"]["lo"] == "-1/10"
+
+
+@pytest.mark.parametrize("command", ["analyze", "cycles"])
+def test_run_scenario_checks_preconditions_before_simulating(
+        tmp_path, monkeypatch, command):
+    def no_run(config):
+        raise AssertionError("a rejected scenario was simulated")
+    monkeypatch.setattr(campaign, "simulate", no_run)
+    path = write_json(tmp_path / "scenario.json", RAMP_SCENARIO)
+    with pytest.raises(ValueError, match="needs a constant disturbance"):
+        run_scenario(path, tmp_path / "out", command)
+    assert not (tmp_path / "out").exists()
 
 
 def test_analysis_rejects_time_varying_disturbance(tmp_path):

@@ -89,6 +89,27 @@ def test_cycles_subcommand(tmp_path, capsys):
     assert "n=1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, horizon, files, summary", [
+    ("simulate", 80, ["trajectory.csv"], []),
+    ("analyze", 80, ["trajectory.csv", "report.json"], []),
+    ("cycles", 80, ["cycles.json"],
+     ["periodic: n=1 switches per period, m=5 steps, entry step 1"]),
+    ("cycles", 3, ["cycles.json"],
+     ["no recurrence detected within the horizon"]),
+], ids=["simulate", "analyze", "cycles", "cycles-no-recurrence"])
+def test_scenario_command_writes_exactly_its_files(tmp_path, capsys, command,
+                                                   horizon, files, summary):
+    # each scenario command writes its own files and no other, and prints
+    # its cycle summary, if any, then one line per file in that order
+    config = write_scenario(tmp_path, dict(CYCLE_SCENARIO, horizon=horizon))
+    out = tmp_path / "out"
+    assert main([command, "-c", str(config), "-o", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == sorted(files)
+    assert capsys.readouterr().out == "".join(
+        f"{line}\n" for line in
+        summary + [f"wrote {out / name}" for name in files])
+
+
 def test_cycles_rejects_ramp(tmp_path):
     payload = dict(CYCLE_SCENARIO)
     payload["disturbance"] = {"kind": "piecewise-linear",
@@ -284,6 +305,24 @@ def test_scenario_non_integer_horizon_names_the_key(tmp_path, capsys):
     payload["horizon"] = "80.5"
     assert run_with_config(tmp_path, "simulate", payload) == 1
     assert "key 'horizon': expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, shown", [
+    (1000.0, "1000.0"),
+    ("6/2", "6/2"),
+    ("three", "three"),
+    ("80.5", "161/2"),
+    ("float:2.5", "2.5"),
+])
+def test_scenario_integer_key_error_shows_the_value(tmp_path, capsys, value,
+                                                    shown):
+    # a whole number not written as an integer is shown as written, so the
+    # error does not call 1000 a non-integer; a fraction is shown as the
+    # scalar it is, as a record built in code shows it
+    payload = dict(CYCLE_SCENARIO, horizon=value)
+    assert run_with_config(tmp_path, "simulate", payload) == 1
+    assert capsys.readouterr().err.endswith(
+        f"key 'horizon': expected an integer, got {shown}\n")
 
 
 def test_top_level_list_config_is_rejected(tmp_path, capsys):

@@ -119,9 +119,17 @@ RULED = [
     (CampaignSpec, "horizon", "horizon", 0),
 ]
 
+#: Integer fields given a value that is not an int.
+NOT_INT = [
+    (GridSpec, "alpha_count", "alpha.count", 2.5),
+    (LoopConfig, "horizon", "horizon", 2.5),
+    (GridSpec, "budget", "budget", True),
+]
 
-@pytest.mark.parametrize("record, field, key, bad", RULED, ids=[
-    f"{record.__name__}.{field}" for record, field, *_ in RULED])
+
+@pytest.mark.parametrize("record, field, key, bad", RULED + NOT_INT, ids=[
+    f"{record.__name__}.{field}" for record, field, *_ in RULED] + [
+    f"{record.__name__}.{field}={bad!r}" for record, field, _, bad in NOT_INT])
 def test_each_rule_has_one_home(tmp_path, capsys, monkeypatch, record, field,
                                 key, bad):
     # a bad value fails with one rule text whether the record is built in

@@ -1,0 +1,175 @@
+"""Mutation gate: every mutant in the table must fail the tests named for it.
+
+    python tools/mutation_gate.py
+
+Each entry of :data:`MUTANTS` is one edit of the package: a file, an exact
+old text, the new text and the test files that must catch it.  The gate
+copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory
+and first runs every test file named in the table there, unmutated: a test
+that fails in the copy would count as a kill for every mutant it is named
+for.  Then, for each entry, it copies the tree again, replaces the old text,
+which must occur exactly once in its file, and runs ``python -m pytest -x
+-q`` on the entry's test files.  The mutant is killed when a test fails.
+
+The gate exits 1 if the unmutated copy fails, if a mutant survives, if an
+old text is not found exactly once (so a refactor that moves mutated code
+updates the table with it), or if pytest ends any other way than with a
+failed test, such as a collection error.  It needs only the standard
+library and the test dependencies."""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # from the repository root
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = (
+    # the tie rule, in both of its homes: halves round away from zero
+    Mutant("round-half-away-tie", "src/quantloop/numerics.py",
+           "if 2 * abs(f) >= 1:", "if 2 * abs(f) > 1:",
+           ("tests/test_numerics.py",)),
+    Mutant("rho-scaled-tie", "src/quantloop/dynamics.py",
+           "return (2 * x + den) // (2 * den)",
+           "return (2 * x + den - 1) // (2 * den)",
+           ("tests/test_dynamics.py",)),
+    # the switched law's reset on the lattice kernel
+    Mutant("lattice-reset-sign", "src/quantloop/dynamics.py",
+           "u1 = (rho_u + rho_e) * den", "u1 = (rho_u - rho_e) * den",
+           ("tests/test_dynamics.py",)),
+    Mutant("count-takes-a-bool", "src/quantloop/dynamics.py",
+           "if isinstance(count, bool) or not isinstance(count, int):",
+           "if not isinstance(count, int):",
+           ("tests/test_records.py",)),
+    # capture needs the strict inequalities
+    Mutant("capture-closed-bounds", "src/quantloop/analysis.py",
+           "if not -_HALF < e < _HALF:", "if not -_HALF <= e <= _HALF:",
+           ("tests/test_analysis.py",)),
+    # the sweep's odd symmetry: the delta_d = 0 pairs and the mirror
+    Mutant("zero-residual-pair-weight", "src/quantloop/reachability.py",
+           "paired = ([(e0, u0, 2) for", "paired = ([(e0, u0, 1) for",
+           ("tests/test_reachability.py",)),
+    Mutant("mirror-sign", "src/quantloop/reachability.py",
+           "else done[a, -dd]._replace(delta_d=dd)",
+           "else done[a, -dd]._replace(delta_d=-dd)",
+           ("tests/test_reachability.py",)),
+    Mutant("zero-residual-centre-dropped", "src/quantloop/reachability.py",
+           "+ every[half:len(inits) - half])", "+ every[half:half])",
+           ("tests/test_reachability.py",)),
+    Mutant("fork-stride", "src/quantloop/reachability.py",
+           "payload = True, [fn(x) for x in work[i::jobs]]",
+           "payload = True, [fn(x) for x in work[i + 1::jobs]]",
+           ("tests/test_reachability.py",)),
+    # the trajectory CSV's blocks of stored steps
+    Mutant("csv-block-short", "src/quantloop/dynamics.py",
+           "hi = min(lo + _CSV_CHUNK, stored)",
+           "hi = min(lo + _CSV_CHUNK, stored - 1)",
+           ("tests/test_dynamics.py",)),
+    # the score: a mean over the horizon's steps
+    Mutant("rms-divisor", "src/quantloop/campaign.py",
+           "return math.sqrt(total / horizon)",
+           "return math.sqrt(total / len(traj))",
+           ("tests/test_campaign.py",)),
+    # the scenario runner: preconditions first, each command's own files
+    Mutant("check-after-simulate", "src/quantloop/campaign.py",
+           "    config = checked_analyzable(load_scenario(config_path, "
+           "mode_override),\n"
+           "                                command, config_path)\n"
+           "    traj = simulate(config)\n",
+           "    config = load_scenario(config_path, mode_override)\n"
+           "    traj = simulate(config)\n"
+           "    checked_analyzable(config, command, config_path)\n",
+           ("tests/test_campaign.py",)),
+    Mutant("cycles-writes-trajectory", "src/quantloop/campaign.py",
+           'if command != "cycles":', "if command:",
+           ("tests/test_cli.py",)),
+    Mutant("prediction-for-standard-pi", "src/quantloop/campaign.py",
+           'if exact and config.controller == "switched-pi":',
+           'if exact and config.controller != "unquantized-pi":',
+           ("tests/test_cli.py",)),
+    Mutant("analyze-takes-any-law", "src/quantloop/campaign.py",
+           '"the capture analysis needs \'switched-pi\', got {!r}"),\n'
+           '        ("analyze",)),',
+           '"the capture analysis needs \'switched-pi\', got {!r}"),\n'
+           '        ()),',
+           ("tests/test_cli.py",)),
+)
+
+
+def copy_tree(tree: Path) -> Path:
+    """``tree``: a copy of the package, its tests and its pytest settings."""
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, tree / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", tree)
+    return tree
+
+
+def pytest(tree: Path, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *tests],
+        cwd=tree, env=env, capture_output=True, text=True)
+
+
+def run(mutant: Mutant, scratch: Path) -> str:
+    """``killed by <test>``, ``survived`` or what else went wrong, on a copy
+    of the tree under ``scratch`` with ``mutant`` applied."""
+    tree = copy_tree(scratch / mutant.name)
+    target = tree / mutant.path
+    text = target.read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        return f"old text found {found} times in {mutant.path}"
+    target.write_text(text.replace(mutant.old, mutant.new))
+    proc = pytest(tree, mutant.tests)
+    if proc.returncode == 0:
+        return "survived"
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith("FAILED ")]
+    if proc.returncode == 1 and failed:
+        return f"killed by {failed[0]}"
+    return f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}"
+
+
+def main() -> int:
+    tests = sorted({name for mutant in MUTANTS for name in mutant.tests})
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="mutation-gate-") as scratch:
+        t0 = time.perf_counter()
+        proc = pytest(copy_tree(Path(scratch) / "unmutated"), tests)
+        if proc.returncode != 0:
+            print(f"the unmutated copy fails its tests:\n"
+                  f"{proc.stdout}{proc.stderr}")
+            return 1
+        print(f"unmutated: passed ({time.perf_counter() - t0:.1f} s)",
+              flush=True)
+        for mutant in MUTANTS:
+            t0 = time.perf_counter()
+            verdict = run(mutant, Path(scratch))
+            failed += not verdict.startswith("killed")
+            print(f"{mutant.name}: {verdict} "
+                  f"({time.perf_counter() - t0:.1f} s)", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
