@@ -56,20 +56,17 @@ def in_entry_region(e: Scalar, u_bar: Scalar, region: EntryRegion) -> bool:
 
 def minimal_invariant_pairs(delta_d: Scalar) -> frozenset:
     """Smallest invariant set of quantized pairs reached from the capture
-    region: {(0,0)} for zero residual, {(0,0), (s,-s)} otherwise."""
+    region: {(0,0), (s,-s)} with s = sign(delta_d)."""
     s = sign(delta_d)
-    if s == 0:
-        return frozenset({(0, 0)})
     return frozenset({(0, 0), (s, -s)})
 
 
 def amplitude2_pairs(delta_d: Scalar) -> Optional[frozenset]:
-    """The excursion-2 invariant set that exists only at |delta_d| = 1/2."""
-    if delta_d == _HALF:
-        return frozenset({(-1, 1), (1, -2)})
-    if delta_d == -_HALF:
-        return frozenset({(-1, 2), (1, -1)})
-    return None
+    """The excursion-2 invariant set, {(-s,s), (s,-2s)} at |delta_d| = 1/2."""
+    if abs(delta_d) != _HALF:
+        return None
+    s = sign(delta_d)
+    return frozenset({(-s, s), (s, -2 * s)})
 
 
 class Verdict(NamedTuple):
@@ -79,9 +76,6 @@ class Verdict(NamedTuple):
     status: str  # "pass" | "fail" | "not-entered"
     entry_step: Optional[int] = None
     violations: tuple = ()
-
-    def to_record(self) -> dict:
-        return {**self._asdict(), "violations": list(self.violations)}
 
 
 def _verdict(check: str, traj: Trajectory, flags, start: int,
@@ -112,20 +106,16 @@ def verify_capture(traj: Trajectory, region: EntryRegion) -> Verdict:
     return _verdict("capture", traj, flags, entry + 1, entry)
 
 
-def verify_control_lock(
-    traj: Trajectory,
-    alpha: Scalar,
-    entry_step: int,
-    tol: float = 1e-12,
-) -> Verdict:
+def verify_control_lock(traj: Trajectory, alpha: Scalar,
+                        entry_step: int) -> Verdict:
     """Check that from two steps after capture the residual control equals
-    ``-alpha * rho(e)`` (exactly in exact mode, within ``tol`` in float)."""
+    ``-alpha * rho(e)`` (exactly in exact mode, within 1e-12 in float)."""
     exact = traj.mode == "exact"
     alpha = alpha if exact else float(alpha)
 
     def locked(u: Scalar, rho_e: int) -> bool:
         expected = -alpha * rho_e
-        return u == expected if exact else abs(u - expected) <= tol
+        return u == expected if exact else abs(u - expected) <= 1e-12
 
     flags = (not locked(u, rho_e) for u, rho_e in zip(traj.u, traj.rho_e))
     return _verdict("control-lock", traj, flags, entry_step + 2, entry_step)
@@ -151,16 +141,14 @@ class Interval(NamedTuple):
 
 def cycle_error_band(delta_d: Scalar) -> Interval:
     """Band containing the error while the loop lives in the minimal set:
-    [-1/2+dd, 1/2+dd) for dd > 0 and (-1/2+dd, 1/2+dd] for dd < 0.
+    [-1/2+dd, 1/2+dd) for dd >= 0 and (-1/2+dd, 1/2+dd] for dd < 0.
 
-    The degenerate dd = 0 case returns [-1/2, 1/2), matching the capture
-    bound on the error.
+    At dd = 0 that is [-1/2, 1/2), the capture bound on the error.
     """
     if abs(delta_d) >= _HALF:
         raise ValueError("error band defined only for |delta_d| < 1/2")
-    if delta_d < 0:
-        return Interval(-_HALF + delta_d, _HALF + delta_d, False, True)
-    return Interval(-_HALF + delta_d, _HALF + delta_d, True, False)
+    return Interval(-_HALF + delta_d, _HALF + delta_d,
+                    delta_d >= 0, delta_d < 0)
 
 
 def verify_band(traj: Trajectory, band: Interval, start: int) -> Verdict:
@@ -208,9 +196,6 @@ def predict_cycle(delta_d: Scalar) -> CycleReport:
     if not is_exact(delta_d):
         raise TypeError("cycle prediction requires an exact rational delta_d")
     dd = Fraction(checked_residual(delta_d))
-    if dd == 0:
-        return CycleReport(periodic=True, n=0, m=1,
-                           error_band=cycle_error_band(0))
     if abs(dd) == _HALF:
         warnings.warn(
             "|delta_d| = 1/2 is outside the error-band hypotheses; "

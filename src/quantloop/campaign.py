@@ -245,7 +245,7 @@ def _parse_breakpoint(point) -> tuple:
     return parse_int(point[0]), parse_scalar(point[1])
 
 
-def load_scenario(path, mode_override: Optional[str] = None) -> LoopConfig:
+def load_scenario(path) -> LoopConfig:
     """Load a scenario config from JSON.
 
     Keys: alpha, controller, disturbance (kind + payload), e0, u0,
@@ -254,7 +254,7 @@ def load_scenario(path, mode_override: Optional[str] = None) -> LoopConfig:
     numbers should be quoted so they stay exact.  Raises ValueError with
     the offending key on malformed input.
     """
-    return scenario_from_dict(read_json(path), mode_override, source=str(path))
+    return scenario_from_dict(read_json(path), source=str(path))
 
 
 #: Each disturbance kind: its payload key, the payload's parser and the
@@ -268,8 +268,7 @@ _DISTURBANCES = {
 }
 
 
-def scenario_from_dict(raw: dict, mode_override: Optional[str] = None,
-                       source: str = "scenario") -> LoopConfig:
+def scenario_from_dict(raw: dict, source: str = "scenario") -> LoopConfig:
     block = raw.get("disturbance")
     kind = block.get("kind") if isinstance(block, dict) else None
     # a known kind allows its own payload key, any other kind fails below
@@ -289,7 +288,7 @@ def scenario_from_dict(raw: dict, mode_override: Optional[str] = None,
     return LoopConfig(
         alpha=field("alpha"), controller=field("controller", str),
         disturbance=dist, e0=field("e0"), u0=field("u0"),
-        horizon=field("horizon", parse_int), mode=mode_override or mode)
+        horizon=field("horizon", parse_int), mode=mode)
 
 
 #: The GridSpec field of each key of a grid config.
@@ -362,10 +361,10 @@ def _report(traj: Trajectory, config: LoopConfig, command: str) -> dict:
     report: dict = {"delta_d": format_scalar(delta_d)}
     if command == "analyze":
         capture = verify_capture(shifted, EntryRegion(config.alpha, delta_d))
-        report["capture"] = capture.to_record()
+        report["capture"] = capture._asdict()
         if capture.status != "not-entered":
             report["control-lock"] = verify_control_lock(
-                shifted, config.alpha, capture.entry_step).to_record()
+                shifted, config.alpha, capture.entry_step)._asdict()
 
     exact = shifted.mode == "exact"
     cycle = detect_cycle(shifted) if exact else detect_cycle_approx(shifted)
@@ -380,7 +379,7 @@ def _report(traj: Trajectory, config: LoopConfig, command: str) -> dict:
             and abs(delta_d) < Fraction(1, 2):
         band = cycle_error_band(delta_d)
         verdict = verify_band(shifted, band, cycle.entry_step)
-        report["band"] = {**verdict.to_record(), "interval": band.to_record()}
+        report["band"] = {**verdict._asdict(), "interval": band.to_record()}
     return report
 
 
@@ -390,14 +389,13 @@ def analyze_trajectory(traj: Trajectory, config: LoopConfig) -> dict:
     return _report(traj, checked_analyzable(config), "analyze")
 
 
-def run_scenario(config_path, out_dir, command: str = "simulate",
-                 mode_override: Optional[str] = None) -> dict:
+def run_scenario(config_path, out_dir, command: str = "simulate") -> dict:
     """Run a scenario config for ``command`` and write its outputs, named
     in the returned map of paths: ``trajectory.csv`` for ``simulate``, also
     ``report.json`` for ``analyze``, or ``cycles.json`` for ``cycles``.  A
     config the command's preconditions reject writes nothing."""
-    config = checked_analyzable(load_scenario(config_path, mode_override),
-                                command, config_path)
+    config = checked_analyzable(load_scenario(config_path), command,
+                                config_path)
     traj = simulate(config)
     out_dir = output_dir(out_dir)
     outputs = {}

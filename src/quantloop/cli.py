@@ -2,13 +2,15 @@
 
 Subcommands::
 
-    simulate  -c scenario.json -o OUT [--mode exact|float]
-    analyze   -c scenario.json -o OUT [--mode exact|float]
-    cycles    -c scenario.json -o OUT [--mode exact|float]
+    simulate  -c scenario.json -o OUT
+    analyze   -c scenario.json -o OUT
+    cycles    -c scenario.json -o OUT
     sweep     [-c grid.json]    -o OUT [--jobs N]
     table1    [-c campaign.json] -o OUT
 
-Everything is deterministic, so there is no seed flag.  Exit codes:
+A scenario's ``mode`` key sets its arithmetic; a float literal in an exact
+scenario promotes the run to float, with a warning.  Everything is
+deterministic, so there is no seed flag.  Exit codes:
 0 success, 1 runtime error (bad config contents, I/O), 2 usage error.
 """
 
@@ -27,8 +29,6 @@ def _add_scenario_args(sub, name, help_text):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("-c", "--config", required=True, help="scenario JSON file")
     p.add_argument("-o", "--out", required=True, help="output directory")
-    p.add_argument("--mode", choices=("exact", "float"),
-                   help="override the config's arithmetic mode")
     p.set_defaults(func=_cmd_scenario)
 
 
@@ -44,8 +44,7 @@ def _jobs(text: str) -> int:
 def _cmd_scenario(args) -> int:
     """``simulate``, ``analyze`` and ``cycles``: run a scenario, write its
     outputs; ``cycles`` also prints the cycle it found."""
-    outputs = campaign.run_scenario(args.config, args.out, args.command,
-                                    args.mode)
+    outputs = campaign.run_scenario(args.config, args.out, args.command)
     if "cycles" in outputs:
         cycle = campaign.read_json(outputs["cycles"])["cycle"]
         if cycle["periodic"]:

@@ -232,7 +232,7 @@ class Disturbance(NamedTuple):
         if not self.breakpoints:
             raise ValueError(f"{self.kind} disturbance needs at least one "
                              f"value")
-        steps = [k for k, _ in self.breakpoints]
+        steps = [checked_count(k, -math.inf) for k, _ in self.breakpoints]
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ValueError("breakpoint steps must be strictly increasing")
 
@@ -243,15 +243,11 @@ class Disturbance(NamedTuple):
     @classmethod
     def ramp(cls, breakpoints: Sequence) -> "Disturbance":
         return cls("piecewise-linear",
-                   tuple((int(k), v) for k, v in breakpoints))
+                   tuple((k, v) for k, v in breakpoints))
 
     @classmethod
     def from_samples(cls, values: Sequence[Scalar]) -> "Disturbance":
         return cls("samples", tuple(enumerate(values)))
-
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == "constant"
 
     def column(self, n: int) -> tuple:
         """The values at steps 0..h, clamped to n - 1, where h is the last

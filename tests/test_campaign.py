@@ -177,11 +177,6 @@ def test_load_scenario_decimal_strings_stay_exact(tmp_path):
     assert config.disturbance.breakpoints == ((0, F(6, 5)),)
 
 
-def test_load_scenario_mode_override(tmp_path):
-    path = write_json(tmp_path / "scenario.json", RAMP_SCENARIO)
-    assert load_scenario(path, "float").mode == "float"
-
-
 def test_scenario_errors_name_the_key(tmp_path):
     payload = dict(RAMP_SCENARIO)
     del payload["alpha"]

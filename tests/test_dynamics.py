@@ -148,7 +148,7 @@ def test_constant_disturbance():
     d = Disturbance.constant(F(12, 10))
     assert d.column(1000) == (F(6, 5),)
     assert disturbance_value(d, 0) == disturbance_value(d, 999) == F(6, 5)
-    assert d.is_constant
+    assert d.kind == "constant"
 
 
 def test_ramp_disturbance_interpolates_and_holds():
@@ -159,7 +159,7 @@ def test_ramp_disturbance_interpolates_and_holds():
     assert column[10] == column[20] == F(13, 5)  # hold before the first one
     assert column[40] == disturbance_value(d, 95) == F(12, 5)
     assert column[35] == F(26, 10) + (F(24, 10) - F(26, 10)) * F(15, 20)
-    assert not d.is_constant
+    assert d.kind != "constant"
 
 
 def test_ramp_takes_each_breakpoint_value_at_its_step(tmp_path):

@@ -146,7 +146,7 @@ def test_lasso_matches_its_dense_expansion(tmp_path_factory, config, start,
             rms_quantized_error(dense, horizon)
 
     assert detect_cycle(traj) == cycle_oracle(dense)
-    if not config.disturbance.is_constant:
+    if config.disturbance.kind != "constant":
         return
     [(_, dbar)] = config.disturbance.breakpoints
     shifted = shift_trajectory(traj, dbar)

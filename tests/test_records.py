@@ -49,9 +49,13 @@ RECORDS = {
     lambda: config(mode="fast"),
     lambda: Disturbance("piecewise-linear", ((3, 0), (3, 1))),
     lambda: Disturbance.ramp([(5, 0), (2, 1)]),
+    lambda: Disturbance.ramp([(0, 0), (2.5, 1)]),
+    lambda: Disturbance.ramp([(True, 1)]),
+    lambda: Disturbance("piecewise-linear", ((0, 0), (2.5, 1))),
     lambda: CampaignSpec(alpha=3),
     lambda: EntryRegion(F(3, 2), F(1, 10)),
 ], ids=["grid-count", "loop-mode", "equal-steps", "decreasing-steps",
+        "ramp-float-step", "ramp-bool-step", "float-step",
         "campaign-gain", "entry-gain"])
 def test_validated_records_reject_bad_input_when_built(make):
     with pytest.raises(ValueError):

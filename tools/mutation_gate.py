@@ -60,6 +60,23 @@ MUTANTS = (
     Mutant("capture-closed-bounds", "src/quantloop/analysis.py",
            "if not -_HALF < e < _HALF:", "if not -_HALF <= e <= _HALF:",
            ("tests/test_analysis.py",)),
+    # the invariant sets and the band, each one formula in s = sign(delta_d)
+    Mutant("minimal-set-sign", "src/quantloop/analysis.py",
+           "return frozenset({(0, 0), (s, -s)})",
+           "return frozenset({(0, 0), (s, s)})",
+           ("tests/test_analysis.py",)),
+    Mutant("amplitude2-sign", "src/quantloop/analysis.py",
+           "(s, -2 * s)", "(s, -2)",
+           ("tests/test_analysis.py",)),
+    Mutant("zero-residual-band", "src/quantloop/analysis.py",
+           "delta_d >= 0, delta_d < 0", "delta_d > 0, delta_d <= 0",
+           ("tests/test_analysis.py",)),
+    # a disturbance's steps are integers
+    Mutant("ramp-step-any-number", "src/quantloop/dynamics.py",
+           "steps = [checked_count(k, -math.inf) for k, _ in "
+           "self.breakpoints]",
+           "steps = [k for k, _ in self.breakpoints]",
+           ("tests/test_records.py",)),
     # the sweep's odd symmetry: the delta_d = 0 pairs and the mirror
     Mutant("zero-residual-pair-weight", "src/quantloop/reachability.py",
            "paired = ([(e0, u0, 2) for", "paired = ([(e0, u0, 1) for",
@@ -75,6 +92,9 @@ MUTANTS = (
            "payload = True, [fn(x) for x in work[i::jobs]]",
            "payload = True, [fn(x) for x in work[i + 1::jobs]]",
            ("tests/test_reachability.py",)),
+    Mutant("fork-reap-dropped", "src/quantloop/reachability.py",
+           "            os.waitpid(pid, 0)\n", "",
+           ("tests/test_reachability.py",)),
     # the trajectory CSV's blocks of stored steps
     Mutant("csv-block-short", "src/quantloop/dynamics.py",
            "hi = min(lo + _CSV_CHUNK, stored)",
@@ -87,11 +107,11 @@ MUTANTS = (
            ("tests/test_campaign.py",)),
     # the scenario runner: preconditions first, each command's own files
     Mutant("check-after-simulate", "src/quantloop/campaign.py",
-           "    config = checked_analyzable(load_scenario(config_path, "
-           "mode_override),\n"
-           "                                command, config_path)\n"
+           "    config = checked_analyzable(load_scenario(config_path), "
+           "command,\n"
+           "                                config_path)\n"
            "    traj = simulate(config)\n",
-           "    config = load_scenario(config_path, mode_override)\n"
+           "    config = load_scenario(config_path)\n"
            "    traj = simulate(config)\n"
            "    checked_analyzable(config, command, config_path)\n",
            ("tests/test_campaign.py",)),
