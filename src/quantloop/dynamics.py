@@ -37,10 +37,11 @@ state as the int pair (E, U) = (D e, D u): rho is one floor division,
 (2|E| + D) // 2D with the sign of E, so ties go away from zero; the reset
 is (rho(u) + rho(e)) D and state equality is int equality.  ``Fraction``
 appears only at the boundary, one per lattice point visited.  Float runs
-and the unquantized law (alpha e leaves the lattice) step with the generic
-law on plain values.  Both step functions carry the state with its views
-(e, u, rho(e), rho(u)), rounding each new value once, and one loop in
-:func:`simulate` runs either and reads the ``rho`` columns off the states.
+and the unquantized law (alpha e leaves the lattice) run the generic law
+on plain values.  Both runs carry the state with its views (e, u, rho(e),
+rho(u)), rounding each new value once, and stop at the first recurrence
+from a given step on (the kernel also on capture); :func:`simulate` calls
+one once, and the sweep's classifier the kernel once per initial state.
 
 A :class:`Trajectory` stores a run as the per-step columns ``e``, ``u``,
 ``rho_e``, ``rho_u`` and ``d``, tuples of one stored length s, with the
@@ -102,54 +103,73 @@ class ModePromotionWarning(UserWarning):
     """An exact-mode run contained float inputs and was promoted to float."""
 
 
-def _law(alpha, quantized, switched, state, d):
-    """One step of the generic laws from ``state = (e, u, rho_e, rho_u)``:
-    the standard law on the views (on the values without ``quantized``), or
-    with ``switched`` the reset on steps whose new quantized error is zero."""
-    e, u, q_e, q_u = state
-    if not quantized:
-        q_e, q_u = e, u
-    e1 = e + q_u + d
-    rho_e1 = round_half_away(e1)
-    if switched and rho_e1 == 0:
-        u1 = q_u + q_e
-        if isinstance(u, float):
-            u1 = float(u1)  # the sum of quantized values is an int
-    else:
-        u1 = u + q_e - alpha * (rho_e1 if quantized else e1)
-    return e1, u1, rho_e1, round_half_away(u1)
-
-
-def _rho_scaled(x: int, den: int) -> int:
-    """``round_half_away(x / den)`` for an int ``x`` and ``den > 0``: the
-    floor of ``|x| / den + 1/2`` with the sign of ``x``, one division."""
-    if x >= 0:
-        return (2 * x + den) // (2 * den)
-    return -((den - 2 * x) // (2 * den))
-
-
 def _scaled(z: Scalar, den: int) -> int:
     """``den * z`` for an exact ``z`` whose denominator divides ``den``."""
     return z.numerator * (den // z.denominator)
 
 
-def _lattice_step(alpha, den, switched, state, d):
-    """One exact step of a quantized law on the lattice (1/den)Z.
+def _lattice_run(alpha, den, switched, e, u, inputs, steady, lo=1, hi=0):
+    """The run of a quantized law on (1/den)Z from ``(e, u)``, stepped by
+    each of ``inputs`` (d at steps 0, 1, ...), all scaled ints ``den *
+    value``; ``switched`` selects the reset.  A state ``(e, u, rho_e,
+    rho_u)`` is rounded inline (the floor of ``|x| / den + 1/2`` with the
+    sign of ``x``).  States before step ``steady`` go to the list ``head``
+    and the rest to the dict ``seen`` (state -> step), in step order.
+    Returns ``(head, seen, k, j)`` at the first state k that repeats step
+    j >= steady (not stored again), that has zero views and ``lo <= u <=
+    hi`` (j = k; empty by default), or that ends the inputs (j = None)."""
+    twice = 2 * den
+    rho_e = (2 * e + den) // twice if e >= 0 else -((den - 2 * e) // twice)
+    head, seen, k = [], {}, 0
+    for d in itertools.chain(inputs, (None,)):
+        rho_u = (2 * u + den) // twice if u >= 0 else -((den - 2 * u) // twice)
+        state = e, u, rho_e, rho_u
+        if k >= steady:
+            j = seen.setdefault(state, k)
+            if j != k:
+                return head, seen, k, j
+        else:
+            head.append(state)
+        if rho_e == 0 == rho_u and lo <= u <= hi:
+            return head, seen, k, k
+        if d is None:
+            return head, seen, k, None
+        k += 1
+        e += rho_u * den + d
+        rho_e1 = ((2 * e + den) // twice if e >= 0
+                  else -((den - 2 * e) // twice))
+        if switched and rho_e1 == 0:
+            u = (rho_u + rho_e) * den
+        else:
+            u += rho_e * den - alpha * rho_e1
+        rho_e = rho_e1
 
-    ``state`` is ``(e, u, rho_e, rho_u)``: ``e``, ``u``, and likewise ``d``
-    and ``alpha``, are the scaled ints ``den * value``; ``rho_e`` and
-    ``rho_u`` are the quantized views of the current state.  Returns the
-    next state.  ``switched`` selects the switched law's reset on steps
-    whose new quantized error is zero.
-    """
-    e, u, rho_e, rho_u = state
-    e1 = e + rho_u * den + d
-    rho_e1 = _rho_scaled(e1, den)
-    if switched and rho_e1 == 0:
-        u1 = (rho_u + rho_e) * den
-    else:
-        u1 = u + rho_e * den - alpha * rho_e1
-    return e1, u1, rho_e1, _rho_scaled(u1, den)
+
+def _law(alpha, quantized, switched, e, u, inputs, steady):
+    """:func:`_lattice_run` (no capture) of the generic laws on plain values:
+    without ``quantized`` the standard law on the values, not the views."""
+    rho_e, head, seen, k = round_half_away(e), [], {}, 0
+    for d in itertools.chain(inputs, (None,)):
+        rho_u = round_half_away(u)
+        state = e, u, rho_e, rho_u
+        if k >= steady:
+            j = seen.setdefault(state, k)
+            if j != k:
+                return head, seen, k, j
+        else:
+            head.append(state)
+        if d is None:
+            return head, seen, k, None
+        k += 1
+        q_e, q_u = (rho_e, rho_u) if quantized else (e, u)
+        e = e + q_u + d
+        rho_e = round_half_away(e)
+        if switched and rho_e == 0:
+            u = q_u + q_e
+            if isinstance(e, float):
+                u = float(u)  # the sum of quantized values is an int
+        else:
+            u = u + q_e - alpha * (rho_e if quantized else e)
 
 
 def one_of(choices, message: str):
@@ -415,33 +435,22 @@ def simulate(config: LoopConfig) -> Trajectory:
     d = tuple(map(coerce, config.disturbance.column(n)))
     if lattice:
         den = math.lcm(*(z.denominator for z in (alpha, e, u, *d)))
-        e, u = _scaled(e, den), _scaled(u, den)
-        # both step functions take (alpha, q, switched, state, d), where q
-        # is the kernel's den or the generic law's quantized flag
-        step, alpha, q = _lattice_step, _scaled(alpha, den), den
-        state = e, u, _rho_scaled(e, den), _rho_scaled(u, den)
-        inputs = [_scaled(z, den) for z in d]
+        # both runs take (alpha, q, switched, e, u, inputs, steady), where
+        # q is the kernel's den or the generic law's quantized flag
+        run, q, inputs = _lattice_run, den, [_scaled(z, den) for z in d]
+        alpha, e, u = _scaled(alpha, den), _scaled(e, den), _scaled(u, den)
     else:
-        step, q, inputs = _law, quantized, d
-        state = e, u, round_half_away(e), round_half_away(u)
+        run, q, inputs = _law, quantized, d
 
     # A state carries its quantized views, which (e, u) determine, so the
     # whole state is the recurrence key.
     steady = len(d) - 1 if mode == "exact" else n
     while 0 < steady < n and d[steady - 1] == d[-1]:
         steady -= 1
-    states, seen, entry = [state], {}, None
-    if not steady:
-        seen[state] = 0
     inputs = itertools.chain(inputs, itertools.repeat(inputs[-1]))
-    for k, d_k in enumerate(itertools.islice(inputs, n - 1), 1):
-        state = step(alpha, q, switched, state, d_k)
-        if k >= steady:
-            j = seen.setdefault(state, k)
-            if j < k:
-                entry = j
-                break
-        states.append(state)
+    states, seen, _, entry = run(alpha, q, switched, e, u,
+                                 itertools.islice(inputs, n - 1), steady)
+    states += seen  # in step order
 
     e, u, *rho = zip(*states)
     if lattice:

@@ -8,21 +8,23 @@ point its terminal cycle of quantized pairs is known.  Grid coordinates
 are sampled as exact rationals so the classification itself is exact,
 including the delicate |delta_d| = 1/2 boundary.
 
-Cells are independent work items; the calling process and forked workers
-classify interleaved strides of them, reassembled in grid order.  The loop is
-odd in (e, u_bar, delta_d), so on a delta_d axis that is its own negation
-(lo == -hi, over an initial-state grid that is too) only the cells with
-delta_d >= 0 are classified and each cell with delta_d < 0 takes the
-tallies of its mirror; an asymmetric axis has every cell classified.  A
-delta_d = 0 cell is its own mirror: on a symmetric initial-state grid it
-pairs its initial states, classifying one of each pair (e0, u0),
-(-e0, -u0), counted twice, and the centre.
+Cells are independent work items, dealt so that each stride gets an equal
+share of every gain row; the calling process and forked workers classify
+a stride each, and the caller builds the workers' tallies into results in
+grid order.  The loop is odd in (e, u_bar, delta_d), so on a delta_d axis
+that is its own negation (lo == -hi, over an initial-state grid that is
+too) only the cells with delta_d >= 0 are classified and each cell with
+delta_d < 0 takes the tallies of its mirror; an asymmetric axis has every
+cell classified.  A delta_d = 0 cell is its own mirror: on a symmetric
+initial-state grid it pairs its initial states, classifying one of each
+pair (e0, u0), (-e0, -u0), counted twice, and the centre.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import marshal
 import math
 import os
 import warnings
@@ -31,8 +33,7 @@ from typing import NamedTuple, Optional
 
 from .analysis import amplitude2_pairs, checked_residual, minimal_invariant_pairs
 from .dynamics import (
-    _lattice_step,
-    _rho_scaled,
+    _lattice_run,
     _scaled,
     capture_gain,
     check_rules,
@@ -153,22 +154,20 @@ def classify_trajectory(
     scale = math.lcm(den, e_den, u_den) // den
     a, d, den = a * scale, d * scale, den * scale
     e, u = e_num * (den // e_den), u_num * (den // u_den)
-    state = e, u, _rho_scaled(e, den), _rho_scaled(u, den)
-    seen: dict = {}  # state -> step, in step order
-    for k in range(budget + 1):
-        e, u, rho_e, rho_u = state
-        # rho(e) = rho(u_bar) = 0, and 1 <= alpha - s u_bar < 3/2
-        if (rho_e == 0 == rho_u
-                and den <= a - s * u and 2 * (a - s * u) < 3 * den):
-            return AttractorClass(TAG_THEOREM1, minimal, k)
-        j = seen.setdefault(state, k)
-        if j != k:
-            # seen's keys from the j-th on are the states of steps j..k-1
-            pairs = frozenset(x[2:] for x in itertools.islice(seen, j, None))
-            return _classify_cycle(minimal, amp2, pairs, j)
-        state = _lattice_step(a, den, True, state, d)
-    last = frozenset(x[2:] for x in list(seen)[-8:])
-    return AttractorClass(TAG_UNRESOLVED, last, None)
+    # captured: rho(e) = rho(u_bar) = 0 and 1 <= alpha - s u_bar < 3/2,
+    # that is s u in [lo, hi] on the ints
+    lo, hi = (2 * a - 3 * den) // 2 + 1, a - den
+    lo, hi = (lo, hi) if s > 0 else (-hi, -lo) if s else (-den, den)
+    _, seen, k, j = _lattice_run(a, den, True, e, u,
+                                 itertools.repeat(d, budget), 0, lo, hi)
+    if j is None:
+        last = frozenset(x[2:] for x in list(seen)[-8:])
+        return AttractorClass(TAG_UNRESOLVED, last, None)
+    if j == k:
+        return AttractorClass(TAG_THEOREM1, minimal, k)
+    # seen's keys from the j-th on are the states of steps j..k-1
+    pairs = frozenset(x[2:] for x in itertools.islice(seen, j, None))
+    return _classify_cycle(minimal, amp2, pairs, j)
 
 
 @functools.lru_cache(maxsize=16)
@@ -211,54 +210,59 @@ class CellResult(NamedTuple):
     n_unresolved: int
 
 
-def _evaluate_cell(spec: GridSpec, inits: list, alpha, delta_d) -> CellResult:
-    """Tally ``inits``, ``(e0, u0, weight)`` triples: each state is
-    classified once and counts for ``weight`` initial states."""
+def _evaluate_cell(spec: GridSpec, inits: list, alpha, delta_d) -> tuple:
+    """:class:`CellResult`'s tallies of ``inits``, ``(e0, u0, weight)``:
+    each state is classified once and counts for ``weight`` of them."""
     counts = {TAG_THEOREM1: 0, TAG_ALT_UNIT: 0, TAG_AMPLITUDE2: 0,
               TAG_UNRESOLVED: 0}  # in the order of CellResult's tallies
     for e0, u0, weight in inits:
         result = classify_trajectory(alpha, delta_d, e0, u0, spec.budget)
         counts[result.tag] += weight
-    return CellResult(alpha, delta_d, sum(counts.values()), *counts.values())
+    return sum(counts.values()), *counts.values()
 
 
-def _fork_map(fn, work: list, jobs: int) -> list:
-    """``[fn(x) for x in work]`` on ``jobs`` processes: this one maps
-    ``work[0::jobs]``, and forked children pipe back the other strides (or
-    what they raised) as pickles.  No child outlives the call."""
-    results = list(work)
+def _fork_map(fn, strides: list) -> list:
+    """``[[fn(x) for x in stride] for stride in strides]``, a process per
+    stride: this one maps the first, and forked children pipe back the
+    others with ``marshal`` (what one raised as a pickle inside it), so
+    ``fn`` returns ints, tuples and lists.  No child outlives the call."""
+    results = [None] * len(strides)
     children = []  # (pid, stride index, read end of its pipe)
     try:
-        for i in range(1, min(jobs, len(work))):
-            import pickle, signal  # only a fork needs them; lean CLI start-up
+        for i, stride in enumerate(strides[1:], 1):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:  # leaves by os._exit: no exit handler, no flush
                 try:
                     try:
-                        payload = True, [fn(x) for x in work[i::jobs]]
+                        payload = True, [fn(x) for x in stride]
                     except BaseException as exc:
-                        payload = False, exc
+                        import pickle  # only a failed child needs it
+                        payload = False, pickle.dumps(exc)
                     with open(w, "wb") as pipe:
-                        pickle.dump(payload, pipe)
+                        marshal.dump(payload, pipe)
                 finally:
                     os._exit(0)
             os.close(w)
             children.append((pid, i, open(r, "rb")))
-        results[0::jobs] = [fn(x) for x in work[0::jobs]]
+        results[0] = [fn(x) for x in strides[0]]
         for pid, i, pipe in children:
             try:
-                ok, value = pickle.load(pipe)
+                ok, results[i] = marshal.load(pipe)
             except EOFError:  # killed before it answered
                 raise ChildProcessError(f"sweep worker {pid} (stride {i}) "
                                         f"ended without a result") from None
             if not ok:
-                raise value
-            results[i::jobs] = value
+                import pickle
+                raise pickle.loads(results[i])
+    except BaseException:
+        import signal  # on success every child has written and exits
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         for pid, _, pipe in children:
             pipe.close()
-            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return results
 
@@ -267,8 +271,8 @@ def sweep(spec: GridSpec, jobs: int = 1) -> tuple:
     """Run the full grid sweep; one :class:`CellResult` per cell.
 
     Deterministic for a given spec regardless of ``jobs``: results come in
-    grid order (alpha-major).  Workers take cells by stride, spreading the
-    slow low-gain rows; ``jobs`` > 1 forks, so call it from one thread.
+    grid order (alpha-major).  ``jobs`` > 1 forks, so call it from one
+    thread.
     """
     desk_scale = GridSpec().total_steps_bound()
     if spec.total_steps_bound() > desk_scale:
@@ -288,16 +292,18 @@ def sweep(spec: GridSpec, jobs: int = 1) -> tuple:
     half = len(inits) // 2 if symmetric else 0
     paired = ([(e0, u0, 2) for e0, u0 in inits[:half]]
               + every[half:len(inits) - half])
-    work = [(a, dd) for a in alphas for dd in delta_ds
-            if dd >= 0 or not mirrored]
-    cells = _fork_map(lambda c: _evaluate_cell(
-        spec, paired if c[1] == 0 else every, *c), work, jobs)
-    if mirrored:
-        done = {(c.alpha, c.delta_d): c for c in cells}
-        cells = [done[a, dd] if dd >= 0
-                 else done[a, -dd]._replace(delta_d=dd)
-                 for a in alphas for dd in delta_ds]
-    return tuple(cells)
+    rows = [[(a, dd) for dd in delta_ds if dd >= 0 or not mirrored]
+            for a in alphas]
+    # row r deals its cells in turn from stride r on, so the cheap dd = 0
+    # cells (and a row's extra cells) go round the strides
+    strides = [[c for r, row in enumerate(rows)
+                for c in row[(i - r) % jobs::jobs]] for i in range(jobs)]
+    strides = [stride for stride in strides if stride]
+    tallies = dict(zip(itertools.chain(*strides), itertools.chain(
+        *_fork_map(lambda c: _evaluate_cell(
+            spec, paired if c[1] == 0 else every, *c), strides))))
+    return tuple(CellResult(a, dd, *tallies[a, abs(dd) if mirrored else dd])
+                 for a in alphas for dd in delta_ds)
 
 
 def attraction_region(cells) -> list:

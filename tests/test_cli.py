@@ -578,17 +578,18 @@ def run_fresh(*args):
 
 def test_cli_import_loads_its_layers_and_no_heavy_stdlib(tmp_path):
     # the records are named tuples, so nothing imports dataclasses and the
-    # inspect it pulls in; only a sweep with --jobs > 1 forks, and only it
-    # needs pickle.  The layers load up front: the benchmark's tracer
-    # wraps loaded modules.
+    # inspect it pulls in.  The layers load up front: the benchmark's
+    # tracer wraps loaded modules.
     out = run_fresh("-c", "import sys, quantloop.cli; print(*sys.modules)")
     assert out.returncode == 0, out.stderr
     loaded = set(out.stdout.split())
     assert not loaded & {"csv", "dataclasses", "inspect", "multiprocessing",
-                         "pickle"}
+                         "pickle", "signal"}
     assert {"quantloop.dynamics", "quantloop.analysis",
             "quantloop.reachability", "quantloop.campaign"} <= loaded
-    # a parallel sweep forks its workers itself, with no process pool
+    # a parallel sweep forks its workers itself, with no process pool; its
+    # children send their tallies with marshal, so only a failed worker
+    # needs pickle and only a failed sweep kills with signal
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps(GRID))
     out = run_fresh("-c", "import os, sys; os.cpu_count = lambda: 2; "
@@ -598,7 +599,7 @@ def test_cli_import_loads_its_layers_and_no_heavy_stdlib(tmp_path):
                     "print('modules:', *sys.modules)")
     assert out.returncode == 0, out.stderr
     loaded = set(out.stdout.splitlines()[-1].split()[1:])
-    assert "pickle" in loaded and "multiprocessing" not in loaded
+    assert not loaded & {"multiprocessing", "pickle", "signal"}
     assert (tmp_path / "out" / "region.csv").is_file()
 
 

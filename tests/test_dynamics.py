@@ -18,8 +18,8 @@ from quantloop.dynamics import (
     ModePromotionWarning,
     TrajectoryRecord,
     TuningWarning,
+    _lattice_run,
     _law,
-    _rho_scaled,
     in_capture_range,
     shift_trajectory,
     simulate,
@@ -33,6 +33,7 @@ from oracles import (
     identity,
     read_trajectory_csv,
     simulate_shifted,
+    steady_step,
 )
 
 # Half-integer quantizer ties are where the original/shifted equivalence
@@ -458,25 +459,42 @@ def law_records(config, mode="exact"):
     return tuple(records)
 
 
+def kernel_roundings(x, den):
+    """Each rounding of ``x / den`` in the lattice kernel: the first
+    state's ``rho_e`` and ``rho_u``, and ``rho_e`` after a step."""
+    (first,), *_ = _lattice_run(0, den, False, x, x, (), 1)
+    head, *_ = _lattice_run(0, den, False, 0, 0, [x], 2)
+    return first[2], first[3], head[1][2]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-400, 400), st.integers(1, 40))
 def test_scaled_rounding_matches_round_half_away(x, den):
-    assert _rho_scaled(x, den) == round_half_away(F(x, den))
+    assert kernel_roundings(x, den) == (round_half_away(F(x, den)),) * 3
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 9))
 def test_scaled_rounding_matches_round_half_away_on_large_values(x, den):
-    assert _rho_scaled(x, den) == round_half_away(F(x, den))
+    assert kernel_roundings(x, den) == (round_half_away(F(x, den)),) * 3
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 999), st.integers(1, 5 * 10 ** 8),
        st.sampled_from([1, -1]))
+# ties on lattices of den 4, 2^40 and about 10^12
+@example(2, 2, 1)
+@example(2, 2, -1)
+@example(0, 2 ** 39, 1)
+@example(7, 2 ** 39, -1)
+@example(3, 5 * 10 ** 11 + 3, 1)
+@example(3, 5 * 10 ** 11 + 3, -1)
 def test_scaled_rounding_sends_exact_ties_away_from_zero(n, half, sign):
     # x / den = sign (n + 1/2): x = (2n + 1) den / 2 with den = 2 half
     x, den = sign * (2 * n + 1) * half, 2 * half
-    assert _rho_scaled(x, den) == sign * (n + 1) == round_half_away(F(x, den))
+    expected = sign * (n + 1)
+    assert expected == round_half_away(F(x, den))
+    assert kernel_roundings(x, den) == (expected,) * 3
 
 
 BIG = 10 ** 12
@@ -503,6 +521,18 @@ def test_lattice_kernel_matches_fraction_law(config):
     assert traj.records == law_records(config)
     assert all(type(z) in (int, F) for r in traj.records
                for z in (r.e, r.u))
+
+
+def test_ramp_recurrence_at_its_steady_step():
+    # the ramp holds 1/5 from step 2, and step 2's state is already on the
+    # period-5 cycle: the run's entry is its steady step
+    config = LoopConfig(alpha=F(11, 8), controller="switched-pi",
+                        disturbance=Disturbance.ramp([(0, 0), (2, F(1, 5))]),
+                        e0=0, u0=0, horizon=40)
+    traj = simulate(config)
+    assert traj.entry == steady_step(traj.d) == 2
+    assert traj.period == 5 and len(traj.rho_e) == 7
+    assert traj.records == law_records(config)
 
 
 def test_kernel_tie_cases_pinned():
@@ -554,9 +584,8 @@ def test_law_with_views_matches_two_value_law(controller, case):
     alpha, e, u, d = case
     quantized = controller != "unquantized-pi"
     switched = controller == "switched-pi"
-    e1, u1, rho_e1, rho_u1 = _law(
-        alpha, quantized, switched,
-        (e, u, round_half_away(e), round_half_away(u)), d)
+    (_, (e1, u1, rho_e1, rho_u1)), *_ = _law(
+        alpha, quantized, switched, e, u, [d], 2)
     expected = generic_law(alpha, round_half_away if quantized else identity,
                            switched, (e, u), d)
     assert list(map(exactly, (e1, u1))) == list(map(exactly, expected))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import marshal
 import os
 import signal
 import time
@@ -215,8 +216,20 @@ def classify_cases(draw):
     return alpha, delta_d, e0, u0, draw(st.integers(0, 300))
 
 
+BIG = 10 ** 12
+
+
 @settings(max_examples=400, deadline=None)
 @given(classify_cases())
+# step 1 lands e1 or u1 exactly on +-(m + 1/2), where the kernel's rounding
+# goes away from zero, on lattices of den 4, 2^40 and about 10^12
+@example((F(BIG + 3, BIG), F(-1, 2), F(-3), 0, 6))             # e1 = -7/2
+@example((F(2 ** 40 + 1, 2 ** 40), F(1, 2) - F(1, 2 ** 40),
+          2 + F(1, 2 ** 40), 0, 6))                            # e1 = 5/2
+@example((F(3, 2) - F(1, BIG), 0, 0, 1 - F(1, BIG), 6))        # u1 = -1/2
+@example((F(3, 2) - F(1, BIG), 0, 0, F(1, BIG) - 1, 6))        # u1 = 1/2
+@example((F(5, 4), F(1, 2), F(2), 0, 6))                       # e1 = 5/2
+@example((F(5, 4), F(-1, 2), F(-2), 0, 6))                     # e1 = -5/2
 def test_lattice_classification_matches_fraction_loop(case):
     assert classify_trajectory(*case) == fraction_classify(*case)
 
@@ -468,7 +481,7 @@ def test_default_grid_sweeps_without_a_warning(monkeypatch):
     # are tallied without classifying the real grid
     def tally(spec, inits, alpha, delta_d):
         n = sum(weight for _, _, weight in inits)
-        return CellResult(alpha, delta_d, n, n, 0, 0, 0)
+        return n, n, 0, 0, 0
 
     monkeypatch.setattr(reachability, "_evaluate_cell", tally)
     with warnings.catch_warnings():
@@ -480,7 +493,7 @@ def test_default_grid_sweeps_without_a_warning(monkeypatch):
 
 def test_parallel_sweep_keeps_grid_order_across_strides():
     # 6 x 5 cells, of which the 6 x 3 with delta_d >= 0 are classified; on
-    # 2 workers the caller takes cells 0, 2, ..., 16 and a child 1, ..., 17
+    # 2 workers each takes 9, dealt row by row from alternating strides
     spec = small_spec(alpha_count=6, delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2),
                       delta_d_count=5, init_count=2, budget=500)
     serial = sweep(spec, jobs=1)
@@ -498,6 +511,37 @@ def test_parallel_sweep_keeps_grid_order_across_strides():
 def test_sweep_on_three_workers_matches_one(overrides):
     spec = small_spec(**overrides)
     assert sweep(spec, jobs=3) == sweep(spec, jobs=1)
+
+
+def test_parallel_sweep_spreads_the_zero_residual_cells(monkeypatch,
+                                                       tmp_path):
+    # 4 x 7 cells, mirrored: each gain row classifies 4 cells, and its
+    # delta_d = 0 cell classifies half the inits.  Each worker logs the
+    # cells it classifies; both get 2 cells of every row and 2 of the 4
+    # delta_d = 0 cells.
+    log, tally = tmp_path / "cells.log", reachability._evaluate_cell
+
+    def logged(spec, inits, alpha, delta_d):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {alpha} {delta_d}\n")
+        return tally(spec, inits, alpha, delta_d)
+
+    monkeypatch.setattr(reachability, "_evaluate_cell", logged)
+    spec = small_spec(alpha_count=4, delta_d_lo=F(-1, 2), delta_d_hi=F(1, 2),
+                      delta_d_count=7, init_box=1, init_count=3, budget=50)
+    cells = sweep(spec, jobs=2)
+    workers = {}
+    for line in log.read_text().splitlines():
+        pid, alpha, delta_d = line.split()
+        workers.setdefault(pid, []).append((F(alpha), F(delta_d)))
+    assert len(workers) == 2
+    for done in workers.values():
+        assert sorted({a for a, _ in done}) == spec.alphas()
+        assert all(sum(a == alpha for a, _ in done) == 2
+                   for alpha in spec.alphas())
+        assert sum(dd == 0 for _, dd in done) == 2
+    monkeypatch.setattr(reachability, "_evaluate_cell", tally)
+    assert cells == sweep(spec, jobs=1)
 
 
 def forks_counted(monkeypatch):
@@ -551,21 +595,21 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
 
 @pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
 def test_failing_caller_kills_and_reaps_its_workers(monkeypatch, error):
-    # the children would classify for a minute; the caller's own first
-    # cell fails (or is interrupted) at once
+    # the children would classify for 12 s; the caller's own first cell
+    # fails (or is interrupted) at once
     caller = os.getpid()
 
     def caller_fails(*args):
         if os.getpid() == caller:
             raise error("caller share failed")
-        time.sleep(60)
+        time.sleep(12)
 
     monkeypatch.setattr(reachability, "classify_trajectory", caller_fails)
     pids = forks_counted(monkeypatch)
     t0 = time.monotonic()
     with pytest.raises(error, match="caller share failed"):
         sweep(small_spec(alpha_count=2, delta_d_lo=0), jobs=3)
-    assert time.monotonic() - t0 < 30
+    assert time.monotonic() - t0 < 4
     assert len(pids) == 2
     assert_no_child_left(pids)
 
@@ -598,6 +642,26 @@ def test_killed_worker_ends_the_sweep_with_one_error_line(
     assert capsys.readouterr().err == \
         f"error: sweep worker {pids[1]} (stride 1) ended without a result\n"
     assert len(pids) == 2
+    assert_no_child_left(pids)
+
+
+@pytest.mark.parametrize("cut", [1, 5, -1])
+def test_truncated_worker_payload_ends_the_sweep(monkeypatch, cut):
+    # a child that dies while it writes leaves a short payload, which
+    # reads as no result: marshal raises EOFError at any cut
+    class Truncating:
+        load = staticmethod(marshal.load)
+
+        @staticmethod
+        def dump(payload, pipe):
+            pipe.write(marshal.dumps(payload)[:cut])
+
+    monkeypatch.setattr(reachability, "marshal", Truncating)
+    pids = forks_counted(monkeypatch)
+    with pytest.raises(ChildProcessError) as raised:
+        sweep(small_spec(alpha_count=1, delta_d_lo=0), jobs=2)
+    assert str(raised.value) == \
+        f"sweep worker {pids[0]} (stride 1) ended without a result"
     assert_no_child_left(pids)
 
 

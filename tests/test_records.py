@@ -74,8 +74,8 @@ def test_records_are_immutable(name):
 
 @pytest.mark.parametrize("name", ["GridSpec", "CellResult"])
 def test_pool_records_survive_a_pickle_round_trip(name):
-    # a forked sweep worker pipes its cells back as a pickle, and a
-    # caller may ship the spec the same way
+    # a forked sweep worker pipes back only ints, but a library caller
+    # may ship a spec or a cell between processes as a pickle
     record = RECORDS[name]()
     copy = pickle.loads(pickle.dumps(record))
     assert copy == record

@@ -31,6 +31,12 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def reach(*names: str) -> tuple:
+    """Tests of ``tests/test_reachability.py`` by name: a sweep mutant runs
+    only the tests aimed at it, not the whole module."""
+    return tuple(f"tests/test_reachability.py::{name}" for name in names)
+
+
 class Mutant(NamedTuple):
     name: str
     path: str  # from the repository root
@@ -40,18 +46,37 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the tie rule, in both of its homes: halves round away from zero
+    # the tie rule, in each of its copies: halves round away from zero
     Mutant("round-half-away-tie", "src/quantloop/numerics.py",
            "if 2 * abs(f) >= 1:", "if 2 * abs(f) > 1:",
            ("tests/test_numerics.py",)),
-    Mutant("rho-scaled-tie", "src/quantloop/dynamics.py",
-           "return (2 * x + den) // (2 * den)",
-           "return (2 * x + den - 1) // (2 * den)",
+    Mutant("lattice-tie-first-e", "src/quantloop/dynamics.py",
+           "rho_e = (2 * e + den) // twice",
+           "rho_e = (2 * e + den - 1) // twice",
            ("tests/test_dynamics.py",)),
-    # the switched law's reset on the lattice kernel
+    Mutant("lattice-tie-u", "src/quantloop/dynamics.py",
+           "rho_u = (2 * u + den) // twice",
+           "rho_u = (2 * u + den - 1) // twice",
+           ("tests/test_dynamics.py",)),
+    Mutant("lattice-tie-step-e", "src/quantloop/dynamics.py",
+           "rho_e1 = ((2 * e + den) // twice",
+           "rho_e1 = ((2 * e + den - 1) // twice",
+           ("tests/test_dynamics.py",)),
+    # the lattice kernel: the switched reset, recurrences from the steady
+    # step on, and capture on the half-open interval of alpha - s u_bar
     Mutant("lattice-reset-sign", "src/quantloop/dynamics.py",
-           "u1 = (rho_u + rho_e) * den", "u1 = (rho_u - rho_e) * den",
+           "u = (rho_u + rho_e) * den", "u = (rho_u - rho_e) * den",
            ("tests/test_dynamics.py",)),
+    Mutant("lattice-steady-step", "src/quantloop/dynamics.py",
+           "// twice)\n        state = e, u, rho_e, rho_u\n"
+           "        if k >= steady:",
+           "// twice)\n        state = e, u, rho_e, rho_u\n"
+           "        if k > steady:",
+           ("tests/test_dynamics.py",)),
+    Mutant("lattice-capture-closed", "src/quantloop/reachability.py",
+           "lo, hi = (2 * a - 3 * den) // 2 + 1, a - den",
+           "lo, hi = (2 * a - 3 * den) // 2, a - den",
+           reach("test_lattice_classification_matches_fraction_loop")),
     Mutant("count-takes-a-bool", "src/quantloop/dynamics.py",
            "if isinstance(count, bool) or not isinstance(count, int):",
            "if not isinstance(count, int):",
@@ -80,21 +105,35 @@ MUTANTS = (
     # the sweep's odd symmetry: the delta_d = 0 pairs and the mirror
     Mutant("zero-residual-pair-weight", "src/quantloop/reachability.py",
            "paired = ([(e0, u0, 2) for", "paired = ([(e0, u0, 1) for",
-           ("tests/test_reachability.py",)),
+           reach("test_mirrored_sweep_matches_every_cell_classified",
+                 "test_paired_zero_residual_cell_matches_"
+                 "every_init_classified")),
     Mutant("mirror-sign", "src/quantloop/reachability.py",
-           "else done[a, -dd]._replace(delta_d=dd)",
-           "else done[a, -dd]._replace(delta_d=-dd)",
-           ("tests/test_reachability.py",)),
+           "CellResult(a, dd, *tallies", "CellResult(a, abs(dd), *tallies",
+           reach("test_mirrored_sweep_matches_every_cell_classified")),
     Mutant("zero-residual-centre-dropped", "src/quantloop/reachability.py",
            "+ every[half:len(inits) - half])", "+ every[half:half])",
-           ("tests/test_reachability.py",)),
+           reach("test_mirrored_sweep_matches_every_cell_classified",
+                 "test_paired_zero_residual_cell_matches_"
+                 "every_init_classified")),
+    # the strides: each row dealt round them, each child its own, and
+    # every child killed on failure and reaped
+    Mutant("stride-deal", "src/quantloop/reachability.py",
+           "row[(i - r) % jobs::jobs]", "row[i::jobs]",
+           reach("test_parallel_sweep_spreads_the_zero_residual_cells")),
     Mutant("fork-stride", "src/quantloop/reachability.py",
-           "payload = True, [fn(x) for x in work[i::jobs]]",
-           "payload = True, [fn(x) for x in work[i + 1::jobs]]",
-           ("tests/test_reachability.py",)),
+           "payload = True, [fn(x) for x in stride]",
+           "payload = True, [fn(x) for x in strides[i - 1]]",
+           reach("test_parallel_sweep_keeps_grid_order_across_strides",
+                 "test_sweep_on_three_workers_matches_one")),
+    Mutant("fork-kill-dropped", "src/quantloop/reachability.py",
+           "os.kill(pid, signal.SIGKILL)", "pass",
+           reach("test_failing_caller_kills_and_reaps_its_workers")),
     Mutant("fork-reap-dropped", "src/quantloop/reachability.py",
            "            os.waitpid(pid, 0)\n", "",
-           ("tests/test_reachability.py",)),
+           reach("test_sweep_forks_no_idle_worker",
+                 "test_worker_exception_reaches_the_caller",
+                 "test_failing_caller_kills_and_reaps_its_workers")),
     # the trajectory CSV's blocks of stored steps
     Mutant("csv-block-short", "src/quantloop/dynamics.py",
            "hi = min(lo + _CSV_CHUNK, stored)",
