@@ -230,17 +230,17 @@ def detect_cycle(traj: Trajectory) -> CycleReport:
     )
 
 
-def detect_cycle_approx(traj: Trajectory, tol: float = 1e-9) -> CycleReport:
-    """Near-recurrence detection for float trajectories.
+def detect_cycle_approx(traj: Trajectory) -> CycleReport:
+    """Near-recurrence detection for float trajectories, to within a fixed
+    ``tol`` of 1e-9 in max-norm.
 
     States are bucketed on a grid of cell size ``tol``; any pair within
-    ``tol`` in max-norm lands in the same or an adjacent cell, so scanning
-    the 3x3 neighbourhood finds all candidates.  A candidate (entry,
-    period) is reported only if the near-recurrence is sustained to the
-    end of the trajectory.
+    ``tol`` lands in the same or an adjacent cell, so scanning the 3x3
+    neighbourhood finds all candidates.  A candidate (entry, period) is
+    reported only if the near-recurrence is sustained to the end of the
+    trajectory.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = 1e-9
     states = [(traj.e[i], traj.u[i])
               for i in map(traj.index, range(len(traj)))]
 

@@ -105,7 +105,7 @@ def rms_quantized_error(traj: Trajectory, horizon: int) -> float:
 
 
 def _campaign_rms(spec: CampaignSpec, controller: str, dbar: Scalar) -> float:
-    mode = "exact" if is_exact(dbar) else "float"
+    mode = "exact" if is_exact(dbar) and is_exact(spec.alpha) else "float"
     config = LoopConfig(alpha=spec.alpha, controller=controller,
                         disturbance=Disturbance.constant(dbar),
                         e0=0, u0=0, horizon=spec.horizon,
@@ -245,18 +245,6 @@ def _parse_breakpoint(point) -> tuple:
     return parse_int(point[0]), parse_scalar(point[1])
 
 
-def load_scenario(path) -> LoopConfig:
-    """Load a scenario config from JSON.
-
-    Keys: alpha, controller, disturbance (kind + payload), e0, u0,
-    horizon, mode.  Scalar values may be strings in the literal syntax of
-    :func:`quantloop.numerics.parse_scalar` or bare integers; decimal
-    numbers should be quoted so they stay exact.  Raises ValueError with
-    the offending key on malformed input.
-    """
-    return scenario_from_dict(read_json(path), source=str(path))
-
-
 #: Each disturbance kind: its payload key, the payload's parser and the
 #: constructor.
 _DISTURBANCES = {
@@ -268,7 +256,16 @@ _DISTURBANCES = {
 }
 
 
-def scenario_from_dict(raw: dict, source: str = "scenario") -> LoopConfig:
+def load_scenario(path) -> LoopConfig:
+    """Load a scenario config from JSON.
+
+    Keys: alpha, controller, disturbance (kind + payload), e0, u0,
+    horizon, mode.  Scalar values may be strings in the literal syntax of
+    :func:`quantloop.numerics.parse_scalar` or bare integers; decimal
+    numbers should be quoted so they stay exact.  Raises ValueError with
+    the offending key on malformed input.
+    """
+    raw, source = read_json(path), str(path)
     block = raw.get("disturbance")
     kind = block.get("kind") if isinstance(block, dict) else None
     # a known kind allows its own payload key, any other kind fails below
@@ -351,11 +348,14 @@ def checked_analyzable(config: LoopConfig, command: str = "analyze",
     return config
 
 
-def _report(traj: Trajectory, config: LoopConfig, command: str) -> dict:
-    """The ``analyze`` or ``cycles`` report of a run of ``config``, which
-    meets that command's preconditions, in shifted coordinates: ``delta_d``
-    and the cycle, detected and, for an exact switched-pi run, predicted;
-    ``analyze`` adds the capture, control-lock and error-band verdicts."""
+def analyze_trajectory(traj: Trajectory, config: LoopConfig,
+                       command: str = "analyze") -> dict:
+    """The ``analyze`` or ``cycles`` report of a run of ``config``, in
+    shifted coordinates: ``delta_d`` and the cycle, detected and, for an
+    exact switched-pi run, predicted; ``analyze`` adds the capture,
+    control-lock and error-band verdicts.  A config outside that command's
+    preconditions is rejected."""
+    checked_analyzable(config, command)
     dbar = traj.d[0]  # already coerced to the run's mode
     delta_d, shifted = rounding_error(dbar), shift_trajectory(traj, dbar)
     report: dict = {"delta_d": format_scalar(delta_d)}
@@ -383,29 +383,22 @@ def _report(traj: Trajectory, config: LoopConfig, command: str) -> dict:
     return report
 
 
-def analyze_trajectory(traj: Trajectory, config: LoopConfig) -> dict:
-    """The ``analyze`` report of a run of ``config`` (see :func:`_report`);
-    a config outside the capture analysis is rejected."""
-    return _report(traj, checked_analyzable(config), "analyze")
-
-
-def run_scenario(config_path, out_dir, command: str = "simulate") -> dict:
-    """Run a scenario config for ``command`` and write its outputs, named
-    in the returned map of paths: ``trajectory.csv`` for ``simulate``, also
-    ``report.json`` for ``analyze``, or ``cycles.json`` for ``cycles``.  A
-    config the command's preconditions reject writes nothing."""
+def run_scenario(config_path, out_dir, command: str = "simulate") -> tuple:
+    """Run a scenario config for ``command`` and write its outputs:
+    ``(outputs, report)``, the map of the paths written and the report,
+    None for ``simulate``.  ``simulate`` writes ``trajectory.csv``,
+    ``analyze`` also ``report.json`` and ``cycles`` only ``cycles.json``.
+    A config the command's preconditions reject writes nothing."""
     config = checked_analyzable(load_scenario(config_path), command,
                                 config_path)
     traj = simulate(config)
     out_dir = output_dir(out_dir)
-    outputs = {}
+    outputs, report = {}, None
     if command != "cycles":
         outputs["trajectory"] = out_dir / "trajectory.csv"
         write_trajectory_csv(traj, outputs["trajectory"])
-    if command == "analyze":  # by the name bench/tracer.py times
-        outputs["report"] = write_json(analyze_trajectory(traj, config),
-                                       out_dir / "report.json")
-    elif command == "cycles":
-        outputs["cycles"] = write_json(_report(traj, config, command),
-                                       out_dir / "cycles.json")
-    return outputs
+    if command != "simulate":
+        report = analyze_trajectory(traj, config, command)
+        name = "cycles" if command == "cycles" else "report"
+        outputs[name] = write_json(report, out_dir / f"{name}.json")
+    return outputs, report

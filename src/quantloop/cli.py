@@ -44,9 +44,10 @@ def _jobs(text: str) -> int:
 def _cmd_scenario(args) -> int:
     """``simulate``, ``analyze`` and ``cycles``: run a scenario, write its
     outputs; ``cycles`` also prints the cycle it found."""
-    outputs = campaign.run_scenario(args.config, args.out, args.command)
-    if "cycles" in outputs:
-        cycle = campaign.read_json(outputs["cycles"])["cycle"]
+    outputs, report = campaign.run_scenario(args.config, args.out,
+                                            args.command)
+    if args.command == "cycles":
+        cycle = report["cycle"]
         if cycle["periodic"]:
             print(f"periodic: n={cycle['n']} switches per period, "
                   f"m={cycle['m']} steps, entry step {cycle['entry_step']}")

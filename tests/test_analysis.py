@@ -277,7 +277,7 @@ def test_detect_cycle_approx_agrees_with_exact():
     exact = detect_cycle(simulate_shifted(F(11, 10), F(1, 5),
                                           F(-2, 5), F(1, 5), 60))
     approx = detect_cycle_approx(simulate_shifted(11 / 10, 0.2, -0.4, 0.2, 60,
-                                                  mode="float"), tol=1e-9)
+                                                  mode="float"))
     assert approx.periodic
     assert (approx.n, approx.m) == (exact.n, exact.m)
 
@@ -285,20 +285,14 @@ def test_detect_cycle_approx_agrees_with_exact():
 def test_detect_cycle_approx_irrational_residual():
     traj = simulate_shifted(11 / 10, math.sqrt(2) / 3, 0.2, 0.6, 10_000,
                             mode="float")
-    report = detect_cycle_approx(traj, tol=1e-12)
+    report = detect_cycle_approx(traj)
     assert not report.periodic
 
 
 def test_detect_cycle_approx_constant_zero():
     traj = simulate_shifted(F(11, 8), 0, 0, 0, 20, mode="float")
-    report = detect_cycle_approx(traj, tol=1e-9)
+    report = detect_cycle_approx(traj)
     assert report.periodic and report.m == 1
-
-
-def test_detect_cycle_approx_rejects_bad_tol():
-    traj = simulate_shifted(F(11, 8), 0, 0, 0, 5, mode="float")
-    with pytest.raises(ValueError):
-        detect_cycle_approx(traj, tol=0)
 
 
 # --- property suites --------------------------------------------------------

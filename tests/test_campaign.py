@@ -20,7 +20,6 @@ from quantloop.campaign import (
     rms_quantized_error,
     run_scenario,
     run_table1,
-    scenario_from_dict,
     write_table1_csv,
 )
 from quantloop.dynamics import (
@@ -201,10 +200,10 @@ def test_scenario_parse_error_reports_line(tmp_path):
         load_scenario(path)
 
 
-def test_scenario_from_dict_samples_kind():
+def test_load_scenario_samples_kind(tmp_path):
     payload = dict(RAMP_SCENARIO)
     payload["disturbance"] = {"kind": "samples", "values": ["1/2", "1/4"]}
-    config = scenario_from_dict(payload)
+    config = load_scenario(write_json(tmp_path / "scenario.json", payload))
     assert disturbance_value(config.disturbance, 5) == F(1, 4)
 
 
@@ -212,7 +211,8 @@ def test_scenario_from_dict_samples_kind():
 
 def test_run_scenario_writes_trajectory(tmp_path):
     path = write_json(tmp_path / "scenario.json", RAMP_SCENARIO)
-    outputs = run_scenario(path, tmp_path / "out")
+    outputs, report = run_scenario(path, tmp_path / "out")
+    assert report is None
     traj = read_trajectory_csv(outputs["trajectory"], mode="exact")
     assert len(traj) == 201
     # transient crossing flips the quantized error into both signs ...
@@ -228,7 +228,7 @@ def test_run_scenario_ramp_without_threshold_crossing(tmp_path):
     payload["disturbance"] = {"kind": "piecewise-linear",
                               "breakpoints": [[20, "2.6"], [40, "2.501"]]}
     path = write_json(tmp_path / "scenario.json", payload)
-    outputs = run_scenario(path, tmp_path / "out")
+    outputs, _ = run_scenario(path, tmp_path / "out")
     traj = read_trajectory_csv(outputs["trajectory"], mode="exact")
     tail = [r.rho_e for r in traj.records[50:]]
     # same invariant set as before the ramp: excursion stays in {-1, 0}
@@ -240,7 +240,7 @@ def test_run_scenario_standard_pi_keeps_oscillating(tmp_path):
     payload = dict(RAMP_SCENARIO)
     payload["controller"] = "standard-pi"
     path = write_json(tmp_path / "scenario.json", payload)
-    outputs = run_scenario(path, tmp_path / "out")
+    outputs, _ = run_scenario(path, tmp_path / "out")
     traj = read_trajectory_csv(outputs["trajectory"], mode="exact")
     for lo in range(50, 150, 25):
         window = {r.rho_e for r in traj.records[lo:lo + 50]}
@@ -254,7 +254,7 @@ def test_run_scenario_with_analysis(tmp_path):
         "e0": "0.2", "u0": "0.6", "horizon": 100,
     }
     path = write_json(tmp_path / "scenario.json", scenario)
-    outputs = run_scenario(path, tmp_path / "out", "analyze")
+    outputs, _ = run_scenario(path, tmp_path / "out", "analyze")
     report = json.loads(outputs["report"].read_text())
     assert report["delta_d"] == "2/5"
     assert report["capture"]["status"] == "pass"
@@ -278,11 +278,25 @@ def test_run_scenario_checks_preconditions_before_simulating(
     assert not (tmp_path / "out").exists()
 
 
-def test_analysis_rejects_time_varying_disturbance(tmp_path):
-    config = scenario_from_dict(RAMP_SCENARIO)
+@pytest.mark.parametrize("command", ["analyze", "cycles"])
+def test_run_scenario_returns_the_report_it_wrote(tmp_path, command):
+    # the report handed back is the one written, byte for byte
+    path = write_json(tmp_path / "scenario.json",
+                      dict(RAMP_SCENARIO, disturbance={"kind": "constant",
+                                                       "value": "1/5"}))
+    outputs, report = run_scenario(path, tmp_path / "out", command)
+    written = outputs["cycles" if command == "cycles" else "report"]
+    assert written.read_text() == json.dumps(report, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "cycles"])
+def test_analysis_rejects_time_varying_disturbance(tmp_path, command):
+    # the analysis checks its preconditions itself, outside run_scenario
+    config = load_scenario(write_json(tmp_path / "scenario.json",
+                                      RAMP_SCENARIO))
     traj = simulate(config)
-    with pytest.raises(ValueError):
-        analyze_trajectory(traj, config)
+    with pytest.raises(ValueError, match="needs a constant disturbance"):
+        analyze_trajectory(traj, config, command)
 
 
 # --- atomic outputs ---------------------------------------------------------

@@ -110,6 +110,23 @@ def test_scenario_command_writes_exactly_its_files(tmp_path, capsys, command,
         summary + [f"wrote {out / name}" for name in files])
 
 
+def test_cycles_prints_the_report_it_was_handed(tmp_path, capsys,
+                                                monkeypatch):
+    # the cycle line comes from the report the runner returns: the command
+    # reads its config and no file it wrote
+    from quantloop import campaign
+    config = write_scenario(tmp_path, CYCLE_SCENARIO)
+    read_json = campaign.read_json
+
+    def config_only(path):
+        assert Path(path) == config, f"read back {path}"
+        return read_json(path)
+    monkeypatch.setattr(campaign, "read_json", config_only)
+    assert main(["cycles", "-c", str(config), "-o", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith(
+        "periodic: n=1 switches per period, m=5 steps, entry step 1\n")
+
+
 def test_cycles_rejects_ramp(tmp_path):
     payload = dict(CYCLE_SCENARIO)
     payload["disturbance"] = {"kind": "piecewise-linear",
@@ -619,6 +636,19 @@ def test_cli_warning_names_the_config(tmp_path):
     assert out.stderr.startswith(f"error: {config}: TuningWarning: ")
     assert out.stderr.count("\n") == 1
     assert not (tmp_path / "strict").exists()
+
+
+def test_table1_float_gain_runs_without_a_warning(tmp_path):
+    # a campaign has no mode key: a float gain, like a float disturbance,
+    # makes its runs float instead of promoting exact runs with a warning
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"disturbances": ["1/10"],
+                                  "alpha": "float:1.375", "horizon": 200}))
+    out = run_fresh("-W", "error", "-m", "quantloop.cli", "table1",
+                    "-c", str(config), "-o", str(tmp_path / "out"))
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert (tmp_path / "out" / "table1.csv").is_file()
 
 
 def test_jobs_accepts_every_cpu_count(monkeypatch):

@@ -157,6 +157,10 @@ MUTANTS = (
     Mutant("cycles-writes-trajectory", "src/quantloop/campaign.py",
            'if command != "cycles":', "if command:",
            ("tests/test_cli.py",)),
+    Mutant("verdicts-for-every-command", "src/quantloop/campaign.py",
+           'if command == "analyze":\n        capture = verify_capture(',
+           'if command:\n        capture = verify_capture(',
+           ("tests/test_cli.py::test_cycles_predicts_only_switched_runs",)),
     Mutant("prediction-for-standard-pi", "src/quantloop/campaign.py",
            'if exact and config.controller == "switched-pi":',
            'if exact and config.controller != "unquantized-pi":',
@@ -167,6 +171,12 @@ MUTANTS = (
            '"the capture analysis needs \'switched-pi\', got {!r}"),\n'
            '        ()),',
            ("tests/test_cli.py",)),
+    # the cycle line: the detected cycle of the report the runner returns
+    Mutant("cycle-line-from-prediction", "src/quantloop/cli.py",
+           'cycle = report["cycle"]', 'cycle = report["predicted-cycle"]',
+           ("tests/test_cli.py::test_scenario_command_"
+            "writes_exactly_its_files",
+            "tests/test_cli.py::test_cycles_prints_the_report_it_was_handed")),
 )
 
 
