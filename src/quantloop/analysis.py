@@ -208,18 +208,16 @@ def predict_cycle(delta_d: Scalar) -> CycleReport:
 
 
 def detect_cycle(traj: Trajectory) -> CycleReport:
-    """The period and entry step of the run's exact state recurrence.
+    """The period and entry step of the run's state recurrence.
 
     An exact run from :func:`.dynamics.simulate` stops at its first (e, u)
     recurrence from the steady step of its disturbance, which is final, and
     stores a lasso, so its entry and period are the answer.  A run stored
     without a period has no recurrence within its horizon and is not
-    periodic.  Float trajectories are rejected; use
-    :func:`detect_cycle_approx`.
+    periodic.  A float run goes to :func:`detect_cycle_approx`.
     """
     if traj.mode != "exact":
-        raise TypeError("exact-state detection needs an exact trajectory; "
-                        "use detect_cycle_approx for float runs")
+        return detect_cycle_approx(traj)
     if not traj.period:
         return CycleReport(periodic=False)
     return CycleReport(
@@ -242,7 +240,7 @@ def detect_cycle_approx(traj: Trajectory) -> CycleReport:
     """
     tol = 1e-9
     states = [(traj.e[i], traj.u[i])
-              for i in map(traj.index, range(len(traj)))]
+              for i in map(traj.index, range(traj.length))]
 
     def close(a, b):
         return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol

@@ -26,7 +26,6 @@ from .analysis import (
     EntryRegion,
     cycle_error_band,
     detect_cycle,
-    detect_cycle_approx,
     predict_cycle,
     verify_band,
     verify_capture,
@@ -93,9 +92,9 @@ class RmsRow(NamedTuple):
 def rms_quantized_error(traj: Trajectory, horizon: int) -> float:
     """RMS of the quantized error over steps 0..horizon-1."""
     checked_count(horizon)
-    if len(traj) < horizon:
+    if traj.length < horizon:
         raise ValueError(
-            f"trajectory has {len(traj)} records, horizon {horizon} needs "
+            f"trajectory has {traj.length} records, horizon {horizon} needs "
             f"at least {horizon}")
     # each nonzero stored square counts once per step before the horizon
     # that repeats it, an exact int sum
@@ -252,7 +251,6 @@ _DISTURBANCES = {
     "piecewise-linear": ("breakpoints",
                          lambda v: parse_list(v, _parse_breakpoint),
                          Disturbance.ramp),
-    "samples": ("values", parse_list, Disturbance.from_samples),
 }
 
 
@@ -366,10 +364,9 @@ def analyze_trajectory(traj: Trajectory, config: LoopConfig,
             report["control-lock"] = verify_control_lock(
                 shifted, config.alpha, capture.entry_step)._asdict()
 
-    exact = shifted.mode == "exact"
-    cycle = detect_cycle(shifted) if exact else detect_cycle_approx(shifted)
+    cycle = detect_cycle(shifted)
     report["cycle"] = cycle.to_record()
-    if exact and config.controller == "switched-pi":
+    if shifted.mode == "exact" and config.controller == "switched-pi":
         predicted = predict_cycle(delta_d)
         report["predicted-cycle"] = predicted.to_record()
         # the same periodicity, switch count and period

@@ -45,7 +45,7 @@ one once, and the sweep's classifier the kernel once per initial state.
 
 A :class:`Trajectory` stores a run as the per-step columns ``e``, ``u``,
 ``rho_e``, ``rho_u`` and ``d``, tuples of one stored length s, with the
-step ``k`` implicit.  Every disturbance holds its last value from some
+step ``k`` implicit and the step count in ``length``.  Every disturbance holds its last value from some
 step on, and a run is autonomous from its *steady step*, the least step
 from which d keeps its last value by exact equality.
 An exact run's first state recurrence (j, k) with j at or after that step
@@ -76,7 +76,7 @@ import os
 import warnings
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import wraps
 from typing import NamedTuple, Optional
 
 from .numerics import (
@@ -242,8 +242,8 @@ class Disturbance(NamedTuple):
     breakpoints with strictly increasing steps.  It holds the first value
     before the first breakpoint, takes each breakpoint's value at its step,
     interpolates linearly in between and holds the last value after.  A
-    ``constant`` is one breakpoint at step 0 and ``samples`` one per step;
-    ``kind`` only names the shape, as the config does."""
+    ``constant`` is one breakpoint at step 0; ``kind`` only names the
+    shape, as the config does."""
 
     kind: str
     breakpoints: tuple
@@ -264,10 +264,6 @@ class Disturbance(NamedTuple):
     def ramp(cls, breakpoints: Sequence) -> "Disturbance":
         return cls("piecewise-linear",
                    tuple((k, v) for k, v in breakpoints))
-
-    @classmethod
-    def from_samples(cls, values: Sequence[Scalar]) -> "Disturbance":
-        return cls("samples", tuple(enumerate(values)))
 
     def column(self, n: int) -> tuple:
         """The values at steps 0..h, clamped to n - 1, where h is the last
@@ -346,34 +342,26 @@ def branch(rho_e: int, switched: bool) -> str:
     return MODE_ZERO if rho_e == 0 else MODE_NONZERO
 
 
-class Trajectory:
+class Trajectory(NamedTuple):
     """A run of ``length`` steps: columns of the stored steps 0..s-1, each
     later step repeating stored step ``entry + (k - entry) % period`` with
     period s - entry (0 when every step is stored), the law's ``switched``
-    flag for the branches, and a per-step ``records`` view.  Immutable and
-    compared by field; not a named tuple, whose ``len`` would be 9."""
+    flag for the branches, and a per-step ``records`` view.  ``len`` counts
+    the fields, as for any named tuple, not the steps."""
 
-    _fields = tuple("e u rho_e rho_u d entry length switched mode".split())
-
-    def __init__(self, e: tuple, u: tuple, rho_e: tuple, rho_u: tuple,
-                 d: tuple, entry: int, length: int, switched: bool = False,
-                 mode: str = "exact"):
-        vars(self).update(zip(self._fields, (e, u, rho_e, rho_u, d, entry,
-                                             length, switched, mode)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to Trajectory.{name}")
-
-    def __eq__(self, other):
-        return type(other) is Trajectory and all(
-            getattr(self, f) == getattr(other, f) for f in self._fields)
+    e: tuple
+    u: tuple
+    rho_e: tuple
+    rho_u: tuple
+    d: tuple
+    entry: int
+    length: int
+    switched: bool = False
+    mode: str = "exact"
 
     @property
     def period(self) -> int:
         return len(self.rho_e) - self.entry
-
-    def __len__(self) -> int:
-        return self.length
 
     def index(self, k: int) -> int:
         """The stored step that logical step ``0 <= k < length`` repeats."""
@@ -390,9 +378,9 @@ class Trajectory:
             return range(i, min(i + 1, stop))
         return range(i, stop, self.period)
 
-    @cached_property
+    @property
     def records(self) -> tuple:
-        """The run as per-step records, built on first use."""
+        """The run as per-step records, built at each use."""
         return tuple(
             TrajectoryRecord(k, self.e[i], self.u[i], self.rho_e[i],
                              self.rho_u[i], self.d[i],
@@ -476,9 +464,8 @@ def shift_trajectory(traj: Trajectory, dbar: Scalar) -> Trajectory:
     offset = round_half_away(dbar)
     u = tuple(z + offset for z in traj.u)
     d = {z: z - offset for z in set(traj.d)}
-    return Trajectory(traj.e, u, traj.rho_e, tuple(map(round_half_away, u)),
-                      tuple(map(d.__getitem__, traj.d)), traj.entry,
-                      traj.length, traj.switched, traj.mode)
+    return traj._replace(u=u, rho_u=tuple(map(round_half_away, u)),
+                         d=tuple(map(d.__getitem__, traj.d)))
 
 
 @contextlib.contextmanager
@@ -523,7 +510,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     of stored steps and once for all blocks of whole periods (the last
     takes its first rows).
     """
-    n, stored, period = len(traj), len(traj.rho_e), traj.period
+    n, stored, period = traj.length, len(traj.rho_e), traj.period
 
     def block(lo: int, hi: int) -> bytes:
         rho_e = traj.rho_e[lo:hi]

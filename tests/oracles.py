@@ -6,7 +6,8 @@
   functions;
 * :func:`simulate_shifted` runs the switched loop in shifted coordinates;
 * :func:`disturbance_value` evaluates a disturbance at one step, the
-  per-step reference of :meth:`Disturbance.column`;
+  per-step reference of :meth:`Disturbance.column`, and
+  :func:`unit_steps` builds a ramp with one breakpoint per step;
 * :func:`read_trajectory_csv` reads a trajectory CSV back into dense
   columns (the CSV oracle), with :func:`parse_csv_scalar` for its cells;
 * :func:`steady_step` finds the step from which a disturbance column
@@ -82,6 +83,12 @@ def disturbance_value(disturbance: Disturbance, k: int) -> Scalar:
             return v0 + (v1 - v0) * Fraction(k - k0, k1 - k0)
     return next((v for step, v in reversed(points) if step <= k),
                 points[0][1])
+
+
+def unit_steps(values) -> Disturbance:
+    """The ramp that takes ``values[k]`` at each step k from 0 and holds the
+    last value after: one breakpoint per step, the densest ramp."""
+    return Disturbance.ramp(enumerate(values))
 
 
 def parse_csv_scalar(text: str, mode: str) -> Scalar:

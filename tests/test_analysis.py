@@ -28,7 +28,7 @@ from quantloop.dynamics import (
     simulate,
 )
 from quantloop.numerics import rounding_error, sign
-from oracles import simulate_shifted, steps_to_switch
+from oracles import simulate_shifted, steps_to_switch, unit_steps
 
 
 @st.composite
@@ -262,10 +262,12 @@ def test_detect_cycle_fixed_point():
     assert report.periodic and (report.n, report.m) == (0, 1)
 
 
-def test_detect_cycle_rejects_floats():
+def test_detect_cycle_of_a_float_run_is_the_approximate_detection():
+    # a float run is stored step by step, so no lasso holds its cycle
     traj = simulate_shifted(11 / 10, 0.2, -0.4, 0.2, 30, mode="float")
-    with pytest.raises(TypeError):
-        detect_cycle(traj)
+    report = detect_cycle(traj)
+    assert report == detect_cycle_approx(traj)
+    assert report.periodic and (report.n, report.m) == (1, 5)
 
 
 def test_detect_cycle_non_periodic_when_denominator_exceeds_horizon():
@@ -388,9 +390,8 @@ def test_verdicts_match_their_record_wise_definitions(alpha, dbar, e0, u0,
 def test_detect_cycle_skips_a_recurrence_the_disturbance_ends():
     # at rest under a zero disturbance the state recurs at once, but the
     # disturbance steps to 1/3 at k = 5; the cycle is the one it drives
-    samples = [F(0)] * 5 + [F(1, 3)]
     config = LoopConfig(alpha=F(11, 8), controller="switched-pi",
-                        disturbance=Disturbance.from_samples(samples),
+                        disturbance=unit_steps([F(0)] * 5 + [F(1, 3)]),
                         e0=0, u0=0, horizon=80)
     report = detect_cycle(simulate(config))
     assert report.periodic and report.m == 3 and report.entry_step >= 5

@@ -71,9 +71,13 @@ def test_rms_counts_transient_from_step_zero():
                         disturbance=Disturbance.constant(F(12, 10)),
                         e0=F(2), u0=0, horizon=10)
     traj = simulate(config)
-    expected = math.sqrt(sum(r.rho_e ** 2 for r in traj.records[:10]) / 10)
-    assert rms_quantized_error(traj, 10) == expected
-    assert traj.records[0].rho_e == 2  # the transient is part of the score
+    records = traj.records
+    assert records[0].rho_e == 2  # the transient is part of the score
+    # every window end: the window is steps 0..horizon-1
+    for horizon in range(1, 11):
+        expected = math.sqrt(sum(r.rho_e ** 2 for r in records[:horizon])
+                             / horizon)
+        assert rms_quantized_error(traj, horizon) == expected
 
 
 def test_rms_horizon_too_short():
@@ -200,13 +204,6 @@ def test_scenario_parse_error_reports_line(tmp_path):
         load_scenario(path)
 
 
-def test_load_scenario_samples_kind(tmp_path):
-    payload = dict(RAMP_SCENARIO)
-    payload["disturbance"] = {"kind": "samples", "values": ["1/2", "1/4"]}
-    config = load_scenario(write_json(tmp_path / "scenario.json", payload))
-    assert disturbance_value(config.disturbance, 5) == F(1, 4)
-
-
 # --- scenario runner --------------------------------------------------------
 
 def test_run_scenario_writes_trajectory(tmp_path):
@@ -214,12 +211,13 @@ def test_run_scenario_writes_trajectory(tmp_path):
     outputs, report = run_scenario(path, tmp_path / "out")
     assert report is None
     traj = read_trajectory_csv(outputs["trajectory"], mode="exact")
-    assert len(traj) == 201
+    assert traj.length == 201
+    records = traj.records
     # transient crossing flips the quantized error into both signs ...
-    window = [r.rho_e for r in traj.records[25:60]]
+    window = [r.rho_e for r in records[25:60]]
     assert 1 in window and -1 in window
     # ... and the new invariant set has unit excursion in {0, 1}
-    tail = [r.rho_e for r in traj.records[-100:]]
+    tail = [r.rho_e for r in records[-100:]]
     assert set(tail) == {0, 1}
 
 
@@ -241,9 +239,9 @@ def test_run_scenario_standard_pi_keeps_oscillating(tmp_path):
     payload["controller"] = "standard-pi"
     path = write_json(tmp_path / "scenario.json", payload)
     outputs, _ = run_scenario(path, tmp_path / "out")
-    traj = read_trajectory_csv(outputs["trajectory"], mode="exact")
+    records = read_trajectory_csv(outputs["trajectory"], mode="exact").records
     for lo in range(50, 150, 25):
-        window = {r.rho_e for r in traj.records[lo:lo + 50]}
+        window = {r.rho_e for r in records[lo:lo + 50]}
         assert {-1, 1} <= window
 
 

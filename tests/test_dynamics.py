@@ -34,6 +34,7 @@ from oracles import (
     read_trajectory_csv,
     simulate_shifted,
     steady_step,
+    unit_steps,
 )
 
 # Half-integer quantizer ties are where the original/shifted equivalence
@@ -65,7 +66,7 @@ def constant_config(alpha, controller, dbar, e0, u0, horizon, mode="exact"):
 def one_step(controller, e, u, d, alpha):
     """The second record of a one-step run from (e, u) under constant d."""
     traj = simulate(constant_config(alpha, controller, d, e, u, 1))
-    assert len(traj) == 2
+    assert traj.length == 2
     r = traj.records[1]
     assert r.k == 1
     return r
@@ -106,9 +107,9 @@ def test_shifted_switched_step():
         ((F(11, 10), F(4, 10), F(2, 10), 0), (F(3, 5), F(-11, 10))),
         ((F(5, 4), 0, F(1, 10), 0), (F(1, 10), 0)),
     ):
-        traj = simulate_shifted(*args, horizon=1)
-        assert (traj.records[1].e, traj.records[1].u) == expected
-        assert traj.records[1].d == args[1]
+        r = simulate_shifted(*args, horizon=1).records[1]
+        assert (r.e, r.u) == expected
+        assert r.d == args[1]
 
 
 def test_unquantized_pi_step():
@@ -178,7 +179,7 @@ def test_ramp_takes_each_breakpoint_value_at_its_step(tmp_path):
 
 
 def test_samples_disturbance_holds_last():
-    d = Disturbance.from_samples([F(1), F(2), F(3)])
+    d = unit_steps([F(1), F(2), F(3)])
     assert d.column(5) == (1, 2, 3)
     assert [disturbance_value(d, k) for k in range(5)] == [1, 2, 3, 3, 3]
 
@@ -198,7 +199,7 @@ def ramps(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(ramps(), st.lists(ramp_values, min_size=1, max_size=8).map(
-    Disturbance.from_samples), ramp_values.map(Disturbance.constant)),
+    unit_steps), ramp_values.map(Disturbance.constant)),
     st.integers(1, 80))
 @example(Disturbance.ramp([(-3, F(1, 2))]), 5)
 @example(Disturbance.ramp([(7, F(1, 2))]), 5)
@@ -221,8 +222,6 @@ def test_disturbance_validation():
         Disturbance.ramp([(10, F(1)), (10, F(2))])
     with pytest.raises(ValueError):
         Disturbance.ramp([])
-    with pytest.raises(ValueError):
-        Disturbance.from_samples([])
     with pytest.raises(ValueError):
         disturbance_value(Disturbance.constant(F(1)), -1)
 
@@ -285,7 +284,7 @@ def test_float_mode_coerces_exact_inputs():
 def test_simulate_horizon_zero_single_record():
     config = constant_config(F(13, 10), "switched-pi", F(1, 10), F(2), F(-1), 0)
     traj = simulate(config)
-    assert len(traj) == 1
+    assert traj.length == 1
     r = traj.records[0]
     assert (r.k, r.e, r.u, r.rho_e, r.rho_u, r.mode) == (0, 2, -1, 2, -1, MODE_NA)
 
@@ -293,7 +292,7 @@ def test_simulate_horizon_zero_single_record():
 def test_simulate_record_count_and_indexing():
     config = constant_config(F(13, 10), "switched-pi", F(1, 10), 0, 0, 37)
     traj = simulate(config)
-    assert len(traj) == 38
+    assert traj.length == 38
     assert [r.k for r in traj.records] == list(range(38))
 
 
@@ -304,9 +303,9 @@ def test_simulate_is_deterministic():
 
 def test_mode_annotation_matches_quantized_error():
     config = constant_config(F(13, 10), "switched-pi", F(17, 100), F(3), F(-2), 60)
-    traj = simulate(config)
-    assert traj.records[0].mode == MODE_NA
-    for r in traj.records[1:]:
+    records = simulate(config).records
+    assert records[0].mode == MODE_NA
+    for r in records[1:]:
         expected = MODE_ZERO if r.rho_e == 0 else MODE_NONZERO
         assert r.mode == expected
 
@@ -337,7 +336,7 @@ def test_time_varying_disturbance_runs_in_original_coordinates():
                         disturbance=ramp, e0=0, u0=0, horizon=30)
     traj = simulate(config)
     assert traj.records[10].d == disturbance_value(ramp, 10)
-    assert len(traj) == 31
+    assert traj.length == 31
 
 
 # --- coordinate change ------------------------------------------------------
@@ -382,7 +381,7 @@ def test_pi_schemes_coincide_without_quantizers(alpha, dbar, e0, u0):
         e, u = generic_law(alpha, identity, True, (e, u), dbar)
         states.append((e, u))
     assert [(r.e, r.u) for r in traj.records] == states
-    assert len(traj) == 31
+    assert traj.length == 31
 
 
 @settings(max_examples=100, deadline=None)
@@ -415,11 +414,12 @@ lattice_disturbance_values = st.one_of(
 
 @st.composite
 def lattice_disturbances(draw):
-    kind = draw(st.sampled_from(["constant", "piecewise-linear", "samples"]))
+    kind = draw(st.sampled_from(["constant", "piecewise-linear",
+                                 "unit-steps"]))
     if kind == "constant":
         return Disturbance.constant(draw(lattice_disturbance_values))
-    if kind == "samples":
-        return Disturbance.from_samples(
+    if kind == "unit-steps":
+        return unit_steps(
             draw(st.lists(lattice_disturbance_values, min_size=1, max_size=8)))
     steps = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=4)))
     return Disturbance.ramp(
@@ -650,9 +650,9 @@ def test_records_view_matches_law_run(config, mode):
     traj = simulate(config)
     assert traj.mode == mode
     assert traj.records == law_records(config, mode)
-    assert len(traj) == config.horizon + 1
+    assert traj.length == config.horizon + 1
     for column in (traj.e, traj.u, traj.d):
-        assert len(column) == traj.entry + traj.period <= len(traj)
+        assert len(column) == traj.entry + traj.period <= traj.length
 
 
 @pytest.mark.parametrize("controller", ["switched-pi", "standard-pi"])

@@ -68,7 +68,7 @@ def dense_run(traj: Trajectory) -> Trajectory:
                       tuple(r.u for r in records),
                       tuple(r.rho_e for r in records),
                       tuple(r.rho_u for r in records),
-                      tuple(r.d for r in records), len(traj), len(traj),
+                      tuple(r.d for r in records), traj.length, traj.length,
                       traj.switched, traj.mode)
 
 
@@ -91,7 +91,7 @@ def reference_csv(traj: Trajectory) -> bytes:
 @st.composite
 def lasso_runs(draw):
     """An exact config of any of the three laws, under a constant
-    disturbance or a ramp or samples that settle by step 30, whose horizon
+    disturbance or a ramp that settles by step 30, whose horizon
     cuts the run's cycle at a drawn offset, or ends before it."""
     e0, u0 = draw(st.one_of(st.just((0, 0)), st.tuples(scalars, scalars)))
     disturbance = draw(st.one_of(disturbances.map(Disturbance.constant),
@@ -121,7 +121,7 @@ def test_lasso_matches_its_dense_expansion(tmp_path_factory, config, start,
     traj = simulate(config)
     dense = dense_run(traj)
     assert traj.records == dense.records == law_records(config)
-    assert len(traj) == config.horizon + 1
+    assert traj.length == config.horizon + 1
     assert {len(column) for column in (traj.e, traj.u, traj.rho_e,
                                        traj.rho_u, traj.d)} == \
         {traj.entry + traj.period}
@@ -137,9 +137,9 @@ def test_lasso_matches_its_dense_expansion(tmp_path_factory, config, start,
     for i in stored:
         assert all(traj.index(k) == i for k in traj.repeats(i))
     assert sorted(k for i in stored for k in traj.repeats(i)) == \
-        list(range(len(traj)))
+        list(range(traj.length))
 
-    horizons = {1, len(traj), data.draw(st.integers(1, len(traj)))}
+    horizons = {1, traj.length, data.draw(st.integers(1, traj.length))}
     for horizon in horizons:
         assert sum(len(traj.repeats(i, horizon)) for i in stored) == horizon
         assert rms_quantized_error(traj, horizon) == \
@@ -174,11 +174,11 @@ def test_cycle_entered_at_step_zero():
     traj = simulate(config)
     assert (traj.entry, traj.period) == (0, 10)
     assert len(traj.e) == 10
-    assert traj.records[0].mode == MODE_NA
-    assert traj.records[10].mode == MODE_ZERO
-    assert (traj.records[0].e, traj.records[0].u) == \
-        (traj.records[10].e, traj.records[10].u)
-    assert traj.records == law_records(config)
+    records = traj.records
+    assert records[0].mode == MODE_NA
+    assert records[10].mode == MODE_ZERO
+    assert (records[0].e, records[0].u) == (records[10].e, records[10].u)
+    assert records == law_records(config)
 
 
 def test_run_without_recurrence_in_the_horizon_stays_dense(tmp_path):
@@ -250,7 +250,7 @@ def test_long_horizon_stores_one_cycle():
     config = constant_config(F(11, 8), "switched-pi", 2 + F(8, 37), F(-7, 3),
                              F(4, 5), horizon)
     traj = simulate(config)
-    assert len(traj) == horizon + 1 and traj.period
+    assert traj.length == horizon + 1 and traj.period
     for column in (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d):
         assert len(column) == traj.entry + traj.period
     delta_d = F(8, 37)
@@ -276,7 +276,7 @@ def test_settling_ramp_stores_a_lasso():
                                                       (40, F(24, 10))]),
                         e0=0, u0=0, horizon=horizon)
     traj = simulate(config)
-    assert len(traj) == horizon + 1 and traj.period
+    assert traj.length == horizon + 1 and traj.period
     assert traj.entry >= steady_step(traj.d) == 40
     for column in (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d):
         assert len(column) == traj.entry + traj.period <= 50
@@ -288,7 +288,7 @@ def test_deadbeat_unquantized_run_stores_its_fixed_point():
     config = constant_config(F(2), "unquantized-pi", F(1, 3), F(1, 5), 0,
                              10 ** 4)
     traj = simulate(config)
-    assert len(traj) == 10 ** 4 + 1 and traj.period
+    assert traj.length == 10 ** 4 + 1 and traj.period
     for column in (traj.e, traj.u, traj.rho_e, traj.rho_u, traj.d):
         assert len(column) == traj.entry + traj.period <= 3
     report = detect_cycle(traj)

@@ -134,16 +134,33 @@ MUTANTS = (
            reach("test_sweep_forks_no_idle_worker",
                  "test_worker_exception_reaches_the_caller",
                  "test_failing_caller_kills_and_reaps_its_workers")),
-    # the trajectory CSV's blocks of stored steps
+    # the trajectory CSV's blocks of stored steps, and its run's steps:
+    # the len of a run, a named tuple, counts its fields
     Mutant("csv-block-short", "src/quantloop/dynamics.py",
            "hi = min(lo + _CSV_CHUNK, stored)",
            "hi = min(lo + _CSV_CHUNK, stored - 1)",
            ("tests/test_dynamics.py",)),
-    # the score: a mean over the horizon's steps
+    Mutant("run-length-from-len", "src/quantloop/dynamics.py",
+           "n, stored, period = traj.length,",
+           "n, stored, period = len(traj),",
+           ("tests/test_lasso.py::"
+            "test_lasso_csv_matches_rows_written_one_by_one",)),
+    # the score: a mean over steps 0..horizon-1
     Mutant("rms-divisor", "src/quantloop/campaign.py",
            "return math.sqrt(total / horizon)",
-           "return math.sqrt(total / len(traj))",
+           "return math.sqrt(total / traj.length)",
            ("tests/test_campaign.py",)),
+    Mutant("rms-window-end", "src/quantloop/campaign.py",
+           "len(traj.repeats(i, horizon))",
+           "len(traj.repeats(i, horizon + 1))",
+           ("tests/test_campaign.py::"
+            "test_rms_counts_transient_from_step_zero",)),
+    # cycle detection: a float run, stored step by step, is no lasso
+    Mutant("float-run-read-as-lasso", "src/quantloop/analysis.py",
+           '    if traj.mode != "exact":\n'
+           "        return detect_cycle_approx(traj)\n", "",
+           ("tests/test_analysis.py::test_detect_cycle_of_a_float_run_"
+            "is_the_approximate_detection",)),
     # the scenario runner: preconditions first, each command's own files
     Mutant("check-after-simulate", "src/quantloop/campaign.py",
            "    config = checked_analyzable(load_scenario(config_path), "
@@ -162,8 +179,10 @@ MUTANTS = (
            'if command:\n        capture = verify_capture(',
            ("tests/test_cli.py::test_cycles_predicts_only_switched_runs",)),
     Mutant("prediction-for-standard-pi", "src/quantloop/campaign.py",
-           'if exact and config.controller == "switched-pi":',
-           'if exact and config.controller != "unquantized-pi":',
+           'if shifted.mode == "exact" and config.controller == '
+           '"switched-pi":',
+           'if shifted.mode == "exact" and config.controller != '
+           '"unquantized-pi":',
            ("tests/test_cli.py",)),
     Mutant("analyze-takes-any-law", "src/quantloop/campaign.py",
            '"the capture analysis needs \'switched-pi\', got {!r}"),\n'
