@@ -37,7 +37,7 @@ from quantloop.reachability import (
     write_grid_csv,
     write_region_csv,
 )
-from oracles import disturbance_value, read_trajectory_csv
+from oracles import disturbance_value, read_trajectory_csv, unit_steps
 
 
 def write_json(path, payload):
@@ -178,6 +178,17 @@ def test_load_scenario_decimal_strings_stay_exact(tmp_path):
     config = load_scenario(path)
     # JSON floats are re-parsed from their text, not from binary doubles
     assert config.disturbance.breakpoints == ((0, F(6, 5)),)
+
+
+def test_load_scenario_unit_step_ramp_holds_last(tmp_path):
+    # per-step values are written as one breakpoint a step
+    payload = dict(RAMP_SCENARIO)
+    payload["disturbance"] = {"kind": "piecewise-linear",
+                              "breakpoints": [[0, "1/2"], [1, "1/4"]]}
+    config = load_scenario(write_json(tmp_path / "scenario.json", payload))
+    assert config.disturbance == unit_steps([F(1, 2), F(1, 4)])
+    assert [disturbance_value(config.disturbance, k) for k in range(6)] == \
+        [F(1, 2)] + [F(1, 4)] * 5
 
 
 def test_scenario_errors_name_the_key(tmp_path):

@@ -135,13 +135,17 @@ def test_cycles_rejects_ramp(tmp_path):
     assert main(["cycles", "-c", str(config), "-o", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("breakpoints", [
+    [[0, "0"], [100, "3/7"]],
+    # one breakpoint a step: a jump, then the last value held
+    [[0, "1/5"], [1, "2/5"]],
+], ids=["ramp", "unit-steps"])
 @pytest.mark.parametrize("command", ["analyze", "cycles"])
 def test_analyses_reject_a_varying_disturbance_before_simulating(
-        tmp_path, capsys, command):
+        tmp_path, capsys, command, breakpoints):
     # rejected while loading, before a trajectory is written; simulate
     # still runs the scenario
-    disturbance = {"kind": "piecewise-linear",
-                   "breakpoints": [[0, "0"], [100, "3/7"]]}
+    disturbance = {"kind": "piecewise-linear", "breakpoints": breakpoints}
     config = write_scenario(tmp_path, dict(CYCLE_SCENARIO,
                                            disturbance=disturbance))
     out = tmp_path / "out"
@@ -376,6 +380,12 @@ def test_top_level_list_config_is_rejected(tmp_path, capsys):
     # a campaign always starts from rest
     ("table1", {"disturbances": ["0.1"], "e0": "1/3"}, "e0"),
     ("table1", {"disturbances": ["0.1"], "u0": "2"}, "u0"),
+    # the analyses load a scenario the same way: the per-step values fail
+    # as a key before the constant-disturbance check is reached
+    ("analyze", dict(CYCLE_SCENARIO, disturbance={
+        "kind": "samples", "values": ["1/5", "2/5"]}), "disturbance.values"),
+    ("cycles", dict(CYCLE_SCENARIO, disturbance={
+        "kind": "samples", "values": ["1/5", "2/5"]}), "disturbance.values"),
 ])
 def test_unknown_config_key_is_rejected(tmp_path, capsys, command, payload,
                                         key):
