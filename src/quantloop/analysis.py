@@ -81,9 +81,10 @@ class Verdict(NamedTuple):
 def _verdict(check: str, traj: Trajectory, flags, start: int,
              entry_step: Optional[int]) -> Verdict:
     """The verdict ``check`` on ``traj`` given one flag per stored step:
-    it fails at every step from ``start`` on that repeats a flagged one."""
-    violations = tuple(sorted(k for i, flag in enumerate(flags) if flag
-                              for k in traj.repeats(i) if k >= start))
+    it fails at each flagged state's first repeat from ``start`` on."""
+    runs = (traj.repeats(i) for i, flag in enumerate(flags) if flag)
+    firsts = (r[len(range(r.start, start, r.step)):][:1] for r in runs)
+    violations = tuple(sorted(k for first in firsts for k in first))
     return Verdict(check, "fail" if violations else "pass", entry_step,
                    violations)
 

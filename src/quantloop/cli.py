@@ -1,6 +1,6 @@
 """Command line interface.
 
-Subcommands::
+Subcommands (``-h`` prints this text)::
 
     simulate  -c scenario.json -o OUT
     analyze   -c scenario.json -o OUT
@@ -16,27 +16,20 @@ deterministic, so there is no seed flag.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import warnings
+from types import SimpleNamespace
 from typing import Optional
 
 from . import campaign, reachability
-
-
-def _add_scenario_args(sub, name, help_text):
-    p = sub.add_parser(name, help=help_text)
-    p.add_argument("-c", "--config", required=True, help="scenario JSON file")
-    p.add_argument("-o", "--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_scenario)
 
 
 def _jobs(text: str) -> int:
     """``--jobs``: a worker count from 1 to the CPU count (1 without fork)."""
     jobs, limit = int(text), hasattr(os, "fork") and os.cpu_count() or 1
     if not 1 <= jobs <= limit:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"expected a worker count from 1 to {limit}, got {jobs}")
     return jobs
 
@@ -82,38 +75,54 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quantloop",
-        description="Simulate and analyze PI control loops with quantized "
-                    "input and output signals.")
-    sub = parser.add_subparsers(dest="command", required=True)
+#: Each command's handler and its options: field -> (parser, required).
+_SCENARIO = _cmd_scenario, {"config": (str, True), "out": (str, True)}
+COMMANDS = {
+    **dict.fromkeys(("simulate", "analyze", "cycles"), _SCENARIO),
+    "sweep": (_cmd_sweep, {"config": (str, False), "out": (str, True),
+                           "jobs": (_jobs, False)}),
+    "table1": (_cmd_table1, {"config": (str, False), "out": (str, True)}),
+}
+_FLAGS = {"-c": "config", "--config": "config", "-o": "out", "--out": "out",
+          "--jobs": "jobs"}
+_USAGE = "usage: quantloop COMMAND [-c FILE] -o DIR [--jobs N]"
 
-    _add_scenario_args(sub, "simulate", "run a scenario, write its trajectory")
-    _add_scenario_args(sub, "analyze",
-                       "run a scenario, write trajectory and analysis report")
-    _add_scenario_args(sub, "cycles",
-                       "detect and predict the limit cycle of a scenario")
 
-    p = sub.add_parser("sweep", help="classify attractors over a parameter grid")
-    p.add_argument("-c", "--config", help="grid JSON file (defaults to the "
-                                          "desk-scale grid)")
-    p.add_argument("-o", "--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=_jobs, default=1,
-                   help="worker processes for cells, 1 to the number of "
-                        "CPUs (default 1)")
-    p.set_defaults(func=_cmd_sweep)
+def _usage_error(what: str):
+    print(f"{_USAGE}\nquantloop: error: {what}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("table1", help="run the controller comparison campaign")
-    p.add_argument("-c", "--config", help="campaign JSON file (defaults to "
-                                          "the reference campaign)")
-    p.add_argument("-o", "--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_table1)
-    return parser
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """The command of ``argv`` with its handler (``func``) and options;
+    ``-h`` prints the commands and exits 0, a bad command line exits 2."""
+    if {"-h", "--help"} & set(argv):
+        print(f"{_USAGE}\n\n{__doc__}")
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        _usage_error(f"expected a command, one of {', '.join(COMMANDS)}")
+    args = SimpleNamespace(command=argv[0], config=None, out=None, jobs=1)
+    args.func, options = COMMANDS[args.command]
+    words = iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if (name := _FLAGS.get(flag)) not in options:
+            _usage_error(f"unrecognized argument: {word}")
+        value = value if eq else next(words, "")
+        if not value or not eq and value.partition("=")[0] in _FLAGS:
+            _usage_error(f"argument {flag}: expected one argument")
+        try:
+            setattr(args, name, options[name][0](value))
+        except ValueError as exc:
+            _usage_error(f"argument {flag}: {exc}")
+    for name, (_, required) in options.items():
+        if required and getattr(args, name) is None:
+            _usage_error(f"the option --{name} is required")
+    return args
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
 
     def show(message, category, *_, kind="warning"):
         # one line that names the config, not the line of quantloop that

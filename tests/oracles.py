@@ -15,6 +15,8 @@
 * :func:`cycle_oracle` finds a run's first state recurrence by hashing its
   logical steps in order, the report :func:`detect_cycle` reads off the
   run's entry and period;
+* :func:`first_of_each_state` keeps the first of the steps that visit
+  one (e, u) state, the rule by which a verdict lists its violations;
 * :func:`steps_to_switch` counts the pure-drift steps until the
   quantized error leaves zero, the closed form the switched law's
   drift-and-reset cycle is checked against;
@@ -143,6 +145,18 @@ def cycle_oracle(traj: Trajectory) -> CycleReport:
                 periodic=True, n=sum(r.rho_e != 0 for r in records[j:k]),
                 m=k - j, entry_step=j)
     return CycleReport(periodic=False)
+
+
+def first_of_each_state(steps, records, mode: str = "exact") -> list:
+    """The ``steps`` (ascending) that visit their (e, u) state first among
+    them: a verdict lists each failing state once, at its first failing
+    step.  A float run is stored step by step, so there each step is a
+    state of its own."""
+    first = {}
+    for k in steps:
+        first.setdefault((records[k].e, records[k].u) if mode == "exact"
+                         else k, k)
+    return sorted(first.values())
 
 
 def steps_to_switch(delta_d: Scalar, e_start: Scalar) -> int:

@@ -28,7 +28,8 @@ from quantloop.dynamics import (
     simulate,
 )
 from quantloop.numerics import rounding_error, sign
-from oracles import simulate_shifted, steps_to_switch, unit_steps
+from oracles import (first_of_each_state, simulate_shifted,
+                     steps_to_switch, unit_steps)
 
 
 @st.composite
@@ -351,15 +352,20 @@ def record_wise_verdicts(traj, region, alpha, band, start, tol=1e-12):
     """Capture entry and violations, lock and band violations, step by step
     over the records."""
     records = traj.records
+
+    def firsts(steps):
+        return first_of_each_state(steps, records, traj.mode)
+
     entry = next((r.k for r in records if in_entry_region(r.e, r.u, region)),
                  None)
     allowed = minimal_invariant_pairs(region.delta_d)
-    capture = None if entry is None else [
-        r.k for r in records[entry + 1:] if (r.rho_e, r.rho_u) not in allowed]
-    lock = [r.k for r in records if r.k > start + 1 and (
+    capture = None if entry is None else firsts(
+        r.k for r in records[entry + 1:] if (r.rho_e, r.rho_u) not in allowed)
+    lock = firsts(r.k for r in records if r.k > start + 1 and (
         r.u != -alpha * r.rho_e if traj.mode == "exact"
-        else abs(r.u + alpha * r.rho_e) > tol)]
-    return entry, capture, lock, [r.k for r in records if r.k >= start and r.e not in band]
+        else abs(r.u + alpha * r.rho_e) > tol))
+    return entry, capture, lock, firsts(
+        r.k for r in records if r.k >= start and r.e not in band)
 
 
 @settings(max_examples=150, deadline=None)

@@ -110,6 +110,12 @@ def test_campaign_spec_validation():
         CampaignSpec(horizon=0)
 
 
+def test_campaign_default_gain_is_eleven_eighths():
+    # table1.csv reads the same at 21/16, so its sums cannot pin the gain
+    for spec in (CampaignSpec(), campaign.load_campaign_spec()):
+        assert type(spec.alpha) is F and spec.alpha == F(11, 8)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.fractions(min_value=F(1, 50), max_value=F(49, 50),
                     max_denominator=50))
@@ -273,6 +279,21 @@ def test_run_scenario_with_analysis(tmp_path):
     assert report["cycle-agreement"] is True
     assert report["band"]["status"] == "pass"
     assert report["band"]["interval"]["lo"] == "-1/10"
+
+
+@pytest.mark.parametrize("horizon", [100, 10**6])
+def test_failing_verdict_lists_each_state_once(horizon):
+    # gain 21/20 from (-10, -10) against 3/10 ends on a 10-step cycle outside
+    # the predicted band: at horizon 10^6 the band fails at 899,950 steps,
+    # yet the report names each failing state once, whatever the horizon
+    config = LoopConfig(alpha=F(21, 20), controller="switched-pi",
+                        disturbance=Disturbance.constant(F(3, 10)),
+                        e0=-10, u0=-10, horizon=horizon, mode="exact")
+    report = analyze_trajectory(simulate(config), config)
+    assert (report["cycle"]["m"], report["cycle"]["entry_step"]) == (10, 56)
+    assert report["band"]["status"] == "fail"
+    assert report["band"]["violations"] == tuple(range(57, 66))
+    assert len(json.dumps(report)) < 1000
 
 
 @pytest.mark.parametrize("command", ["analyze", "cycles"])

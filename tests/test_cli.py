@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quantloop.cli import main
+from quantloop.cli import main, parse_args
 from quantloop.numerics import parse_scalar
 
 CAPTURE_SCENARIO = {
@@ -215,13 +215,34 @@ def test_malformed_config_is_runtime_error(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required arguments
     assert exc.value.code == 2
+    out = str(tmp_path / "out")
+    for argv, named in (([], "command"),
+                        (["simulate", "-o", out, "-c"], "-c"),
+                        (["sweep", "-o", out, "--jobs"], "--jobs"),
+                        (["table1", "-o", out, "--seed", "3"], "--seed"),
+                        (["sweep", "--jobs", "2", "-o", out, "--cells"],
+                         "--cells"),
+                        (["simulate", "--config=", "-o", out], "--config"),
+                        (["table1", "-o", out, "extra"], "extra"),
+                        (["table1", "-c", "-o", out], "-c"),
+                        (["simulate", "-c", "a.json", "--jobs", "2",
+                          "-o", out], "--jobs")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: quantloop "), argv
+        assert err.splitlines()[1].startswith("quantloop: error: "), argv
+        assert named in err.splitlines()[1], argv
+    assert not (tmp_path / "out").exists()
     config = write_scenario(tmp_path, CYCLE_SCENARIO)
     with pytest.raises(SystemExit) as exc:  # the config's mode key sets it
         main(["simulate", "-c", str(config), "-o", str(tmp_path / "out"),
@@ -656,22 +677,76 @@ def test_table1_float_gain_runs_without_a_warning(tmp_path):
 
 
 def test_jobs_accepts_every_cpu_count(monkeypatch):
-    from quantloop.cli import build_parser
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    parser = build_parser()
     for jobs in (1, 2):
-        args = parser.parse_args(["sweep", "-o", "out", "--jobs", str(jobs)])
+        args = parse_args(["sweep", "-o", "out", "--jobs", str(jobs)])
         assert args.jobs == jobs
     with pytest.raises(SystemExit):
-        parser.parse_args(["sweep", "-o", "out", "--jobs", "3"])
+        parse_args(["sweep", "-o", "out", "--jobs", "3"])
 
 
 def test_jobs_without_fork_takes_only_one_worker(monkeypatch):
-    from quantloop.cli import build_parser
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.delattr(os, "fork")
-    parser = build_parser()
-    assert parser.parse_args(["sweep", "-o", "out", "--jobs", "1"]).jobs == 1
+    assert parse_args(["sweep", "-o", "out", "--jobs", "1"]).jobs == 1
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args(["sweep", "-o", "out", "--jobs", "2"])
+        parse_args(["sweep", "-o", "out", "--jobs", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "-c", "a.json", "-o", "out"],
+    ["analyze", "--config", "a.json", "--out", "out"],
+    ["analyze", "--config=a.json", "--out=out"],
+    ["analyze", "-o", "first", "-c", "b.json", "--out", "out", "-c=a.json"],
+])
+def test_parse_args_forms_and_last_value(argv):
+    # an option's value follows it or its ``=``; one given twice keeps
+    # its last value
+    args = parse_args(argv)
+    assert (args.command, args.config, args.out, args.jobs) == (
+        "analyze", "a.json", "out", 1)
+    assert args.func is parse_args(["cycles", "-c", "x", "-o", "y"]).func
+
+
+def test_parse_args_defaults_of_the_optional_options():
+    args = parse_args(["table1", "-o", "out"])
+    assert (args.config, args.out) == (None, "out")
+    args = parse_args(["sweep", "-o", "out"])
+    assert (args.config, args.jobs) == (None, 1)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["sweep", "-h"],
+                                  ["frobnicate", "--help"]])
+def test_help_prints_the_commands_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: quantloop ")
+    for command in ("simulate", "analyze", "cycles", "sweep", "table1"):
+        assert f"    {command} " in out
+
+
+def test_no_command_imports_argparse_gettext_or_locale(tmp_path):
+    # the table parser needs none of them: argparse costs a fresh process
+    # about 2 ms to import and gettext's first lookup loads locale
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(GRID))
+    scenario = write_scenario(tmp_path, CAPTURE_SCENARIO)
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps({"disturbances": ["1/10"],
+                                    "horizon": 200}))
+    for argv in (["simulate", "-c", str(scenario)],
+                 ["analyze", "-c", str(scenario)],
+                 ["cycles", "-c", str(scenario)],
+                 ["sweep", "-c", str(grid)],
+                 ["table1", "-c", str(campaign)]):
+        argv += ["-o", str(tmp_path / argv[0])]
+        out = run_fresh("-c", "import sys; from quantloop.cli import main; "
+                        f"code = main({argv!r}); "
+                        "print('modules:', code, *sys.modules)")
+        assert out.returncode == 0, out.stderr
+        code, *loaded = out.stdout.splitlines()[-1].split()[1:]
+        assert code == "0"
+        assert not {"argparse", "gettext", "locale"} & set(loaded), argv

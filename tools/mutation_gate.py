@@ -190,6 +190,32 @@ MUTANTS = (
            '"the capture analysis needs \'switched-pi\', got {!r}"),\n'
            '        ()),',
            ("tests/test_cli.py",)),
+    # a failing verdict names each failing stored state once, at its first
+    # step from the verdict's start, so a report does not grow with the run
+    Mutant("verdict-every-repeat", "src/quantloop/analysis.py",
+           "firsts = (r[len(range(r.start, start, r.step)):][:1] "
+           "for r in runs)",
+           "firsts = ([k for k in r if k >= start] for r in runs)",
+           ("tests/test_campaign.py::"
+            "test_failing_verdict_lists_each_state_once",
+            "tests/test_analysis.py::"
+            "test_verdicts_match_their_record_wise_definitions")),
+    # the campaign's gain: table1.csv reads the same at 21/16
+    Mutant("campaign-default-gain", "src/quantloop/campaign.py",
+           "alpha: Scalar = Fraction(11, 8)",
+           "alpha: Scalar = Fraction(21, 16)",
+           ("tests/test_campaign.py::"
+            "test_campaign_default_gain_is_eleven_eighths",)),
+    # the command line: a required option and the worker range
+    Mutant("required-option-dropped", "src/quantloop/cli.py",
+           "if required and getattr(args, name) is None:",
+           "if required and False:",
+           ("tests/test_cli.py::test_usage_errors_exit_two",)),
+    Mutant("jobs-range-dropped", "src/quantloop/cli.py",
+           "if not 1 <= jobs <= limit:", "if False:",
+           ("tests/test_cli.py::test_jobs_accepts_every_cpu_count",
+            "tests/test_cli.py::"
+            "test_jobs_without_fork_takes_only_one_worker")),
     # the cycle line: the detected cycle of the report the runner returns
     Mutant("cycle-line-from-prediction", "src/quantloop/cli.py",
            'cycle = report["cycle"]', 'cycle = report["predicted-cycle"]',
