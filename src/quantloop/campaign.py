@@ -55,7 +55,6 @@ from .numerics import (
     parse_scalar,
     rounding_error,
 )
-from .reachability import GridSpec
 
 #: Disturbance magnitudes of the reference comparison table.  All exact
 #: rationals except the deliberately irrational last entry.
@@ -196,26 +195,31 @@ def _unknown_key(raw: dict, keys, prefix: str = "") -> Optional[str]:
     return None
 
 
-def config_fields(raw: dict, source: str, record: type, keys: dict):
-    """``field(path, parse=parse_scalar)``: ``parse`` of the value at the
-    dotted key ``path`` of a JSON config, then the rule, if any, of the
-    ``record`` field that ``keys`` maps it to; errors name the source and
-    the key path.  A key outside ``keys``, at any depth, is an error."""
-    def field(path: str, parse=parse_scalar):
+def load_config(path, record: type, keys: dict, raw: Optional[dict] = None):
+    """The ``record`` of a JSON config: the file at ``path`` (none: ``{}``)
+    or its object ``raw`` already read.  ``keys`` maps each dotted key, in
+    read order, to its ``(field, parser)``; a key is read when its top-level
+    block is in the config or its field has no default.  A value is parsed,
+    then checked by its field's rule, if any; errors name the path and the
+    key path.  A key outside ``keys``, at any depth, is an error."""
+    raw = raw if raw is not None else read_json(path) if path else {}
+    if unknown := _unknown_key(raw, keys):
+        raise ValueError(f"{path}: unknown key {unknown!r}")
+    fields = {}
+    for key, (name, parse) in keys.items():
+        if key.split(".")[0] not in raw and name in record._field_defaults:
+            continue
         value = raw
-        for key in path.split("."):
-            if not isinstance(value, dict) or key not in value:
-                raise ValueError(f"{source}: missing key {path!r}")
-            value = value[key]
+        for part in key.split("."):
+            if not isinstance(value, dict) or part not in value:
+                raise ValueError(f"{path}: missing key {key!r}")
+            value = value[part]
         try:
-            value, rule = parse(value), record._rules.get(keys[path])
-            return rule(value) if rule else value
+            value, rule = parse(value), record._rules.get(name)
+            fields[name] = rule(value) if rule else value
         except (ValueError, TypeError) as exc:
-            raise ValueError(f"{source}: key {path!r}: {exc}") from None
-    unknown = _unknown_key(raw, keys)
-    if unknown:
-        raise ValueError(f"{source}: unknown key {unknown!r}")
-    return field
+            raise ValueError(f"{path}: key {key!r}: {exc}") from None
+    return record(**fields)
 
 
 def parse_int(value) -> int:
@@ -244,14 +248,22 @@ def _parse_breakpoint(point) -> tuple:
     return parse_int(point[0]), parse_scalar(point[1])
 
 
-#: Each disturbance kind: its payload key, the payload's parser and the
-#: constructor.
-_DISTURBANCES = {
-    "constant": ("value", parse_scalar, Disturbance.constant),
-    "piecewise-linear": ("breakpoints",
-                         lambda v: parse_list(v, _parse_breakpoint),
-                         Disturbance.ramp),
-}
+#: The payload key of each disturbance kind.
+_PAYLOADS = {"constant": "disturbance.value",
+             "piecewise-linear": "disturbance.breakpoints"}
+
+#: The LoopConfig field and the parser of each key of a scenario config, in
+#: read order; a disturbance is its kind's payload, built in the parser.
+SCENARIO_KEYS = {
+    "disturbance.kind": ("disturbance", lambda kind: one_of(
+        _PAYLOADS, "unknown disturbance kind {!r}")(str(kind))),
+    "disturbance.value": ("disturbance",
+                          lambda v: Disturbance.constant(parse_scalar(v))),
+    "disturbance.breakpoints": ("disturbance", lambda v: Disturbance.ramp(
+        parse_list(v, _parse_breakpoint))),
+    "mode": ("mode", str), "alpha": ("alpha", parse_scalar),
+    "controller": ("controller", str), "e0": ("e0", parse_scalar),
+    "u0": ("u0", parse_scalar), "horizon": ("horizon", parse_int)}
 
 
 def load_scenario(path) -> LoopConfig:
@@ -263,59 +275,30 @@ def load_scenario(path) -> LoopConfig:
     numbers should be quoted so they stay exact.  Raises ValueError with
     the offending key on malformed input.
     """
-    raw, source = read_json(path), str(path)
+    raw = read_json(path)
     block = raw.get("disturbance")
-    kind = block.get("kind") if isinstance(block, dict) else None
-    # a known kind allows its own payload key, any other kind fails below
-    payloads = ([_DISTURBANCES[kind]] if isinstance(kind, str)
-                and kind in _DISTURBANCES else _DISTURBANCES.values())
-    field = config_fields(raw, source, LoopConfig, {
-        "alpha": "alpha", "controller": "controller", "e0": "e0", "u0": "u0",
-        "horizon": "horizon", "mode": "mode", "disturbance.kind": "disturbance",
-        **{f"disturbance.{key}": "disturbance" for key, *_ in payloads}})
-    kind = field("disturbance.kind", str)
-    if kind not in _DISTURBANCES:
-        raise ValueError(f"{source}: unknown disturbance kind {kind!r}")
-    key, parse, make = _DISTURBANCES[kind]
-    dist = field(f"disturbance.{key}", lambda value: make(parse(value)))
-
-    mode = field("mode", str) if "mode" in raw else "exact"
-    return LoopConfig(
-        alpha=field("alpha"), controller=field("controller", str),
-        disturbance=dist, e0=field("e0"), u0=field("u0"),
-        horizon=field("horizon", parse_int), mode=mode)
+    # a known kind allows its own payload key, any other kind fails first
+    own = isinstance(block, dict) and _PAYLOADS.get(str(block.get("kind")))
+    return load_config(path, LoopConfig, {
+        key: pair for key, pair in SCENARIO_KEYS.items()
+        if not own or key == own or key not in _PAYLOADS.values()}, raw)
 
 
-#: The GridSpec field of each key of a grid config.
-_GRID_KEYS = {"alpha.lo": "alpha_lo", "alpha.hi": "alpha_hi",
-              "alpha.count": "alpha_count", "delta_d.lo": "delta_d_lo",
-              "delta_d.hi": "delta_d_hi", "delta_d.count": "delta_d_count",
-              "init.box": "init_box", "init.count": "init_count",
-              "budget": "budget"}
+#: The GridSpec field and the parser of each key of a grid config.
+GRID_KEYS = {
+    "alpha.lo": ("alpha_lo", parse_scalar),
+    "alpha.hi": ("alpha_hi", parse_scalar),
+    "alpha.count": ("alpha_count", parse_int),
+    "delta_d.lo": ("delta_d_lo", parse_scalar),
+    "delta_d.hi": ("delta_d_hi", parse_scalar),
+    "delta_d.count": ("delta_d_count", parse_int),
+    "init.box": ("init_box", parse_scalar),
+    "init.count": ("init_count", parse_int), "budget": ("budget", parse_int)}
 
-
-def load_grid_spec(path: Optional[str] = None) -> GridSpec:
-    """Load a sweep grid from JSON; an absent block keeps its defaults."""
-    raw = read_json(path) if path else {}
-    field = config_fields(raw, str(path), GridSpec, _GRID_KEYS)
-    return GridSpec(**{
-        name: field(key, parse_int if name.endswith(("count", "budget"))
-                    else parse_scalar)
-        for key, name in _GRID_KEYS.items() if key.split(".")[0] in raw})
-
-
-#: The parser of each key of a campaign config, named as its field.
-_CAMPAIGN_KEYS = {"disturbances": lambda v: tuple(parse_list(v)),
-                  "alpha": parse_scalar, "horizon": parse_int}
-
-
-def load_campaign_spec(path: Optional[str] = None) -> CampaignSpec:
-    """Load a campaign from JSON; absent keys, or no file, keep defaults."""
-    raw = read_json(path) if path else {}
-    field = config_fields(raw, str(path), CampaignSpec,
-                          {key: key for key in _CAMPAIGN_KEYS})
-    return CampaignSpec(**{key: field(key, _CAMPAIGN_KEYS[key])
-                           for key in raw})
+#: The CampaignSpec field and the parser of each key of a campaign config.
+CAMPAIGN_KEYS = {
+    "disturbances": ("disturbances", lambda v: tuple(parse_list(v))),
+    "alpha": ("alpha", parse_scalar), "horizon": ("horizon", parse_int)}
 
 
 #: The analyses' preconditions in check order: the rule of the value at a

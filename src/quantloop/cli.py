@@ -52,8 +52,9 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cells = reachability.sweep(campaign.load_grid_spec(args.config),
-                               jobs=args.jobs)
+    spec = campaign.load_config(args.config, reachability.GridSpec,
+                                campaign.GRID_KEYS)
+    cells = reachability.sweep(spec, jobs=args.jobs)
     out_dir = campaign.output_dir(args.out)
     grid_path = out_dir / "grid.csv"
     region_path = out_dir / "region.csv"
@@ -67,7 +68,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    rows = campaign.run_table1(campaign.load_campaign_spec(args.config))
+    spec = campaign.load_config(args.config, campaign.CampaignSpec,
+                                campaign.CAMPAIGN_KEYS)
+    rows = campaign.run_table1(spec)
     path = campaign.output_dir(args.out) / "table1.csv"
     campaign.write_table1_csv(rows, path)
     print(campaign.format_table1(rows))

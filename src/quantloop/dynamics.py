@@ -24,9 +24,9 @@ Three control laws act on quantized error measurements:
 For a *constant* disturbance ``dbar`` the loop is usually analyzed in
 shifted coordinates: ``u = -rho(dbar) + u_bar`` so that only the rounding
 error ``delta_d = dbar - rho(dbar)`` of the disturbance drives the system.
-The shifted recurrences are the switched recurrences verbatim with
-``(e, u_bar, delta_d)`` in place of ``(e, u, d)``, so a shifted run is a
-plain switched run on the residual disturbance.
+A shifted run is the switched run on the residual disturbance from the
+shifted start, except at a half-integer u that the shift moves across zero,
+where rho(u_bar) != rho(u) + rho(dbar) (see :func:`shift_trajectory`).
 
 Exact runs of the two quantized laws step on an integer lattice.  Every
 exact input is a rational, so let D be the lcm of the denominators of

@@ -64,7 +64,10 @@ def simulate_shifted(alpha, delta_d, e0, u_bar0, horizon, mode="exact"):
 
     The returned trajectory's ``u`` column holds ``u_bar`` and its ``d``
     column holds ``delta_d``; the recurrences are the switched ones, which
-    coincide with the shifted ones for a constant disturbance.
+    coincide with the shifted ones for a constant disturbance except at a
+    half-integer u that the shift moves across zero: there rho(u_bar) is
+    not rho(u) + rho(dbar), and only ``shift_trajectory`` of the real run
+    gives the shifted run.
     """
     config = LoopConfig(alpha=alpha, controller="switched-pi",
                         disturbance=Disturbance.constant(delta_d),

@@ -12,10 +12,14 @@ from hypothesis import strategies as st
 from quantloop import campaign
 from quantloop.campaign import (
     TABLE1_CSV_COLUMNS,
+    CAMPAIGN_KEYS,
+    GRID_KEYS,
+    SCENARIO_KEYS,
     CampaignSpec,
     RmsRow,
     analyze_trajectory,
     format_table1,
+    load_config,
     load_scenario,
     rms_quantized_error,
     run_scenario,
@@ -34,6 +38,7 @@ from quantloop.reachability import (
     GRID_CSV_COLUMNS,
     REGION_CSV_COLUMNS,
     CellResult,
+    GridSpec,
     write_grid_csv,
     write_region_csv,
 )
@@ -112,7 +117,8 @@ def test_campaign_spec_validation():
 
 def test_campaign_default_gain_is_eleven_eighths():
     # table1.csv reads the same at 21/16, so its sums cannot pin the gain
-    for spec in (CampaignSpec(), campaign.load_campaign_spec()):
+    for spec in (CampaignSpec(), campaign.load_config(None, CampaignSpec,
+                                                      campaign.CAMPAIGN_KEYS)):
         assert type(spec.alpha) is F and spec.alpha == F(11, 8)
 
 
@@ -219,6 +225,64 @@ def test_scenario_parse_error_reports_line(tmp_path):
     path.write_text('{\n  "alpha": "11/8",\n  oops\n}\n')
     with pytest.raises(ValueError, match="line 3"):
         load_scenario(path)
+
+
+#: Each config kind: its loader, record and key table, a full config whose
+#: values are not the defaults, a block it may leave out, a key that a
+#: present block needs, a defaulted top-level key and a required key (None
+#: where the kind has none).
+ONE_RULE = {
+    "scenario": (load_scenario, LoopConfig, SCENARIO_KEYS,
+                 dict(RAMP_SCENARIO, mode="float"), "mode",
+                 "disturbance.breakpoints", "mode", "alpha"),
+    "grid": (lambda path: load_config(path, GridSpec, GRID_KEYS), GridSpec,
+             GRID_KEYS,
+             {"alpha": {"lo": "1.3", "hi": "1.4", "count": 2},
+              "delta_d": {"lo": "-1/4", "hi": "1/4", "count": 3},
+              "init": {"box": "2", "count": 3}, "budget": 2000},
+             "delta_d", "init.count", "budget", None),
+    "campaign": (lambda path: load_config(path, CampaignSpec, CAMPAIGN_KEYS),
+                 CampaignSpec, CAMPAIGN_KEYS,
+                 {"disturbances": ["1/10"], "alpha": "1.3", "horizon": 30},
+                 "alpha", None, "horizon", None),
+}
+
+
+def without(config: dict, path: str) -> dict:
+    """A copy of ``config`` without the value at the dotted ``path``."""
+    config = json.loads(json.dumps(config))
+    *blocks, key = path.split(".")
+    block = config
+    for name in blocks:
+        block = block[name]
+    del block[key]
+    return config
+
+
+@pytest.mark.parametrize("kind", ONE_RULE)
+def test_one_absent_key_rule(tmp_path, kind):
+    # a key is read when its top-level block is in the file or its field
+    # has no default
+    load, record, keys, full, block, needed, optional, required = \
+        ONE_RULE[kind]
+    defaults = record._field_defaults
+    loaded = load(write_json(tmp_path / "full.json", full))
+    assert all(getattr(loaded, name) != value
+               for name, value in defaults.items())
+    # an absent block keeps its defaults, and only those
+    path = write_json(tmp_path / "absent.json", without(full, block))
+    assert load(path)._asdict() == {**loaded._asdict(), **{
+        name: defaults[name] for key, (name, _) in keys.items()
+        if key.split(".")[0] == block}}
+    # a defaulted top-level key is optional
+    path = write_json(tmp_path / "optional.json", without(full, optional))
+    assert getattr(load(path), optional) == defaults[optional]
+    # a present block needs every key, and a missing required key is named
+    for key in filter(None, (needed, required)):
+        path = write_json(tmp_path / "missing.json", without(full, key))
+        with pytest.raises(ValueError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: missing key {key!r}"
 
 
 # --- scenario runner --------------------------------------------------------

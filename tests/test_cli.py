@@ -1,6 +1,7 @@
 """Command line interface tests (direct invocation of main)."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -604,6 +605,54 @@ def test_experiment_configs_run(tmp_path, config):
     assert main([command, "-c", str(config), "-o", str(out)]) == 0
     for name in outputs:
         assert (out / name).is_file()
+
+
+#: CI's SHA-256 sums of the committed experiments' outputs, one
+#: ``<sum>  <dir>/<file>`` line each, the directory named by its run.
+OUTPUT_SUMS = (Path(__file__).parents[1] / ".github"
+               / "experiment-outputs.sha256")
+
+
+def test_experiment_outputs_match_the_committed_sums(tmp_path):
+    # the runs of CI's experiments step, in process: each output's bytes
+    # are the ones its committed sum was taken of
+    experiments = Path(__file__).parents[1] / "experiments"
+    scenario = str(experiments / "constant-switched.json")
+    runs = [("table1", "t1"),
+            *(("simulate", "-c", str(config), config.stem)
+              for config in sorted(experiments.glob("ramp-*.json"))),
+            ("analyze", "-c", scenario, "constant-switched"),
+            ("cycles", "-c", scenario, "constant-switched"),
+            ("sweep", "-c", str(experiments / "sweep-fast.json"),
+             "--jobs", "1", "sweep")]
+    for *argv, out in runs:
+        assert main([*argv, "-o", str(tmp_path / out)]) == 0
+    sums = dict(line.split()[::-1]
+                for line in OUTPUT_SUMS.read_text().splitlines())
+    assert len(sums) == 9
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in sums} == sums
+
+
+@pytest.mark.parametrize("kind, shown", [("sine", "'sine'"), (3, "'3'")])
+def test_unknown_disturbance_kind_names_its_key(tmp_path, capsys, kind,
+                                                shown):
+    # the kind is read as text, so a number prints quoted as a string does
+    payload = dict(CYCLE_SCENARIO, disturbance={"kind": kind, "value": "1"})
+    assert run_with_config(tmp_path, "simulate", payload) == 1
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'config.json'}: key 'disturbance.kind': " \
+        f"unknown disturbance kind {shown}\n"
+
+
+def test_campaign_reports_the_first_bad_key_in_table_order(tmp_path, capsys):
+    # keys are read in the loader's table order (disturbances, alpha,
+    # horizon), not in the file's order
+    payload = {"horizon": 0, "alpha": "9", "disturbances": ["1/10"]}
+    assert run_with_config(tmp_path, "table1", payload) == 1
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'config.json'}: key 'alpha': alpha=9 is " \
+        "outside (1, 3); the loop is unstable\n"
 
 
 def run_fresh(*args):

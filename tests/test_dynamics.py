@@ -366,6 +366,20 @@ def test_shift_tie_divergence():
     assert direct.records[1].e == F(-7, 10)      # rho(-1/2) = -1
 
 
+def test_shifted_tie_run_is_the_real_run_shifted():
+    # from u0 = -1/2 the shift by rho(13/10) = 1 moves u across zero, so the
+    # shifted run is the real run mapped by shift_trajectory and not the
+    # switched run on delta_d = 3/10 from the shifted start (0, 1/2)
+    alpha, dbar = F(11, 8), F(13, 10)
+    shifted = shift_trajectory(simulate(constant_config(
+        alpha, "switched-pi", dbar, 0, F(-1, 2), 1)), dbar)
+    plain = simulate_shifted(alpha, F(3, 10), 0, F(1, 2), 1)
+    assert (shifted.e[0], shifted.u[0]) == (plain.e[0], plain.u[0]) == \
+        (0, F(1, 2))
+    assert (shifted.e[1], shifted.u[1]) == (F(3, 10), 0)  # rho(-1/2) = -1
+    assert (plain.e[1], plain.u[1]) == (F(13, 10), F(-7, 8))  # rho(1/2) = 1
+
+
 # --- quantizer-free coincidence and deadbeat --------------------------------
 
 @settings(max_examples=150, deadline=None)

@@ -4,12 +4,14 @@
 
 Each entry of :data:`MUTANTS` is one edit of the package: a file, an exact
 old text, the new text and the test files that must catch it.  The gate
-copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory
-and first runs every test file named in the table there, unmutated: a test
-that fails in the copy would count as a kill for every mutant it is named
-for.  Then, for each entry, it copies the tree again, replaces the old text,
-which must occur exactly once in its file, and runs ``python -m pytest -x
--q`` on the entry's test files.  The mutant is killed when a test fails.
+copies ``src/``, ``tests/``, ``experiments/``, ``pyproject.toml`` and the
+experiments' output sums to a temporary directory and first runs every
+test file named in the table there, unmutated: a test that fails in the
+copy would count as a kill for every mutant it is named for.  Then, for
+each entry, it copies the tree again, replaces the old text, which must
+occur exactly once in its file, and runs ``python -m pytest -x -q`` on the
+entry's test files.  The mutant is killed when a test fails.  The last
+line gives the kill count and the gate's wall time.
 
 The gate exits 1 if the unmutated copy fails, if a mutant survives, if an
 old text is not found exactly once (so a refactor that moves mutated code
@@ -216,6 +218,40 @@ MUTANTS = (
            ("tests/test_cli.py::test_jobs_accepts_every_cpu_count",
             "tests/test_cli.py::"
             "test_jobs_without_fork_takes_only_one_worker")),
+    # the config loader: an absent block keeps its defaults, and a key
+    # outside the table fails at any depth
+    Mutant("absent-block-read", "src/quantloop/campaign.py",
+           'if key.split(".")[0] not in raw and name in '
+           "record._field_defaults:",
+           "if False:",
+           ("tests/test_campaign.py::test_one_absent_key_rule",)),
+    Mutant("unknown-key-dropped", "src/quantloop/campaign.py",
+           "    if unknown := _unknown_key(raw, keys):\n"
+           '        raise ValueError(f"{path}: unknown key {unknown!r}")\n',
+           "",
+           ("tests/test_cli.py::test_unknown_config_key_is_rejected",)),
+    # the writers: CRLF rows, no temporary file left behind, row 0 at k = 0
+    Mutant("csv-row-lf", "src/quantloop/dynamics.py",
+           '",".join(map(str, row)) + "\\r\\n"',
+           '",".join(map(str, row)) + "\\n"',
+           ("tests/test_campaign.py::"
+            "test_table_csvs_read_back_to_the_fields_written",)),
+    Mutant("atomic-open-keeps-temporary", "src/quantloop/dynamics.py",
+           "os.remove(tmp)", "pass",
+           ("tests/test_campaign.py::"
+            "test_a_failed_write_leaves_the_earlier_file",)),
+    Mutant("csv-row-zero-step", "src/quantloop/dynamics.py",
+           "MODE_NA) % 0).encode())", "MODE_NA) % 1).encode())",
+           ("tests/test_dynamics.py::test_trajectory_csv_round_trip_exact",)),
+    # a float switched reset keeps the run's values floats
+    Mutant("float-reset-dropped", "src/quantloop/dynamics.py",
+           "u = float(u)", "pass",
+           ("tests/test_dynamics.py::"
+            "test_law_with_views_matches_two_value_law",)),
+    # a worker's exception ends the sweep with that exception
+    Mutant("fork-exception-swallowed", "src/quantloop/reachability.py",
+           "raise pickle.loads(results[i])", "pass",
+           reach("test_worker_exception_reaches_the_caller")),
     # the cycle line: the detected cycle of the report the runner returns
     Mutant("cycle-line-from-prediction", "src/quantloop/cli.py",
            'cycle = report["cycle"]', 'cycle = report["predicted-cycle"]',
@@ -226,11 +262,14 @@ MUTANTS = (
 
 
 def copy_tree(tree: Path) -> Path:
-    """``tree``: a copy of the package, its tests and its pytest settings."""
+    """``tree``: a copy of the package, its tests and its pytest settings,
+    with the experiments and their outputs' sums that the tests run."""
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "experiments"):
         shutil.copytree(ROOT / name, tree / name, ignore=skip)
-    shutil.copy2(ROOT / "pyproject.toml", tree)
+    (tree / ".github").mkdir()
+    for name in ("pyproject.toml", ".github/experiment-outputs.sha256"):
+        shutil.copy2(ROOT / name, tree / name)
     return tree
 
 
@@ -266,6 +305,7 @@ def run(mutant: Mutant, scratch: Path) -> str:
 def main() -> int:
     tests = sorted({name for mutant in MUTANTS for name in mutant.tests})
     failed = 0
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutation-gate-") as scratch:
         t0 = time.perf_counter()
         proc = pytest(copy_tree(Path(scratch) / "unmutated"), tests)
@@ -281,7 +321,8 @@ def main() -> int:
             failed += not verdict.startswith("killed")
             print(f"{mutant.name}: {verdict} "
                   f"({time.perf_counter() - t0:.1f} s)", flush=True)
-    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
     return 1 if failed else 0
 
 
