@@ -89,16 +89,16 @@ class RmsRow(NamedTuple):
 
 
 def rms_quantized_error(traj: Trajectory, horizon: int) -> float:
-    """RMS of the quantized error over steps 0..horizon-1."""
+    """RMS of the quantized error over steps 0..horizon-1: each stored
+    step's square counts once per step before the horizon that repeats it
+    (:meth:`Trajectory.counts`), an exact int sum in one pass."""
     checked_count(horizon)
     if traj.length < horizon:
         raise ValueError(
             f"trajectory has {traj.length} records, horizon {horizon} needs "
             f"at least {horizon}")
-    # each nonzero stored square counts once per step before the horizon
-    # that repeats it, an exact int sum
-    total = sum(rho_e ** 2 * len(traj.repeats(i, horizon))
-                for i, rho_e in enumerate(traj.rho_e) if rho_e)
+    total = sum(rho_e * rho_e * count for rho_e, count
+                in zip(traj.rho_e, traj.counts(horizon)) if rho_e)
     return math.sqrt(total / horizon)
 
 

@@ -39,9 +39,10 @@ is (rho(u) + rho(e)) D and state equality is int equality.  ``Fraction``
 appears only at the boundary, one per lattice point visited.  Float runs
 and the unquantized law (alpha e leaves the lattice) run the generic law
 on plain values.  Both runs carry the state with its views (e, u, rho(e),
-rho(u)), rounding each new value once, and stop at the first recurrence
-from a given step on (the kernel also on capture); :func:`simulate` calls
-one once, and the sweep's classifier the kernel once per initial state.
+rho(u)), rounding each new value once, inline, and stop at the first
+recurrence from a given step on (the kernel also on capture);
+:func:`simulate` calls one once, and the sweep's classifier the kernel
+once per initial state.
 
 A :class:`Trajectory` stores a run as the per-step columns ``e``, ``u``,
 ``rho_e``, ``rho_u`` and ``d``, tuples of one stored length s, with the
@@ -55,7 +56,8 @@ and keeps the entry j: the run, not each column, owns the shape, and
 :meth:`Trajectory.index` maps each logical step to the stored step it
 repeats, so memory is O(entry + period) whatever the horizon, and
 :meth:`Trajectory.repeats`, its inverse, gives the logical steps that
-repeat a stored step.  A float run, or an exact run whose recurrence lies
+repeat a stored step (:meth:`Trajectory.counts` their number for each
+stored step at once).  A float run, or an exact run whose recurrence lies
 beyond the horizon, stores every step (entry s, no period).  Consumers do
 their per-step work over the stored steps and ask the run where each
 recurs; no other module maps between stored and logical steps.
@@ -147,10 +149,14 @@ def _lattice_run(alpha, den, switched, e, u, inputs, steady, lo=1, hi=0):
 
 def _law(alpha, quantized, switched, e, u, inputs, steady):
     """:func:`_lattice_run` (no capture) of the generic laws on plain values:
-    without ``quantized`` the standard law on the values, not the views."""
+    without ``quantized`` the standard law on the values, not the views.
+    Views round inline by :func:`round_half_away`'s rule, twice the
+    fraction against ints, so an exact run compares no float."""
     rho_e, head, seen, k = round_half_away(e), [], {}, 0
     for d in itertools.chain(inputs, (None,)):
-        rho_u = round_half_away(u)
+        n = math.trunc(u)
+        f2 = 2 * (u - n)
+        rho_u = n + 1 if f2 >= 1 else n - 1 if f2 <= -1 else n
         state = e, u, rho_e, rho_u
         if k >= steady:
             j = seen.setdefault(state, k)
@@ -163,7 +169,9 @@ def _law(alpha, quantized, switched, e, u, inputs, steady):
         k += 1
         q_e, q_u = (rho_e, rho_u) if quantized else (e, u)
         e = e + q_u + d
-        rho_e = round_half_away(e)
+        n = math.trunc(e)
+        f2 = 2 * (e - n)
+        rho_e = n + 1 if f2 >= 1 else n - 1 if f2 <= -1 else n
         if switched and rho_e == 0:
             u = q_u + q_e
             if isinstance(e, float):
@@ -377,6 +385,14 @@ class Trajectory(NamedTuple):
         if i < self.entry:
             return range(i, min(i + 1, stop))
         return range(i, stop, self.period)
+
+    def counts(self, stop: int) -> list:
+        """``len(self.repeats(i, stop))`` for each stored step ``i``: 1 or 0
+        before the entry, q + 1 or q on the cycle (q whole periods)."""
+        head = min(max(stop, 0), self.entry)
+        q, r = divmod(max(stop - self.entry, 0), self.period or 1)
+        return ([1] * head + [0] * (self.entry - head)
+                + [q + 1] * r + [q] * (self.period - r))
 
     @property
     def records(self) -> tuple:

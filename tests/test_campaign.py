@@ -1,12 +1,13 @@
 """RMS metric, comparison table, and scenario runner tests."""
 
 import csv
+import itertools
 import json
 import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantloop import campaign
@@ -83,6 +84,29 @@ def test_rms_counts_transient_from_step_zero():
         expected = math.sqrt(sum(r.rho_e ** 2 for r in records[:horizon])
                              / horizon)
         assert rms_quantized_error(traj, horizon) == expected
+
+
+rms_scalars = st.fractions(min_value=-3, max_value=3, max_denominator=10)
+
+
+# exact lassos of both quantized laws, entered at step 0 or later, and
+# dense float runs; every window end, from below the entry to the run's
+# length, cuts the cycle at each offset
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["standard-pi", "switched-pi"]),
+       st.fractions(min_value=F(41, 40), max_value=F(119, 40),
+                    max_denominator=40),
+       rms_scalars, rms_scalars, rms_scalars,
+       st.sampled_from(["exact", "float"]), st.integers(0, 80))
+@example("switched-pi", F(11, 8), F(1, 5), F(-3, 10), 0, "exact", 23)
+@example("standard-pi", F(11, 8), F(1, 10), 0, 0, "exact", 80)
+def test_rms_is_the_mean_square_over_its_window(controller, alpha, dbar, e0,
+                                                u0, mode, horizon):
+    traj = simulate(LoopConfig(alpha, controller, Disturbance.constant(dbar),
+                               e0, u0, horizon, mode))
+    squares = [r.rho_e ** 2 for r in traj.records]
+    for h, total in enumerate(itertools.accumulate(squares), 1):
+        assert rms_quantized_error(traj, h) == math.sqrt(total / h)
 
 
 def test_rms_horizon_too_short():

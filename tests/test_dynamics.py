@@ -608,6 +608,24 @@ def test_law_with_views_matches_two_value_law(controller, case):
         assert type(e1) is type(u1) is float
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["standard-pi", "switched-pi"]),
+       law_gains.map(float), law_floats, law_floats, law_floats)
+def test_float_run_matches_generic_law_step_by_step(controller, alpha, e, u,
+                                                     d):
+    # tens of steps from ties and signed zeros: every value bit for bit
+    config = constant_config(alpha, controller, d, e, u, 40, mode="float")
+    traj = simulate(config)
+    assert len(traj.rho_e) == traj.length == 41
+    for k in range(traj.length):
+        assert list(map(exactly, (traj.e[k], traj.u[k], traj.d[k]))) == \
+            list(map(exactly, (e, u, d)))
+        assert (traj.rho_e[k], traj.rho_u[k]) == \
+            (round_half_away(e), round_half_away(u))
+        e, u = generic_law(alpha, round_half_away,
+                           controller == "switched-pi", (e, u), d)
+
+
 def test_float_reset_keeps_float_u(tmp_path):
     config = constant_config(F(11, 8), "switched-pi", parse_scalar("float:0.1"),
                              0, 0, 60, mode="float")

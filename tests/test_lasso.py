@@ -175,6 +175,15 @@ def test_lasso_matches_its_dense_expansion(tmp_path_factory, config, start,
             once(verify_band(dense_shifted, band, start))
 
 
+@settings(max_examples=100, deadline=None)
+@given(lasso_runs())
+def test_counts_are_the_lengths_of_the_repeats(config):
+    traj = simulate(config)
+    for stop in range(traj.length + 1):
+        assert traj.counts(stop) == [len(traj.repeats(i, stop))
+                                     for i in range(len(traj.rho_e))]
+
+
 def test_cycle_entered_at_step_zero():
     # from rest the switched loop is back at rest after one period: the
     # state recurs at step 10, but row 0 has no branch and row 10 has one

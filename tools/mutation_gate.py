@@ -10,8 +10,10 @@ test file named in the table there, unmutated: a test that fails in the
 copy would count as a kill for every mutant it is named for.  Then, for
 each entry, it copies the tree again, replaces the old text, which must
 occur exactly once in its file, and runs ``python -m pytest -x -q`` on the
-entry's test files.  The mutant is killed when a test fails.  The last
-line gives the kill count and the gate's wall time.
+entry's test files.  The mutant is killed when a test fails.  The entries
+run ``os.cpu_count()`` at a time, each in its own copy, and their verdicts
+print in table order.  The last line gives the kill count and the gate's
+wall time.
 
 The gate exits 1 if the unmutated copy fails, if a mutant survives, if an
 old text is not found exactly once (so a refactor that moves mutated code
@@ -27,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -64,6 +67,16 @@ MUTANTS = (
            "rho_e1 = ((2 * e + den) // twice",
            "rho_e1 = ((2 * e + den - 1) // twice",
            ("tests/test_dynamics.py",)),
+    Mutant("law-tie-u", "src/quantloop/dynamics.py",
+           "rho_u = n + 1 if f2 >= 1 else n - 1 if f2 <= -1 else n",
+           "rho_u = n + 1 if f2 > 1 else n - 1 if f2 < -1 else n",
+           ("tests/test_dynamics.py::"
+            "test_law_with_views_matches_two_value_law",)),
+    Mutant("law-tie-step-e", "src/quantloop/dynamics.py",
+           "rho_e = n + 1 if f2 >= 1 else n - 1 if f2 <= -1 else n",
+           "rho_e = n + 1 if f2 > 1 else n - 1 if f2 < -1 else n",
+           ("tests/test_dynamics.py::"
+            "test_law_with_views_matches_two_value_law",)),
     # the lattice kernel: the switched reset, recurrences from the steady
     # step on, and capture on the half-open interval of alpha - s u_bar
     Mutant("lattice-reset-sign", "src/quantloop/dynamics.py",
@@ -147,16 +160,21 @@ MUTANTS = (
            "n, stored, period = len(traj),",
            ("tests/test_lasso.py::"
             "test_lasso_csv_matches_rows_written_one_by_one",)),
-    # the score: a mean over steps 0..horizon-1
+    # the score: a mean over steps 0..horizon-1, each stored step counted
+    # once per step before the horizon that repeats it
     Mutant("rms-divisor", "src/quantloop/campaign.py",
            "return math.sqrt(total / horizon)",
            "return math.sqrt(total / traj.length)",
            ("tests/test_campaign.py",)),
     Mutant("rms-window-end", "src/quantloop/campaign.py",
-           "len(traj.repeats(i, horizon))",
-           "len(traj.repeats(i, horizon + 1))",
+           "traj.counts(horizon)", "traj.counts(horizon + 1)",
            ("tests/test_campaign.py::"
             "test_rms_counts_transient_from_step_zero",)),
+    Mutant("count-whole-last-period", "src/quantloop/dynamics.py",
+           "+ [q + 1] * r + [q] * (self.period - r))",
+           "+ [q + (r > 0)] * self.period)",
+           ("tests/test_campaign.py::"
+            "test_rms_is_the_mean_square_over_its_window",)),
     # cycle detection: a float run, stored step by step, is no lasso
     Mutant("float-run-read-as-lasso", "src/quantloop/analysis.py",
            '    if traj.mode != "exact":\n'
@@ -307,20 +325,26 @@ def main() -> int:
     failed = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutation-gate-") as scratch:
-        t0 = time.perf_counter()
         proc = pytest(copy_tree(Path(scratch) / "unmutated"), tests)
         if proc.returncode != 0:
             print(f"the unmutated copy fails its tests:\n"
                   f"{proc.stdout}{proc.stderr}")
             return 1
-        print(f"unmutated: passed ({time.perf_counter() - t0:.1f} s)",
+        print(f"unmutated: passed ({time.perf_counter() - start:.1f} s)",
               flush=True)
-        for mutant in MUTANTS:
+
+        def timed(mutant: Mutant) -> tuple:
             t0 = time.perf_counter()
-            verdict = run(mutant, Path(scratch))
-            failed += not verdict.startswith("killed")
-            print(f"{mutant.name}: {verdict} "
-                  f"({time.perf_counter() - t0:.1f} s)", flush=True)
+            return run(mutant, Path(scratch)), time.perf_counter() - t0
+
+        # one mutant per CPU at a time, each in its own copy of the tree;
+        # the verdicts print in table order
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+            for mutant, (verdict, seconds) in zip(MUTANTS,
+                                                  pool.map(timed, MUTANTS)):
+                failed += not verdict.startswith("killed")
+                print(f"{mutant.name}: {verdict} ({seconds:.1f} s)",
+                      flush=True)
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.1f} s")
     return 1 if failed else 0
