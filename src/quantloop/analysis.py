@@ -19,14 +19,12 @@ cycle of ``m`` steps containing ``n`` switch steps, with the error confined
 to a half-open band of width 1 around ``delta_d``.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .dynamics import Trajectory, capture_gain, validated
+from .dynamics import Trajectory, capture_gain, rule, validated
 from .numerics import Scalar, format_scalar, is_exact, sign
 
 _HALF = Fraction(1, 2)
@@ -177,13 +175,11 @@ class CycleReport(NamedTuple):
                 self.error_band.to_record() if self.error_band else None}
 
 
-def checked_residual(delta_d: Scalar) -> Scalar:
-    """``delta_d`` if it lies in [-1/2, 1/2], the range of a disturbance's
-    rounding error."""
-    if abs(delta_d) > _HALF:
-        raise ValueError(f"a disturbance rounding error satisfies "
-                         f"|delta_d| <= 1/2, got {delta_d}")
-    return delta_d
+#: ``delta_d`` if it lies in [-1/2, 1/2], the range of a disturbance's
+#: rounding error.
+checked_residual = rule(lambda delta_d: not abs(delta_d) > _HALF,
+                        "a disturbance rounding error satisfies "
+                        "|delta_d| <= 1/2, got {}")
 
 
 def predict_cycle(delta_d: Scalar) -> CycleReport:

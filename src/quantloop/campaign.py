@@ -12,8 +12,6 @@ scores from rest; the runner computes both and treats any asymmetry as a
 hard error since it would falsify the reported table.
 """
 
-from __future__ import annotations
-
 import contextlib
 import json
 import math
@@ -37,9 +35,8 @@ from .dynamics import (
     Trajectory,
     atomic_open,
     capture_gain,
-    check_rules,
     checked_count,
-    one_of,
+    rule,
     shift_trajectory,
     simulate,
     stable_gain,
@@ -76,7 +73,6 @@ class CampaignSpec(NamedTuple):
     horizon: int = 1000
 
     _rules = {"alpha": stable_gain, "horizon": checked_count}
-    _check = check_rules
 
 
 class RmsRow(NamedTuple):
@@ -255,8 +251,8 @@ _PAYLOADS = {"constant": "disturbance.value",
 #: The LoopConfig field and the parser of each key of a scenario config, in
 #: read order; a disturbance is its kind's payload, built in the parser.
 SCENARIO_KEYS = {
-    "disturbance.kind": ("disturbance", lambda kind: one_of(
-        _PAYLOADS, "unknown disturbance kind {!r}")(str(kind))),
+    "disturbance.kind": ("disturbance", lambda kind: rule(
+        _PAYLOADS.__contains__, "unknown disturbance kind {!r}")(str(kind))),
     "disturbance.value": ("disturbance",
                           lambda v: Disturbance.constant(parse_scalar(v))),
     "disturbance.breakpoints": ("disturbance", lambda v: Disturbance.ramp(
@@ -305,12 +301,12 @@ CAMPAIGN_KEYS = {
 #: key path of a scenario config, and the commands that check it.
 PRECONDITIONS = {
     "disturbance.kind": (
-        one_of(("constant",),
-               "the analysis needs a constant disturbance, got {!r}"),
+        rule(("constant",).__contains__,
+             "the analysis needs a constant disturbance, got {!r}"),
         ("cycles", "analyze")),
     "controller": (
-        one_of(("switched-pi",),
-               "the capture analysis needs 'switched-pi', got {!r}"),
+        rule(("switched-pi",).__contains__,
+             "the capture analysis needs 'switched-pi', got {!r}"),
         ("analyze",)),
     "alpha": (capture_gain, ("analyze",)),
 }

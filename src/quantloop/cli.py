@@ -14,8 +14,6 @@ deterministic, so there is no seed flag.  Exit codes:
 0 success, 1 runtime error (bad config contents, I/O), 2 usage error.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 import warnings

@@ -69,8 +69,6 @@ fields are joined by commas unquoted, since none holds a comma, a quote,
 a ``%`` or a line break.
 """
 
-from __future__ import annotations
-
 import contextlib
 import itertools
 import math
@@ -180,14 +178,14 @@ def _law(alpha, quantized, switched, e, u, inputs, steady):
             u = u + q_e - alpha * (rho_e if quantized else e)
 
 
-def one_of(choices, message: str):
-    """The rule that takes a value in ``choices``; any other fails with
+def rule(test, message: str):
+    """The rule that takes a value passing ``test``; any other fails with
     ``message`` formatted with it."""
-    def rule(value):
-        if value not in choices:
+    def check(value):
+        if not test(value):
             raise ValueError(message.format(value))
         return value
-    return rule
+    return check
 
 
 def checked_count(count: int, least: int = 1) -> int:
@@ -199,12 +197,9 @@ def checked_count(count: int, least: int = 1) -> int:
     return count
 
 
-def stable_gain(alpha: Scalar) -> Scalar:
-    """``alpha`` if it lies in (1, 3), where the loop is stable."""
-    if not 1 < alpha < 3:
-        raise ValueError(
-            f"alpha={alpha} is outside (1, 3); the loop is unstable")
-    return alpha
+#: ``alpha`` if it lies in (1, 3), where the loop is stable.
+stable_gain = rule(lambda alpha: 1 < alpha < 3,
+                   "alpha={} is outside (1, 3); the loop is unstable")
 
 
 def in_capture_range(alpha: Scalar) -> bool:
@@ -213,12 +208,9 @@ def in_capture_range(alpha: Scalar) -> bool:
     return 1 < alpha < Fraction(3, 2)
 
 
-def capture_gain(alpha: Scalar) -> Scalar:
-    """``alpha`` if it lies in (1, 3/2) (see :func:`in_capture_range`)."""
-    if not in_capture_range(alpha):
-        raise ValueError(f"the capture analysis needs a gain in (1, 3/2), "
-                         f"got {alpha}")
-    return alpha
+#: ``alpha`` if it lies in (1, 3/2) (see :func:`in_capture_range`).
+capture_gain = rule(in_capture_range,
+                    "the capture analysis needs a gain in (1, 3/2), got {}")
 
 
 def check_rules(record) -> None:
@@ -231,17 +223,19 @@ def check_rules(record) -> None:
 
 
 def validated(record: type) -> type:
-    """The named tuple class ``record`` as a subclass whose constructor runs
-    ``record._check``, so bad input fails when a record is built (and when
-    one is unpickled); ``_replace`` skips the check."""
-    @wraps(record.__new__)
+    """The named tuple class ``record``, its constructor wrapped in place to
+    run ``record._check`` (:func:`check_rules` if it defines none), so bad
+    input fails when a record is built and when one is unpickled;
+    ``_replace`` skips the check."""
+    new, check = record.__new__, getattr(record, "_check", check_rules)
+
+    @wraps(new)
     def __new__(cls, *args, **kwargs):
-        self = record.__new__(cls, *args, **kwargs)
-        self._check()
+        self = new(cls, *args, **kwargs)
+        check(self)
         return self
-    return type(record.__name__, (record,), {
-        "__slots__": (), "__new__": __new__, "__doc__": record.__doc__,
-        "__module__": record.__module__, "__qualname__": record.__qualname__})
+    record.__new__ = __new__
+    return record
 
 
 @validated
@@ -304,11 +298,11 @@ class LoopConfig(NamedTuple):
     mode: str = "exact"
 
     _rules = {"alpha": stable_gain,
-              "controller": one_of(CONTROLLERS, "unknown controller: {!r}"),
+              "controller": rule(CONTROLLERS.__contains__,
+                                 "unknown controller: {!r}"),
               "horizon": lambda h: checked_count(h, 0),
-              "mode": one_of(("exact", "float"),
-                             "unknown arithmetic mode: {!r}")}
-    _check = check_rules
+              "mode": rule(("exact", "float").__contains__,
+                           "unknown arithmetic mode: {!r}")}
 
     @property
     def alpha_in_attractive_range(self) -> bool:

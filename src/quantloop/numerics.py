@@ -12,8 +12,6 @@ fractional part exactly one half) depends on this, so built-in ``round``
 (banker's rounding) must never be applied to signal values.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from typing import Union

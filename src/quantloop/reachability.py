@@ -20,8 +20,6 @@ initial-state grid it pairs its initial states, classifying one of each
 pair (e0, u0), (-e0, -u0), counted twice, and the centre.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import marshal
@@ -36,8 +34,8 @@ from .dynamics import (
     _lattice_run,
     _scaled,
     capture_gain,
-    check_rules,
     checked_count,
+    rule,
     validated,
     write_csv,
 )
@@ -53,11 +51,8 @@ GRID_CSV_COLUMNS = ("alpha", "delta_d", "n_inits", "n_theorem1", "n_alt",
 REGION_CSV_COLUMNS = ("alpha", "delta_d", "in_region")
 
 
-def checked_exact(z: Scalar) -> Scalar:
-    """``z`` if it is exact, as every value of a sweep grid must be."""
-    if not is_exact(z):
-        raise ValueError(f"a sweep has no float mode, got the float {z!r}")
-    return z
+#: ``z`` if it is exact, as every value of a sweep grid must be.
+checked_exact = rule(is_exact, "a sweep has no float mode, got the float {!r}")
 
 
 def _exact(check):
@@ -90,7 +85,6 @@ class GridSpec(NamedTuple):
               "delta_d_hi": _exact(checked_residual),
               "delta_d_count": checked_count, "init_box": checked_exact,
               "init_count": checked_count, "budget": checked_count}
-    _check = check_rules
 
     def alphas(self) -> list:
         return grid_values(self.alpha_lo, self.alpha_hi, self.alpha_count)

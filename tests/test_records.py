@@ -3,6 +3,7 @@
 import json
 import os
 import pickle
+import typing
 from fractions import Fraction as F
 
 import pytest
@@ -80,6 +81,43 @@ def test_pool_records_survive_a_pickle_round_trip(name):
     copy = pickle.loads(pickle.dumps(record))
     assert copy == record
     assert type(copy) is type(record)
+
+
+#: Each input record: a field, a bad value that ``_replace`` gives it, and
+#: how its check's error begins.  A ruled field's error names the record and
+#: the field; ``Disturbance`` and ``EntryRegion`` check in their own words.
+REPLACED = [
+    ("Disturbance", "breakpoints", ((3, 0), (3, 1)), "breakpoint steps"),
+    ("LoopConfig", "mode", "fast", "LoopConfig.mode: "),
+    ("EntryRegion", "alpha", F(3, 2), "the capture analysis needs a gain"),
+    ("GridSpec", "alpha_count", 0, "GridSpec.alpha_count: "),
+    ("CampaignSpec", "alpha", 3, "CampaignSpec.alpha: "),
+]
+
+
+@pytest.mark.parametrize("name, field, bad, begins", REPLACED,
+                         ids=[name for name, *_ in REPLACED])
+def test_replaced_record_is_checked_when_unpickled(name, field, bad, begins):
+    # _replace skips the check, but unpickling calls the constructor, which
+    # fails as building the record with that value fails
+    record = RECORDS[name]()._replace(**{field: bad})
+    with pytest.raises(ValueError) as built:
+        type(record)(**record._asdict())
+    data = pickle.dumps(record)
+    with pytest.raises(ValueError) as loaded:
+        pickle.loads(data)
+    assert str(loaded.value) == str(built.value)
+    assert str(loaded.value).startswith(begins)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_are_annotated_with_types_not_strings(name):
+    # a postponed annotation would reach NamedTuple as a string, which it
+    # keeps as a ForwardRef
+    record = type(RECORDS[name]())
+    assert set(record.__annotations__) == set(record._fields)
+    for annotation in record.__annotations__.values():
+        assert not isinstance(annotation, (str, typing.ForwardRef))
 
 
 #: Each loaded record: the command that loads it and a valid config.

@@ -3,25 +3,24 @@
     python tools/mutation_gate.py
 
 Each entry of :data:`MUTANTS` is one edit of the package: a file, an exact
-old text, the new text and the test files that must catch it.  The gate
-copies ``src/``, ``tests/``, ``experiments/``, ``pyproject.toml`` and the
-experiments' output sums to a temporary directory and first runs every
-test file named in the table there, unmutated: a test that fails in the
-copy would count as a kill for every mutant it is named for.  Then, for
-each entry, it copies the tree again, replaces the old text, which must
-occur exactly once in its file, and runs ``python -m pytest -x -q`` on the
-entry's test files.  The mutant is killed when a test fails.  The entries
+old text, the new text and the test files that must catch it.  For each
+entry the gate copies ``src/``, ``tests/``, ``experiments/``,
+``pyproject.toml`` and the experiments' output sums to a temporary
+directory, replaces the old text, which must occur exactly once in its
+file, and runs ``python -m pytest -x -q`` on the entry's test files.  The
+mutant is killed when a test fails.  Beside the mutants, one check per
+test file that the table names runs that file's named tests on an
+unmutated copy, which must pass: a test that fails there would count as a
+kill for every mutant it is named for.  The checks and then the entries
 run ``os.cpu_count()`` at a time, each in its own copy, and their verdicts
-print in table order.  The last line gives the kill count and the gate's
+print in that order.  The last line gives the kill count and the gate's
 wall time.
 
-The gate exits 1 if the unmutated copy fails, if a mutant survives, if an
+The gate exits 1 if an unmutated check fails, if a mutant survives, if an
 old text is not found exactly once (so a refactor that moves mutated code
 updates the table with it), or if pytest ends any other way than with a
 failed test, such as a collection error.  It needs only the standard
 library and the test dependencies."""
-
-from __future__ import annotations
 
 import os
 import shutil
@@ -248,6 +247,21 @@ MUTANTS = (
            '        raise ValueError(f"{path}: unknown key {unknown!r}")\n',
            "",
            ("tests/test_cli.py::test_unknown_config_key_is_rejected",)),
+    # the records: each rule tests its value, and each input record's
+    # constructor runs its check, the field rules by default
+    Mutant("rule-test-dropped", "src/quantloop/dynamics.py",
+           "if not test(value):", "if False:",
+           ("tests/test_records.py::test_each_rule_has_one_home",)),
+    Mutant("record-check-dropped", "src/quantloop/dynamics.py",
+           "self = new(cls, *args, **kwargs)\n        check(self)\n",
+           "self = new(cls, *args, **kwargs)\n",
+           ("tests/test_records.py::"
+            "test_replaced_record_is_checked_when_unpickled",)),
+    Mutant("record-default-check-no-op", "src/quantloop/dynamics.py",
+           'getattr(record, "_check", check_rules)',
+           'getattr(record, "_check", lambda record: None)',
+           ("tests/test_records.py::"
+            "test_validated_records_reject_bad_input_when_built",)),
     # the writers: CRLF rows, no temporary file left behind, row 0 at k = 0
     Mutant("csv-row-lf", "src/quantloop/dynamics.py",
            '",".join(map(str, row)) + "\\r\\n"',
@@ -300,52 +314,57 @@ def pytest(tree: Path, tests) -> subprocess.CompletedProcess:
         cwd=tree, env=env, capture_output=True, text=True)
 
 
+def unmutated_checks() -> tuple:
+    """One job per test file that the table names, editing nothing: the
+    whole file if the table names it, else the tests it names there."""
+    files = {}
+    for name in sorted({name for mutant in MUTANTS for name in mutant.tests}):
+        files.setdefault(name.split("::")[0], []).append(name)
+    return tuple(Mutant(f"unmutated-{Path(path).stem}", "", "", "",
+                        (path,) if path in names else tuple(names))
+                 for path, names in files.items())
+
+
 def run(mutant: Mutant, scratch: Path) -> str:
     """``killed by <test>``, ``survived`` or what else went wrong, on a copy
-    of the tree under ``scratch`` with ``mutant`` applied."""
+    of the tree under ``scratch`` with ``mutant`` applied; ``passed`` for
+    an unmutated check (no ``path``) whose tests pass."""
     tree = copy_tree(scratch / mutant.name)
-    target = tree / mutant.path
-    text = target.read_text()
-    found = text.count(mutant.old)
-    if found != 1:
-        return f"old text found {found} times in {mutant.path}"
-    target.write_text(text.replace(mutant.old, mutant.new))
+    if mutant.path:
+        target = tree / mutant.path
+        text = target.read_text()
+        found = text.count(mutant.old)
+        if found != 1:
+            return f"old text found {found} times in {mutant.path}"
+        target.write_text(text.replace(mutant.old, mutant.new))
     proc = pytest(tree, mutant.tests)
     if proc.returncode == 0:
-        return "survived"
+        return "survived" if mutant.path else "passed"
     failed = [line.split()[1] for line in proc.stdout.splitlines()
               if line.startswith("FAILED ")]
-    if proc.returncode == 1 and failed:
+    if proc.returncode == 1 and failed and mutant.path:
         return f"killed by {failed[0]}"
     return f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}"
 
 
 def main() -> int:
-    tests = sorted({name for mutant in MUTANTS for name in mutant.tests})
-    failed = 0
+    jobs = unmutated_checks() + MUTANTS
+    killed = failed = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutation-gate-") as scratch:
-        proc = pytest(copy_tree(Path(scratch) / "unmutated"), tests)
-        if proc.returncode != 0:
-            print(f"the unmutated copy fails its tests:\n"
-                  f"{proc.stdout}{proc.stderr}")
-            return 1
-        print(f"unmutated: passed ({time.perf_counter() - start:.1f} s)",
-              flush=True)
 
         def timed(mutant: Mutant) -> tuple:
             t0 = time.perf_counter()
             return run(mutant, Path(scratch)), time.perf_counter() - t0
 
-        # one mutant per CPU at a time, each in its own copy of the tree;
-        # the verdicts print in table order
+        # one job per CPU at a time, each in its own copy of the tree; the
+        # verdicts print in job order
         with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
-            for mutant, (verdict, seconds) in zip(MUTANTS,
-                                                  pool.map(timed, MUTANTS)):
-                failed += not verdict.startswith("killed")
-                print(f"{mutant.name}: {verdict} ({seconds:.1f} s)",
-                      flush=True)
-    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed "
+            for job, (verdict, seconds) in zip(jobs, pool.map(timed, jobs)):
+                killed += verdict.startswith("killed")
+                failed += not verdict.startswith(("killed", "passed"))
+                print(f"{job.name}: {verdict} ({seconds:.1f} s)", flush=True)
+    print(f"{killed} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.1f} s")
     return 1 if failed else 0
 
