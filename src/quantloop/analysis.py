@@ -22,6 +22,7 @@ to a half-open band of width 1 around ``delta_d``.
 import math
 import warnings
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple, Optional
 
 from .dynamics import Trajectory, capture_gain, rule, validated
@@ -79,10 +80,15 @@ class Verdict(NamedTuple):
 def _verdict(check: str, traj: Trajectory, flags, start: int,
              entry_step: Optional[int]) -> Verdict:
     """The verdict ``check`` on ``traj`` given one flag per stored step:
-    it fails at each flagged state's first repeat from ``start`` on."""
-    runs = (traj.repeats(i) for i, flag in enumerate(flags) if flag)
-    firsts = (r[len(range(r.start, start, r.step)):][:1] for r in runs)
-    violations = tuple(sorted(k for first in firsts for k in first))
+    it fails at each flagged state's first step from ``start`` on.  Those
+    are the flagged steps of the window s = max(start, 0) to min(max(s,
+    entry) + period, length), whose steps repeat distinct stored steps,
+    read from stored step ``index(s)`` on, round the cycle."""
+    s = max(start, 0)
+    steps = range(s, min(max(s, traj.entry) + traj.period, traj.length))
+    i = traj.index(s) if steps else 0
+    flags = tuple(flags)
+    violations = tuple(compress(steps, flags[i:] + flags[traj.entry:i]))
     return Verdict(check, "fail" if violations else "pass", entry_step,
                    violations)
 
@@ -109,14 +115,13 @@ def verify_control_lock(traj: Trajectory, alpha: Scalar,
                         entry_step: int) -> Verdict:
     """Check that from two steps after capture the residual control equals
     ``-alpha * rho(e)`` (exactly in exact mode, within 1e-12 in float)."""
-    exact = traj.mode == "exact"
-    alpha = alpha if exact else float(alpha)
-
-    def locked(u: Scalar, rho_e: int) -> bool:
-        expected = -alpha * rho_e
-        return u == expected if exact else abs(u - expected) <= 1e-12
-
-    flags = (not locked(u, rho_e) for u, rho_e in zip(traj.u, traj.rho_e))
+    pairs = zip(traj.u, traj.rho_e)
+    if traj.mode == "exact":
+        # not ==, as a Fraction's != dispatches twice to reach its __eq__
+        flags = (not u == -alpha * rho_e for u, rho_e in pairs)
+    else:
+        alpha = float(alpha)
+        flags = (not abs(u - -alpha * rho_e) <= 1e-12 for u, rho_e in pairs)
     return _verdict("control-lock", traj, flags, entry_step + 2, entry_step)
 
 
@@ -177,7 +182,7 @@ class CycleReport(NamedTuple):
 
 #: ``delta_d`` if it lies in [-1/2, 1/2], the range of a disturbance's
 #: rounding error.
-checked_residual = rule(lambda delta_d: not abs(delta_d) > _HALF,
+checked_residual = rule(lambda delta_d: abs(delta_d) <= _HALF,
                         "a disturbance rounding error satisfies "
                         "|delta_d| <= 1/2, got {}")
 
@@ -227,7 +232,8 @@ def detect_cycle(traj: Trajectory) -> CycleReport:
 
 def detect_cycle_approx(traj: Trajectory) -> CycleReport:
     """Near-recurrence detection for float trajectories, to within a fixed
-    ``tol`` of 1e-9 in max-norm.
+    ``tol`` of 1e-9 in max-norm, on a run stored step by step, as
+    :func:`.dynamics.simulate` stores a float run.
 
     States are bucketed on a grid of cell size ``tol``; any pair within
     ``tol`` lands in the same or an adjacent cell, so scanning the 3x3
@@ -236,8 +242,7 @@ def detect_cycle_approx(traj: Trajectory) -> CycleReport:
     trajectory.
     """
     tol = 1e-9
-    states = [(traj.e[i], traj.u[i])
-              for i in map(traj.index, range(traj.length))]
+    states = list(zip(traj.e, traj.u))
 
     def close(a, b):
         return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
@@ -258,8 +263,7 @@ def detect_cycle_approx(traj: Trajectory) -> CycleReport:
             ):
                 return CycleReport(
                     periodic=True,
-                    n=sum(1 for i in range(j, k)
-                          if traj.rho_e[traj.index(i)] != 0),
+                    n=sum(1 for rho_e in traj.rho_e[j:k] if rho_e != 0),
                     m=period,
                     entry_step=j,
                 )

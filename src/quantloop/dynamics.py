@@ -55,12 +55,11 @@ Every exact run, under all three laws, stops there, stores steps 0..k-1
 and keeps the entry j: the run, not each column, owns the shape, and
 :meth:`Trajectory.index` maps each logical step to the stored step it
 repeats, so memory is O(entry + period) whatever the horizon, and
-:meth:`Trajectory.repeats`, its inverse, gives the logical steps that
-repeat a stored step (:meth:`Trajectory.counts` their number for each
-stored step at once).  A float run, or an exact run whose recurrence lies
-beyond the horizon, stores every step (entry s, no period).  Consumers do
-their per-step work over the stored steps and ask the run where each
-recurs; no other module maps between stored and logical steps.
+:meth:`Trajectory.counts` tallies, for each stored step at once, the
+logical steps before a stop that repeat it.  A float run, or an exact
+run whose recurrence lies beyond the horizon, stores every step (entry
+s, no period).  Consumers do their per-step work over the stored steps
+and map steps through the run's ``entry``, ``period`` and ``index``.
 The branch that produced a state follows from ``rho_e`` and the law
 (:func:`branch`) and is not stored; step 0 has none.
 
@@ -77,7 +76,7 @@ import warnings
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import wraps
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .numerics import (
     Scalar,
@@ -371,18 +370,10 @@ class Trajectory(NamedTuple):
             return k
         return self.entry + (k - self.entry) % self.period
 
-    def repeats(self, i: int, stop: Optional[int] = None) -> range:
-        """The logical steps before ``stop`` (the run's length by default)
-        that repeat stored step ``i``: ``i`` alone before the entry, every
-        period from ``i`` on the cycle.  The inverse of :meth:`index`."""
-        stop = self.length if stop is None else stop
-        if i < self.entry:
-            return range(i, min(i + 1, stop))
-        return range(i, stop, self.period)
-
     def counts(self, stop: int) -> list:
-        """``len(self.repeats(i, stop))`` for each stored step ``i``: 1 or 0
-        before the entry, q + 1 or q on the cycle (q whole periods)."""
+        """For each stored step, how many logical steps before ``stop``
+        :meth:`index` maps to it: 1 or 0 before the entry, q + 1 or q on
+        the cycle (q whole periods)."""
         head = min(max(stop, 0), self.entry)
         q, r = divmod(max(stop - self.entry, 0), self.period or 1)
         return ([1] * head + [0] * (self.entry - head)

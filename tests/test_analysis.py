@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from quantloop.analysis import (
     EntryRegion,
     amplitude2_pairs,
+    checked_residual,
     cycle_error_band,
     detect_cycle,
     detect_cycle_approx,
@@ -235,6 +236,14 @@ def test_predict_cycle_rejects_floats_and_large_values():
         predict_cycle(F(3, 5))
 
 
+def test_residual_rule_rejects_nan():
+    # NaN compares false both ways, so the rule tests that |delta_d| is
+    # at most 1/2, not that it is not above
+    with pytest.raises(ValueError, match=r"^a disturbance rounding error "
+                       r"satisfies \|delta_d\| <= 1/2, got nan$"):
+        checked_residual(float("nan"))
+
+
 def test_predict_cycle_flags_half_boundary():
     with pytest.warns(UserWarning):
         report = predict_cycle(F(1, 2))
@@ -373,7 +382,7 @@ def record_wise_verdicts(traj, region, alpha, band, start, tol=1e-12):
        st.fractions(min_value=-3, max_value=3, max_denominator=30),
        st.fractions(min_value=-4, max_value=4, max_denominator=12),
        st.fractions(min_value=-4, max_value=4, max_denominator=12),
-       st.sampled_from(["exact", "float"]), st.integers(-2, 12))
+       st.sampled_from(["exact", "float"]), st.integers(-2, 70))
 def test_verdicts_match_their_record_wise_definitions(alpha, dbar, e0, u0,
                                                       mode, start):
     delta_d = rounding_error(dbar)

@@ -131,17 +131,14 @@ def test_lasso_matches_its_dense_expansion(tmp_path_factory, config, start,
     assert csv_bytes(traj, work / "lasso.csv") == reference
     assert csv_bytes(dense, work / "dense.csv") == reference
 
-    # repeats inverts index, and the repeats of the stored steps partition
-    # the run's steps and every prefix of them
-    stored = range(len(traj.rho_e))
-    for i in stored:
-        assert all(traj.index(k) == i for k in traj.repeats(i))
-    assert sorted(k for i in stored for k in traj.repeats(i)) == \
-        list(range(traj.length))
+    # index reaches every stored step, and counts tallies every prefix of
+    # the run's steps
+    assert set(map(traj.index, range(traj.length))) == \
+        set(range(len(traj.rho_e)))
 
     horizons = {1, traj.length, data.draw(st.integers(1, traj.length))}
     for horizon in horizons:
-        assert sum(len(traj.repeats(i, horizon)) for i in stored) == horizon
+        assert sum(traj.counts(horizon)) == horizon
         assert rms_quantized_error(traj, horizon) == \
             rms_quantized_error(dense, horizon)
 
@@ -177,11 +174,15 @@ def test_lasso_matches_its_dense_expansion(tmp_path_factory, config, start,
 
 @settings(max_examples=100, deadline=None)
 @given(lasso_runs())
-def test_counts_are_the_lengths_of_the_repeats(config):
+def test_counts_are_the_tally_of_index(config):
     traj = simulate(config)
+    tally = [0] * len(traj.rho_e)
     for stop in range(traj.length + 1):
-        assert traj.counts(stop) == [len(traj.repeats(i, stop))
-                                     for i in range(len(traj.rho_e))]
+        assert traj.counts(stop) == tally
+        if stop < traj.length:
+            tally[traj.index(stop)] += 1
+    # every stored step is reached
+    assert all(tally)
 
 
 def test_cycle_entered_at_step_zero():

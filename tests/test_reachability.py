@@ -149,6 +149,13 @@ def test_sweep_rejects_a_residual_range_above_one_half():
                  init_box=1, init_count=3, budget=100)
 
 
+def test_sweep_rejects_a_nan_residual_on_the_residual_rule():
+    # the range rule, not the exactness rule after it, names the NaN
+    with pytest.raises(ValueError, match=r"^GridSpec\.delta_d_lo: .*"
+                       r"\|delta_d\| <= 1/2, got nan$"):
+        GridSpec(delta_d_lo=float("nan"))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.fractions(min_value=F(26, 20), max_value=F(29, 20),
                     max_denominator=50),

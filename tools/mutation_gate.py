@@ -210,15 +210,30 @@ MUTANTS = (
            '        ()),',
            ("tests/test_cli.py",)),
     # a failing verdict names each failing stored state once, at its first
-    # step from the verdict's start, so a report does not grow with the run
+    # step from the verdict's start, so a report does not grow with the run:
+    # the flagged steps of one window from the start clamped at step 0,
+    # read round the cycle; the float lock has its tolerance
     Mutant("verdict-every-repeat", "src/quantloop/analysis.py",
-           "firsts = (r[len(range(r.start, start, r.step)):][:1] "
-           "for r in runs)",
-           "firsts = ([k for k in r if k >= start] for r in runs)",
+           "violations = tuple(compress(steps, flags[i:] + "
+           "flags[traj.entry:i]))",
+           "violations = tuple(k for k in range(s, traj.length) "
+           "if flags[traj.index(k)])",
            ("tests/test_campaign.py::"
             "test_failing_verdict_lists_each_state_once",
             "tests/test_analysis.py::"
             "test_verdicts_match_their_record_wise_definitions")),
+    Mutant("verdict-window-wraps-to-zero", "src/quantloop/analysis.py",
+           "flags[traj.entry:i]", "flags[:i]",
+           ("tests/test_analysis.py::"
+            "test_verdicts_match_their_record_wise_definitions",)),
+    Mutant("verdict-start-unclamped", "src/quantloop/analysis.py",
+           "    s = max(start, 0)\n", "    s = start\n",
+           ("tests/test_analysis.py::"
+            "test_verdicts_match_their_record_wise_definitions",)),
+    Mutant("lock-float-tolerance-zero", "src/quantloop/analysis.py",
+           "<= 1e-12", "<= 0",
+           ("tests/test_analysis.py::"
+            "test_verdicts_match_their_record_wise_definitions",)),
     # the campaign's gain: table1.csv reads the same at 21/16
     Mutant("campaign-default-gain", "src/quantloop/campaign.py",
            "alpha: Scalar = Fraction(11, 8)",
