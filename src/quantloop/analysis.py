@@ -117,11 +117,12 @@ def verify_control_lock(traj: Trajectory, alpha: Scalar,
     ``-alpha * rho(e)`` (exactly in exact mode, within 1e-12 in float)."""
     pairs = zip(traj.u, traj.rho_e)
     if traj.mode == "exact":
+        neg = -alpha
         # not ==, as a Fraction's != dispatches twice to reach its __eq__
-        flags = (not u == -alpha * rho_e for u, rho_e in pairs)
+        flags = (not u == neg * rho_e for u, rho_e in pairs)
     else:
-        alpha = float(alpha)
-        flags = (not abs(u - -alpha * rho_e) <= 1e-12 for u, rho_e in pairs)
+        neg = -float(alpha)
+        flags = (not abs(u - neg * rho_e) <= 1e-12 for u, rho_e in pairs)
     return _verdict("control-lock", traj, flags, entry_step + 2, entry_step)
 
 
@@ -210,62 +211,51 @@ def predict_cycle(delta_d: Scalar) -> CycleReport:
 
 
 def detect_cycle(traj: Trajectory) -> CycleReport:
-    """The period and entry step of the run's state recurrence.
+    """The run's state recurrence (j, k), from which each step repeats the
+    step k - j before it: a cycle of m = k - j steps whose n switch steps
+    are the steps j..k-1 with nonzero ``rho_e``.
 
     An exact run from :func:`.dynamics.simulate` stops at its first (e, u)
     recurrence from the steady step of its disturbance, which is final, and
-    stores a lasso, so its entry and period are the answer.  A run stored
-    without a period has no recurrence within its horizon and is not
-    periodic.  A float run goes to :func:`detect_cycle_approx`.
+    stores a lasso: the recurrence is its entry and stored length, and a
+    run stored without a period is not periodic.  A float run, stored step
+    by step, recurs at the least k, then the least j < k, such that every
+    pair of steps (i, i + k - j) from j to the end is within 1e-9 in both
+    ``e`` and ``u``.  States are bucketed on a grid of cell size 1e-9, so
+    the 3x3 neighbourhood of a state's cell holds every state that close;
+    a state beyond about 1.8e299, whose cell index overflows, gets the
+    cell +-inf, where only equal values are that close.
     """
-    if traj.mode != "exact":
-        return detect_cycle_approx(traj)
-    if not traj.period:
-        return CycleReport(periodic=False)
-    return CycleReport(
-        periodic=True,
-        n=sum(1 for rho_e in traj.rho_e[traj.entry:] if rho_e != 0),
-        m=traj.period,
-        entry_step=traj.entry,
-    )
-
-
-def detect_cycle_approx(traj: Trajectory) -> CycleReport:
-    """Near-recurrence detection for float trajectories, to within a fixed
-    ``tol`` of 1e-9 in max-norm, on a run stored step by step, as
-    :func:`.dynamics.simulate` stores a float run.
-
-    States are bucketed on a grid of cell size ``tol``; any pair within
-    ``tol`` lands in the same or an adjacent cell, so scanning the 3x3
-    neighbourhood finds all candidates.  A candidate (entry, period) is
-    reported only if the near-recurrence is sustained to the end of the
-    trajectory.
-    """
-    tol = 1e-9
-    states = list(zip(traj.e, traj.u))
-
-    def close(a, b):
-        return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
-
-    cells: dict = {}
-    for k, state in enumerate(states):
-        ci = math.floor(state[0] / tol)
-        cj = math.floor(state[1] / tol)
-        candidates = []
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                candidates.extend(cells.get((ci + di, cj + dj), ()))
-        for j in sorted(candidates):
-            period = k - j
-            if close(states[j], state) and all(
-                close(states[i], states[i + period])
-                for i in range(j, len(states) - period)
-            ):
-                return CycleReport(
-                    periodic=True,
-                    n=sum(1 for rho_e in traj.rho_e[j:k] if rho_e != 0),
-                    m=period,
-                    entry_step=j,
-                )
-        cells.setdefault((ci, cj), []).append(k)
-    return CycleReport(periodic=False)
+    if traj.mode == "exact":
+        if not traj.period:
+            return CycleReport(periodic=False)
+        j, k = traj.entry, len(traj.rho_e)
+    else:
+        e, u, tol, cells = traj.e, traj.u, 1e-9, {}
+        for k, (ek, uk) in enumerate(zip(e, u)):
+            try:
+                ci, cj = math.floor(ek / tol), math.floor(uk / tol)
+            except OverflowError:  # an infinite quotient is its own cell
+                ci, cj = (q if math.isinf(q) else math.floor(q)
+                          for q in (ek / tol, uk / tol))
+            candidates = []
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    candidates.extend(cells.get((ci + di, cj + dj), ()))
+            for j in sorted(candidates):
+                # the pair (j, k) first, so a candidate failing it costs O(1)
+                if (abs(e[j] - ek) <= tol and abs(u[j] - uk) <= tol
+                        and all(abs(a - b) <= tol
+                                for a, b in zip(e[j:], e[k:]))
+                        and all(abs(a - b) <= tol
+                                for a, b in zip(u[j:], u[k:]))):
+                    break
+            else:
+                cells.setdefault((ci, cj), []).append(k)
+                continue
+            break  # the recurrence (j, k) is sustained to the end
+        else:
+            return CycleReport(periodic=False)
+    return CycleReport(periodic=True,
+                       n=sum(1 for rho_e in traj.rho_e[j:k] if rho_e != 0),
+                       m=k - j, entry_step=j)

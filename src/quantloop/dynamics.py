@@ -170,9 +170,8 @@ def _law(alpha, quantized, switched, e, u, inputs, steady):
         f2 = 2 * (e - n)
         rho_e = n + 1 if f2 >= 1 else n - 1 if f2 <= -1 else n
         if switched and rho_e == 0:
-            u = q_u + q_e
-            if isinstance(e, float):
-                u = float(u)  # the sum of quantized values is an int
+            # an exact quantized run is on the lattice, so this one is float
+            u = float(q_u + q_e)
         else:
             u = u + q_e - alpha * (rho_e if quantized else e)
 

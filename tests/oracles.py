@@ -15,6 +15,9 @@
 * :func:`cycle_oracle` finds a run's first state recurrence by hashing its
   logical steps in order, the report :func:`detect_cycle` reads off the
   run's entry and period;
+* :func:`near_recurrence_oracle` finds a float run's first recurrence to
+  within 1e-9 that lasts to the end by trying every pair of steps, the
+  definition :func:`detect_cycle` searches a grid of cells for;
 * :func:`first_of_each_state` keeps the first of the steps that visit
   one (e, u) state, the rule by which a verdict lists its violations;
 * :func:`steps_to_switch` counts the pure-drift steps until the
@@ -147,6 +150,24 @@ def cycle_oracle(traj: Trajectory) -> CycleReport:
             return CycleReport(
                 periodic=True, n=sum(r.rho_e != 0 for r in records[j:k]),
                 m=k - j, entry_step=j)
+    return CycleReport(periodic=False)
+
+
+def near_recurrence_oracle(traj: Trajectory) -> CycleReport:
+    """The cycle report of a float run by its definition: the least k, then
+    the least j < k, such that every pair of steps (i, i + k - j) from j to
+    the end is within 1e-9 in both e and u."""
+    records = traj.records
+    e, u = [r.e for r in records], [r.u for r in records]
+    for k in range(len(e)):
+        for j in range(k):
+            m = k - j
+            if all(abs(e[i] - e[i + m]) <= 1e-9
+                   and abs(u[i] - u[i + m]) <= 1e-9
+                   for i in range(j, len(e) - m)):
+                return CycleReport(
+                    periodic=True, n=sum(r.rho_e != 0 for r in records[j:k]),
+                    m=m, entry_step=j)
     return CycleReport(periodic=False)
 
 

@@ -17,7 +17,6 @@ from quantloop.analysis import (
     EntryRegion,
     cycle_error_band,
     detect_cycle,
-    detect_cycle_approx,
     predict_cycle,
     verify_band,
     verify_capture,
@@ -210,7 +209,7 @@ def test_switch_step_formula_vs_brute_force():
 def test_irrational_residual_has_no_period():
     traj = simulate_shifted(F(11, 8), SQRT2_MINUS_1, 0.0, 0.0, 100_000,
                             mode="float")
-    report = detect_cycle_approx(traj)
+    report = detect_cycle(traj)
     assert not report.periodic
     ok("aperiodicity proxy", "1e5 steps, no recurrence within 1e-9")
 

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quantloop.analysis import (
@@ -13,7 +13,6 @@ from quantloop.analysis import (
     checked_residual,
     cycle_error_band,
     detect_cycle,
-    detect_cycle_approx,
     in_entry_region,
     minimal_invariant_pairs,
     predict_cycle,
@@ -29,8 +28,8 @@ from quantloop.dynamics import (
     simulate,
 )
 from quantloop.numerics import rounding_error, sign
-from oracles import (first_of_each_state, simulate_shifted,
-                     steps_to_switch, unit_steps)
+from oracles import (first_of_each_state, near_recurrence_oracle,
+                     simulate_shifted, steps_to_switch, unit_steps)
 
 
 @st.composite
@@ -276,7 +275,6 @@ def test_detect_cycle_of_a_float_run_is_the_approximate_detection():
     # a float run is stored step by step, so no lasso holds its cycle
     traj = simulate_shifted(11 / 10, 0.2, -0.4, 0.2, 30, mode="float")
     report = detect_cycle(traj)
-    assert report == detect_cycle_approx(traj)
     assert report.periodic and (report.n, report.m) == (1, 5)
 
 
@@ -285,26 +283,62 @@ def test_detect_cycle_non_periodic_when_denominator_exceeds_horizon():
     assert not detect_cycle(traj).periodic
 
 
-def test_detect_cycle_approx_agrees_with_exact():
+def test_detect_cycle_of_a_float_run_agrees_with_exact():
     exact = detect_cycle(simulate_shifted(F(11, 10), F(1, 5),
                                           F(-2, 5), F(1, 5), 60))
-    approx = detect_cycle_approx(simulate_shifted(11 / 10, 0.2, -0.4, 0.2, 60,
-                                                  mode="float"))
+    approx = detect_cycle(simulate_shifted(11 / 10, 0.2, -0.4, 0.2, 60,
+                                           mode="float"))
     assert approx.periodic
     assert (approx.n, approx.m) == (exact.n, exact.m)
 
 
-def test_detect_cycle_approx_irrational_residual():
+def test_detect_cycle_of_a_float_run_irrational_residual():
     traj = simulate_shifted(11 / 10, math.sqrt(2) / 3, 0.2, 0.6, 10_000,
                             mode="float")
-    report = detect_cycle_approx(traj)
+    report = detect_cycle(traj)
     assert not report.periodic
 
 
-def test_detect_cycle_approx_constant_zero():
+def test_detect_cycle_of_a_float_run_constant_zero():
     traj = simulate_shifted(F(11, 8), 0, 0, 0, 20, mode="float")
-    report = detect_cycle_approx(traj)
+    report = detect_cycle(traj)
     assert report.periodic and report.m == 1
+
+
+# Float values at the rounding ties, signed zeros, and residuals n + r with
+# r rational (a cycle within the run) or irrational (none).
+tie_floats = st.one_of(
+    st.floats(-3, 3),
+    st.integers(-4, 3).map(lambda n: n + 0.5),
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.49999999999999994,
+                     -0.49999999999999994]))
+residual_floats = st.builds(
+    lambda n, r: n + r, st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, 0.2, -0.2, 0.25, 1 / 3, -3 / 7,
+                     math.sqrt(2) - 1, 1 - math.sqrt(2), math.pi - 3,
+                     (math.sqrt(5) - 1) / 2 - 1 / 2]))
+
+
+# Gains in (1, 3/2), some a hair above 1, where u can drift by about the
+# tolerance a step while e holds still.
+float_gains = st.one_of(
+    st.floats(1, 1.5, exclude_min=True, exclude_max=True),
+    st.floats(5e-10, 3e-9).map(lambda x: 1 + x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["standard-pi", "switched-pi"]), float_gains,
+       st.one_of(tie_floats, residual_floats), tie_floats, tie_floats,
+       st.integers(0, 149))
+# e holds at 1 while u drifts by 1.5e-9 a step: e alone recurs at once
+@example("standard-pi", 1 + 1.5e-9, -1.0, 1.0, 1.4, 20)
+def test_detect_cycle_of_a_float_run_is_its_definition(controller, alpha, d,
+                                                       e0, u0, horizon):
+    config = LoopConfig(alpha=alpha, controller=controller,
+                        disturbance=Disturbance.constant(d), e0=e0, u0=u0,
+                        horizon=horizon, mode="float")
+    traj = simulate(config)
+    assert detect_cycle(traj) == near_recurrence_oracle(traj)
 
 
 # --- property suites --------------------------------------------------------

@@ -575,6 +575,25 @@ def test_cycles_and_analyze_share_the_cycle_records(tmp_path):
         assert list(cycles) == keys
 
 
+def test_float_cycle_search_takes_a_state_beyond_a_cell_index(tmp_path):
+    # 1e300 over the cell size 1e-9 overflows to inf, a cell of its own; the
+    # exact run from the same start recurs at (8, 37) from step 1472 too
+    config = write_scenario(tmp_path, {
+        "alpha": "11/8", "controller": "switched-pi",
+        "disturbance": {"kind": "constant", "value": "82/37"},
+        "e0": "float:1e300", "u0": "4/5", "horizon": 3000, "mode": "float"})
+    for command in ("cycles", "analyze"):
+        assert main([command, "-c", str(config),
+                     "-o", str(tmp_path / command)]) == 0
+    cycle = json.loads((tmp_path / "cycles" / "cycles.json").read_text())[
+        "cycle"]
+    assert (cycle["n"], cycle["m"], cycle["entry_step"]) == (8, 37, 1472)
+    report = json.loads((tmp_path / "analyze" / "report.json").read_text())
+    assert report["cycle"] == cycle
+    assert (report["capture"]["status"] == report["control-lock"]["status"]
+            == report["band"]["status"] == "pass")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", str((os.cpu_count() or 1) + 1),
                                   "two"])
 def test_jobs_outside_the_cpu_range_is_a_usage_error(tmp_path, capsys,

@@ -174,12 +174,35 @@ MUTANTS = (
            "+ [q + (r > 0)] * self.period)",
            ("tests/test_campaign.py::"
             "test_rms_is_the_mean_square_over_its_window",)),
-    # cycle detection: a float run, stored step by step, is no lasso
+    # cycle detection: a float run, stored step by step, is no lasso; its
+    # recurrence holds in both columns, and a state too large for a cell
+    # index has a cell of its own
     Mutant("float-run-read-as-lasso", "src/quantloop/analysis.py",
-           '    if traj.mode != "exact":\n'
-           "        return detect_cycle_approx(traj)\n", "",
+           'if traj.mode == "exact":\n        if not traj.period:',
+           'if True:\n        if not traj.period:',
            ("tests/test_analysis.py::test_detect_cycle_of_a_float_run_"
             "is_the_approximate_detection",)),
+    Mutant("near-recurrence-drops-u", "src/quantloop/analysis.py",
+           "if (abs(e[j] - ek) <= tol and abs(u[j] - uk) <= tol\n"
+           "                        and all(abs(a - b) <= tol\n"
+           "                                for a, b in zip(e[j:], e[k:]))\n"
+           "                        and all(abs(a - b) <= tol\n"
+           "                                for a, b in zip(u[j:], u[k:]))):",
+           "if (abs(e[j] - ek) <= tol\n"
+           "                        and all(abs(a - b) <= tol\n"
+           "                                for a, b in zip(e[j:], e[k:]))):",
+           ("tests/test_analysis.py::test_detect_cycle_of_a_float_run_"
+            "is_its_definition",)),
+    Mutant("huge-state-cell", "src/quantloop/analysis.py",
+           "            try:\n                ci, cj = math.floor(ek / tol), "
+           "math.floor(uk / tol)\n"
+           "            except OverflowError:  # an infinite quotient is its "
+           "own cell\n"
+           "                ci, cj = (q if math.isinf(q) else math.floor(q)\n"
+           "                          for q in (ek / tol, uk / tol))\n",
+           "            ci, cj = math.floor(ek / tol), math.floor(uk / tol)\n",
+           ("tests/test_cli.py::test_float_cycle_search_takes_a_state_"
+            "beyond_a_cell_index",)),
     # the scenario runner: preconditions first, each command's own files
     Mutant("check-after-simulate", "src/quantloop/campaign.py",
            "    config = checked_analyzable(load_scenario(config_path), "
@@ -292,7 +315,7 @@ MUTANTS = (
            ("tests/test_dynamics.py::test_trajectory_csv_round_trip_exact",)),
     # a float switched reset keeps the run's values floats
     Mutant("float-reset-dropped", "src/quantloop/dynamics.py",
-           "u = float(u)", "pass",
+           "u = float(q_u + q_e)", "u = q_u + q_e",
            ("tests/test_dynamics.py::"
             "test_law_with_views_matches_two_value_law",)),
     # a worker's exception ends the sweep with that exception
