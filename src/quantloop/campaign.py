@@ -20,15 +20,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
-from .analysis import (
-    EntryRegion,
-    cycle_error_band,
-    detect_cycle,
-    predict_cycle,
-    verify_band,
-    verify_capture,
-    verify_control_lock,
-)
+from . import analysis
 from .dynamics import (
     Disturbance,
     LoopConfig,
@@ -337,24 +329,25 @@ def analyze_trajectory(traj: Trajectory, config: LoopConfig,
     delta_d, shifted = rounding_error(dbar), shift_trajectory(traj, dbar)
     report: dict = {"delta_d": format_scalar(delta_d)}
     if command == "analyze":
-        capture = verify_capture(shifted, EntryRegion(config.alpha, delta_d))
+        capture = analysis.verify_capture(
+            shifted, analysis.EntryRegion(config.alpha, delta_d))
         report["capture"] = capture._asdict()
         if capture.status != "not-entered":
-            report["control-lock"] = verify_control_lock(
+            report["control-lock"] = analysis.verify_control_lock(
                 shifted, config.alpha, capture.entry_step)._asdict()
 
-    cycle = detect_cycle(shifted)
+    cycle = analysis.detect_cycle(shifted)
     report["cycle"] = cycle.to_record()
     if shifted.mode == "exact" and config.controller == "switched-pi":
-        predicted = predict_cycle(delta_d)
+        predicted = analysis.predict_cycle(delta_d)
         report["predicted-cycle"] = predicted.to_record()
         # the same periodicity, switch count and period
         report["cycle-agreement"] = cycle[:3] == predicted[:3]
 
     if command == "analyze" and cycle.periodic \
             and abs(delta_d) < Fraction(1, 2):
-        band = cycle_error_band(delta_d)
-        verdict = verify_band(shifted, band, cycle.entry_step)
+        band = analysis.cycle_error_band(delta_d)
+        verdict = analysis.verify_band(shifted, band, cycle.entry_step)
         report["band"] = {**verdict._asdict(), "interval": band.to_record()}
     return report
 

@@ -14,13 +14,34 @@ deterministic, so there is no seed flag.  Exit codes:
 0 success, 1 runtime error (bad config contents, I/O), 2 usage error.
 """
 
+import importlib.util
 import os
 import sys
 import warnings
 from types import SimpleNamespace
 from typing import Optional
 
-from . import campaign, reachability
+
+def _lazy(name: str):
+    """The module ``name``, in ``sys.modules`` and on its package as
+    ``import`` leaves it, but compiled and run at its first attribute
+    access; a module already imported is returned as it is."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+# A command compiles only the layers it runs: table1 and simulate neither,
+# analyze and cycles the analysis, a sweep both.
+_lazy("quantloop.analysis")
+reachability = _lazy("quantloop.reachability")
+from . import campaign  # noqa: E402  (after the lazy layers it imports)
 
 
 def _jobs(text: str) -> int:

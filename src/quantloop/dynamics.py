@@ -436,8 +436,13 @@ def simulate(config: LoopConfig) -> Trajectory:
     while 0 < steady < n and d[steady - 1] == d[-1]:
         steady -= 1
     inputs = itertools.chain(inputs, itertools.repeat(inputs[-1]))
-    states, seen, _, entry = run(alpha, q, switched, e, u,
-                                 itertools.islice(inputs, n - 1), steady)
+    try:
+        states, seen, _, entry = run(alpha, q, switched, e, u,
+                                     itertools.islice(inputs, n - 1), steady)
+    except (OverflowError, ValueError) as exc:
+        # a float state past the float range rounds as inf, or as the NaN
+        # of inf - inf; an exact run raises neither
+        raise ValueError(f"the float run overflowed: {exc}") from None
     states += seen  # in step order
 
     e, u, *rho = zip(*states)

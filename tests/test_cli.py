@@ -594,6 +594,24 @@ def test_float_cycle_search_takes_a_state_beyond_a_cell_index(tmp_path):
             == report["band"]["status"] == "pass")
 
 
+def test_float_run_past_the_float_range_fails_with_one_line(tmp_path,
+                                                           capsys):
+    # gain 11/8 times a rho(e) near 1.7e308 overflows to inf, which no
+    # quantizer can round; the command fails before it writes a file
+    config = write_scenario(tmp_path, {
+        "alpha": "11/8", "controller": "switched-pi",
+        "disturbance": {"kind": "constant", "value": "82/37"},
+        "e0": "float:1.7e308", "u0": "4/5", "horizon": 3000,
+        "mode": "float"})
+    for command in ("simulate", "analyze"):
+        assert main([command, "-c", str(config),
+                     "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: the float run overflowed: cannot convert float infinity"
+            " to integer\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", str((os.cpu_count() or 1) + 1),
                                   "two"])
 def test_jobs_outside_the_cpu_range_is_a_usage_error(tmp_path, capsys,
@@ -688,9 +706,14 @@ def run_fresh(*args):
 
 def test_cli_import_loads_its_layers_and_no_heavy_stdlib(tmp_path):
     # the records are named tuples, so nothing imports dataclasses and the
-    # inspect it pulls in.  The layers load up front: the benchmark's
-    # tracer wraps loaded modules.
-    out = run_fresh("-c", "import sys, quantloop.cli; print(*sys.modules)")
+    # inspect it pulls in.  Every layer is in sys.modules and on the
+    # package once the CLI is imported, analysis and reachability as lazy
+    # modules that load at their first use, so the benchmark's tracer finds
+    # each one to wrap; loading them imports no heavy module either.
+    out = run_fresh("-c", "import sys, quantloop.cli; "
+                    "import quantloop.analysis, quantloop.reachability; "
+                    "quantloop.reachability.sweep, "
+                    "quantloop.analysis.detect_cycle; print(*sys.modules)")
     assert out.returncode == 0, out.stderr
     loaded = set(out.stdout.split())
     assert not loaded & {"csv", "dataclasses", "inspect", "multiprocessing",
@@ -805,16 +828,30 @@ def test_no_command_imports_argparse_gettext_or_locale(tmp_path):
     campaign = tmp_path / "campaign.json"
     campaign.write_text(json.dumps({"disturbances": ["1/10"],
                                     "horizon": 200}))
-    for argv in (["simulate", "-c", str(scenario)],
-                 ["analyze", "-c", str(scenario)],
-                 ["cycles", "-c", str(scenario)],
-                 ["sweep", "-c", str(grid)],
-                 ["table1", "-c", str(campaign)]):
+    # the layers each command compiles and runs; the others stay lazy
+    layers = {"numerics", "dynamics", "analysis", "reachability", "campaign",
+              "cli"}
+    eager = {"cli", "campaign", "dynamics", "numerics"}
+    for argv, ran_layers in (
+            (["simulate", "-c", str(scenario)], eager),
+            (["analyze", "-c", str(scenario)], eager | {"analysis"}),
+            (["cycles", "-c", str(scenario)], eager | {"analysis"}),
+            (["sweep", "-c", str(grid)], layers),
+            (["table1", "-c", str(campaign)], eager)):
         argv += ["-o", str(tmp_path / argv[0])]
-        out = run_fresh("-c", "import sys; from quantloop.cli import main; "
+        out = run_fresh("-c", "import sys, types; "
+                        "from quantloop.cli import main; "
                         f"code = main({argv!r}); "
-                        "print('modules:', code, *sys.modules)")
+                        "print('modules:', code, *sys.modules); "
+                        "print('ran:', *(name for name, module in "
+                        "sys.modules.items() if name.startswith('quantloop.')"
+                        " and type(module) is types.ModuleType))")
         assert out.returncode == 0, out.stderr
-        code, *loaded = out.stdout.splitlines()[-1].split()[1:]
+        code, *loaded = out.stdout.splitlines()[-2].split()[1:]
         assert code == "0"
         assert not {"argparse", "gettext", "locale"} & set(loaded), argv
+        # a layer still lazy is in sys.modules, but was never compiled
+        assert {f"quantloop.{layer}" for layer in layers} <= set(loaded)
+        ran = {name.split(".")[1]
+               for name in out.stdout.splitlines()[-1].split()[1:]}
+        assert ran == ran_layers, argv

@@ -217,8 +217,9 @@ MUTANTS = (
            'if command != "cycles":', "if command:",
            ("tests/test_cli.py",)),
     Mutant("verdicts-for-every-command", "src/quantloop/campaign.py",
-           'if command == "analyze":\n        capture = verify_capture(',
-           'if command:\n        capture = verify_capture(',
+           'if command == "analyze":\n'
+           '        capture = analysis.verify_capture(',
+           'if command:\n        capture = analysis.verify_capture(',
            ("tests/test_cli.py::test_cycles_predicts_only_switched_runs",)),
     Mutant("prediction-for-standard-pi", "src/quantloop/campaign.py",
            'if shifted.mode == "exact" and config.controller == '
@@ -328,6 +329,16 @@ MUTANTS = (
            ("tests/test_cli.py::test_scenario_command_"
             "writes_exactly_its_files",
             "tests/test_cli.py::test_cycles_prints_the_report_it_was_handed")),
+    # the lazy layers: a module already imported stays the one in
+    # sys.modules, and a lazy one is bound on its package as import does
+    Mutant("lazy-layer-replaces-import", "src/quantloop/cli.py",
+           "    if name in sys.modules:\n"
+           "        return sys.modules[name]\n",
+           "", reach("test_sweep_classifies_each_cell_it_cannot_mirror")),
+    Mutant("lazy-layer-not-on-package", "src/quantloop/cli.py",
+           "setattr(sys.modules[package], child, module)", "pass",
+           ("tests/test_cli.py::"
+            "test_cli_import_loads_its_layers_and_no_heavy_stdlib",)),
 )
 
 
