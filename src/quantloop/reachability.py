@@ -268,6 +268,10 @@ def sweep(spec: GridSpec, jobs: int = 1) -> tuple:
     grid order (alpha-major).  ``jobs`` > 1 forks, so call it from one
     thread.
     """
+    try:
+        checked_count(jobs)
+    except ValueError as exc:
+        raise ValueError(f"jobs: {exc}") from None
     desk_scale = GridSpec().total_steps_bound()
     if spec.total_steps_bound() > desk_scale:
         warnings.warn(

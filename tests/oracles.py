@@ -24,13 +24,20 @@
   quantized error leaves zero, the closed form the switched law's
   drift-and-reset cycle is checked against;
 * :func:`int_part` and :func:`frac_part` split a scalar at zero, as the
-  rounding identities of ``test_numerics`` state them.
+  rounding identities of ``test_numerics`` state them;
+* :func:`run_fresh` runs ``python`` in a fresh interpreter on this
+  package, as a user runs the CLI.
 """
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import quantloop
 from quantloop.analysis import CycleReport
 from quantloop.dynamics import (
     MODE_NA,
@@ -207,3 +214,15 @@ def int_part(z: Scalar) -> int:
 def frac_part(z: Scalar) -> Scalar:
     """Fractional part ``z - int_part(z)``; same sign as ``z``, |result| < 1."""
     return z - math.trunc(z)
+
+
+def run_fresh(*args: str, timeout=None) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this ``src``,
+    with no warning filters set, its output captured as text; it is
+    killed after ``timeout`` seconds."""
+    src = str(Path(quantloop.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)

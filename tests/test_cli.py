@@ -4,14 +4,15 @@ import csv
 import hashlib
 import json
 import os
-import subprocess
-import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from quantloop import campaign
 from quantloop.cli import main, parse_args
 from quantloop.numerics import parse_scalar
+from oracles import run_fresh
 
 CAPTURE_SCENARIO = {
     "alpha": "11/10",
@@ -345,6 +346,15 @@ def test_campaign_bad_disturbance_names_the_key(tmp_path, capsys):
     assert "key 'disturbances'" in capsys.readouterr().err
 
 
+def test_campaign_disturbances_not_a_list_names_the_key(tmp_path, capsys):
+    payload = {"disturbances": "1/10"}
+    assert run_with_config(tmp_path, "table1", payload) == 1
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'config.json'}: key 'disturbances': expected " \
+        "a JSON list, got '1/10'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_non_integer_horizon_names_the_key(tmp_path, capsys):
     payload = dict(CYCLE_SCENARIO)
     payload["horizon"] = "80.5"
@@ -625,50 +635,69 @@ def test_jobs_outside_the_cpu_range_is_a_usage_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-#: The committed experiments: each file, by its name's prefix, is a
-#: ``sweep`` grid, a ``simulate`` scenario or an ``analyze`` scenario.
-EXPERIMENTS = sorted((Path(__file__).parents[1] / "experiments").glob("*"))
-EXPERIMENT_KINDS = {"sweep": ("sweep", ("grid.csv", "region.csv")),
-                    "ramp": ("simulate", ("trajectory.csv",)),
-                    "constant": ("analyze", ("trajectory.csv", "report.json"))}
+#: The files each command writes.
+OUTPUTS = {"table1": ("table1.csv",), "simulate": ("trajectory.csv",),
+           "analyze": ("trajectory.csv", "report.json"),
+           "cycles": ("cycles.json",), "sweep": ("grid.csv", "region.csv")}
+#: The committed experiments: each file, by its name's prefix, is run by
+#: each of these commands, with its options, into one output directory:
+#: the file's stem (None) or a fixed name.
+EXPERIMENT_KINDS = {
+    "ramp": (None, (("simulate",),)),
+    "constant": (None, (("analyze",), ("cycles",))),
+    "sweep": ("sweep", (("sweep", "--jobs", "1"), ("sweep", "--jobs", "2")))}
+#: The SHA-256 sums of the experiments' outputs, one ``<sum>  <dir>/<file>``
+#: line each, the directory named by its run.
+OUTPUT_SUMS = dict(line.split()[::-1] for line in (
+    Path(__file__).parents[1] / ".github" / "experiment-outputs.sha256"
+).read_text().splitlines())
 
 
-@pytest.mark.parametrize("config", EXPERIMENTS, ids=lambda path: path.name)
-def test_experiment_configs_run(tmp_path, config):
-    # a config that drifts from its loader fails here, not only in CI
-    command, outputs = EXPERIMENT_KINDS[config.name.split("-")[0]]
-    assert config.suffix == ".json"
-    out = tmp_path / "out"
-    assert main([command, "-c", str(config), "-o", str(out)]) == 0
-    for name in outputs:
-        assert (out / name).is_file()
+def experiment_runs() -> list:
+    """``(command, config, options, output directory)`` of each run, as a
+    test parameter named by them: the reference table, then each
+    experiment by its kind; the command is None for a file of no kind."""
+    runs = [("table1", None, (), "t1")]
+    for config in sorted((Path(__file__).parents[1] / "experiments").glob(
+            "*")):
+        out, commands = EXPERIMENT_KINDS.get(config.name.split("-")[0],
+                                             (None, ((None,),)))
+        runs += [(command, config, tuple(options), out or config.stem)
+                 for command, *options in commands]
+    return [pytest.param(*run, id="-".join(filter(None, (
+        run[0], run[1] and run[1].stem, *run[2]))).replace("---", "-"))
+        for run in runs]
 
 
-#: CI's SHA-256 sums of the committed experiments' outputs, one
-#: ``<sum>  <dir>/<file>`` line each, the directory named by its run.
-OUTPUT_SUMS = (Path(__file__).parents[1] / ".github"
-               / "experiment-outputs.sha256")
+@pytest.mark.parametrize("command, config, options, out", experiment_runs())
+def test_experiment_outputs_match_the_committed_sums(tmp_path, command,
+                                                     config, options, out):
+    # each run as a user makes it, in a fresh interpreter where a warning is
+    # an error; it writes exactly its command's files, each of the bytes its
+    # committed sum was taken of, so a config that drifts from its loader,
+    # a new one with no sums or an output that changes fails here
+    assert command, f"{config.name}: no command for its name's prefix"
+    # the only option is --jobs, which the CLI caps at the CPU count
+    if options and int(options[1]) > (hasattr(os, "fork") and os.cpu_count()
+                                      or 1):
+        pytest.skip(f"--jobs {options[1]} needs {options[1]} CPUs and fork")
+    done = run_fresh("-W", "error", "-m", "quantloop.cli", command,
+                     *(("-c", str(config)) if config else ()), *options,
+                     "-o", str(tmp_path / out), timeout=300)
+    assert done.returncode == 0, done.stderr
+    written = {path.relative_to(tmp_path).as_posix():
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.rglob("*") if path.is_file()}
+    assert set(written) == {f"{out}/{name}" for name in OUTPUTS[command]}
+    assert written == {name: OUTPUT_SUMS.get(name) for name in written}
 
 
-def test_experiment_outputs_match_the_committed_sums(tmp_path):
-    # the runs of CI's experiments step, in process: each output's bytes
-    # are the ones its committed sum was taken of
-    experiments = Path(__file__).parents[1] / "experiments"
-    scenario = str(experiments / "constant-switched.json")
-    runs = [("table1", "t1"),
-            *(("simulate", "-c", str(config), config.stem)
-              for config in sorted(experiments.glob("ramp-*.json"))),
-            ("analyze", "-c", scenario, "constant-switched"),
-            ("cycles", "-c", scenario, "constant-switched"),
-            ("sweep", "-c", str(experiments / "sweep-fast.json"),
-             "--jobs", "1", "sweep")]
-    for *argv, out in runs:
-        assert main([*argv, "-o", str(tmp_path / out)]) == 0
-    sums = dict(line.split()[::-1]
-                for line in OUTPUT_SUMS.read_text().splitlines())
-    assert len(sums) == 9
-    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in sums} == sums
+def test_every_committed_sum_has_a_run():
+    outputs = set()
+    for run in experiment_runs():
+        command, *_, out = run.values
+        outputs.update(f"{out}/{name}" for name in OUTPUTS.get(command, ()))
+    assert outputs == set(OUTPUT_SUMS)
 
 
 @pytest.mark.parametrize("kind, shown", [("sine", "'sine'"), (3, "'3'")])
@@ -692,16 +721,24 @@ def test_campaign_reports_the_first_bad_key_in_table_order(tmp_path, capsys):
         "outside (1, 3); the loop is unstable\n"
 
 
-def run_fresh(*args):
-    """``python *args`` in a fresh interpreter that imports this ``src``,
-    with no warning filters set."""
-    import quantloop
-    src = str(Path(quantloop.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    env.pop("PYTHONWARNINGS", None)
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True)
+def test_table1_fails_when_the_signs_disagree(tmp_path, capsys,
+                                             monkeypatch):
+    # -dbar scores 1e-9 above +dbar: the table is not written
+    rms = campaign._campaign_rms
+    monkeypatch.setattr(campaign, "_campaign_rms", lambda spec, law, dbar:
+                        rms(spec, law, dbar) + (1e-9 if dbar < 0 else 0))
+    spec = campaign.CampaignSpec(disturbances=(Fraction(1, 10),),
+                                 horizon=200)
+    plus = rms(spec, "standard-pi", Fraction(1, 10))
+    line = (f"sign symmetry violated for standard-pi, dbar=1/10: {plus} vs "
+            f"{plus + 1e-9}")
+    with pytest.raises(ArithmeticError) as exc:
+        campaign.run_table1(spec)
+    assert str(exc.value) == line
+    payload = {"disturbances": ["1/10"], "horizon": 200}
+    assert run_with_config(tmp_path, "table1", payload) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "out" / "table1.csv").exists()
 
 
 def test_cli_import_loads_its_layers_and_no_heavy_stdlib(tmp_path):

@@ -11,15 +11,11 @@ its lines are counted.
 
 import csv
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
-import quantloop
+from oracles import run_fresh
 
-SRC = Path(quantloop.__file__).resolve().parent.parent
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
 #: An exact switched scenario whose cycle has 8 switch steps in 37.
@@ -36,10 +32,10 @@ def cli(tmp_path: Path, command: str, name: str, config: dict,
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(config))
     out = tmp_path / name
-    subprocess.run(
-        [sys.executable, *(["-W", "error"] if strict else []), "-m",
-         "quantloop.cli", command, "-c", str(path), "-o", str(out)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), check=True, timeout=60)
+    done = run_fresh(*(["-W", "error"] if strict else []), "-m",
+                     "quantloop.cli", command, "-c", str(path), "-o",
+                     str(out), timeout=60)
+    assert done.returncode == 0, done.stderr
     return out
 
 

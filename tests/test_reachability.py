@@ -584,6 +584,21 @@ def test_sweep_forks_no_idle_worker(monkeypatch):
     assert_no_child_left(pids)
 
 
+@pytest.mark.parametrize("jobs, shown", [
+    (0, "an integer >= 1, got 0"), (-1, "an integer >= 1, got -1"),
+    (1.5, "an integer, got 1.5"), (True, "an integer, got True")],
+    ids=["0", "-1", "1.5", "True"])
+def test_sweep_rejects_a_worker_count_before_forking(monkeypatch, jobs,
+                                                     shown):
+    # the CLI's --jobs also caps the count at the CPUs; a call in code is
+    # checked only for a count, and fails naming it before any work
+    pids = forks_counted(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        sweep(small_spec(), jobs=jobs)
+    assert str(exc.value) == f"jobs: expected {shown}"
+    assert pids == []
+
+
 def test_worker_exception_reaches_the_caller(monkeypatch):
     caller, classify = os.getpid(), reachability.classify_trajectory
 

@@ -148,6 +148,10 @@ MUTANTS = (
            reach("test_sweep_forks_no_idle_worker",
                  "test_worker_exception_reaches_the_caller",
                  "test_failing_caller_kills_and_reaps_its_workers")),
+    # a worker count is checked before any stride is dealt
+    Mutant("sweep-jobs-unchecked", "src/quantloop/reachability.py",
+           "        checked_count(jobs)\n", "        pass\n",
+           reach("test_sweep_rejects_a_worker_count_before_forking")),
     # the trajectory CSV's blocks of stored steps, and its run's steps:
     # the len of a run, a named tuple, counts its fields
     Mutant("csv-block-short", "src/quantloop/dynamics.py",
@@ -264,6 +268,11 @@ MUTANTS = (
            "alpha: Scalar = Fraction(21, 16)",
            ("tests/test_campaign.py::"
             "test_campaign_default_gain_is_eleven_eighths",)),
+    # a table whose +dbar and -dbar scores disagree is not written
+    Mutant("sign-symmetry-dropped", "src/quantloop/campaign.py",
+           "if abs(plus - minus) > 1e-12:", "if False:",
+           ("tests/test_cli.py::"
+            "test_table1_fails_when_the_signs_disagree",)),
     # the command line: a required option and the worker range
     Mutant("required-option-dropped", "src/quantloop/cli.py",
            "if required and getattr(args, name) is None:",
@@ -274,8 +283,8 @@ MUTANTS = (
            ("tests/test_cli.py::test_jobs_accepts_every_cpu_count",
             "tests/test_cli.py::"
             "test_jobs_without_fork_takes_only_one_worker")),
-    # the config loader: an absent block keeps its defaults, and a key
-    # outside the table fails at any depth
+    # the config loader: an absent block keeps its defaults, a key outside
+    # the table fails at any depth, and a list key takes only a list
     Mutant("absent-block-read", "src/quantloop/campaign.py",
            'if key.split(".")[0] not in raw and name in '
            "record._field_defaults:",
@@ -286,6 +295,10 @@ MUTANTS = (
            '        raise ValueError(f"{path}: unknown key {unknown!r}")\n',
            "",
            ("tests/test_cli.py::test_unknown_config_key_is_rejected",)),
+    Mutant("list-key-takes-any-value", "src/quantloop/campaign.py",
+           "    if not isinstance(values, list):\n", "    if False:\n",
+           ("tests/test_cli.py::"
+            "test_campaign_disturbances_not_a_list_names_the_key",)),
     # the records: each rule tests its value, and each input record's
     # constructor runs its check, the field rules by default
     Mutant("rule-test-dropped", "src/quantloop/dynamics.py",
@@ -319,6 +332,17 @@ MUTANTS = (
            "u = float(q_u + q_e)", "u = q_u + q_e",
            ("tests/test_dynamics.py::"
             "test_law_with_views_matches_two_value_law",)),
+    # a ramp run warns of nothing; only the committed experiments, run as
+    # a user runs them under -W error, simulate a ramp with warnings fatal
+    Mutant("ramp-warns", "src/quantloop/dynamics.py",
+           "    mode = config.resolved_mode()\n",
+           "    if len(config.disturbance.breakpoints) > 1:\n"
+           "        warnings.warn(\"ramp\", TuningWarning, stacklevel=2)\n"
+           "    mode = config.resolved_mode()\n",
+           tuple(f"tests/test_cli.py::test_experiment_outputs_match_the_"
+                 f"committed_sums[simulate-ramp-{name}]"
+                 for name in ("standard-crossing", "switched-crossing",
+                              "switched-no-crossing"))),
     # a worker's exception ends the sweep with that exception
     Mutant("fork-exception-swallowed", "src/quantloop/reachability.py",
            "raise pickle.loads(results[i])", "pass",
